@@ -1,10 +1,17 @@
 """Batched Dormand-Prince 5(4) integrator.
 
-The coarse-grained axis of the substrate: every active simulation in
+The coarse-grained axis of the substrate: every running simulation in
 the batch advances through the same sequence of vectorized stage
 kernels, but each keeps its own time, step size, PI controller memory
 and accept/reject decision — the NumPy realization of one CUDA thread
 (block) per simulation with per-thread adaptive stepping.
+
+The running simulations live in a persistent working set: compact
+per-row arrays that the step loop updates with element-wise selects,
+plus the problem bound to exactly those rows. A row leaves the set
+(finished, exhausted, broken, stiff or stopped by the guard) and the
+set is compacted only on the iterations where that happens — the
+batched analogue of retiring finished threads.
 
 Save times are shared across the batch and hit exactly by per-sim step
 clipping, which is how the coarse-grained GPU simulators of this paper
@@ -12,6 +19,8 @@ family record dynamics without dense output.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..backend import Array, xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
@@ -26,6 +35,8 @@ _EDGE = 1e-12  # relative tolerance when matching save times
 _STIFFNESS_BOUNDARY = 3.25
 #: Consecutive violations before a simulation is declared stiff.
 _STIFFNESS_PATIENCE = 15
+#: Calm accepted steps in a row that clear a simulation's strikes.
+_STIFFNESS_RECOVERY = 6
 
 
 def _combine_stages(weights: Array, stages: Array) -> Array:
@@ -54,13 +65,12 @@ def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
                    derivatives: Array, order: int,
                    options: SolverOptions, span: float) -> Array:
     """Vectorized Hairer starting-step heuristic (one extra kernel)."""
-    rows = xp.arange(states.shape[0])
     scale = options.atol + xp.abs(states) * options.rtol
     d0 = xp.sqrt(xp.mean((states / scale) ** 2, axis=1))
     d1 = xp.sqrt(xp.mean((derivatives / scale) ** 2, axis=1))
     h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
     probe = states + h0[:, None] * derivatives
-    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe, rows)
+    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe)
     d2 = xp.sqrt(xp.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
     dmax = xp.maximum(d1, d2)
     h1 = xp.where(dmax <= 1e-15, xp.maximum(1e-6, h0 * 1e-3),
@@ -69,6 +79,87 @@ def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
     # minimum.reduce over the same three operands.
     cap = xp.full_like(h0, min(options.max_step, span))
     return xp.minimum(xp.minimum(100.0 * h0, h1), cap)
+
+
+def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
+                          stage_k: Array) -> Array:
+    """Rows whose step crossed the explicit stability boundary.
+
+    The last two DOPRI5 stages both sit at t + h; the ratio of their
+    derivative difference to their state difference estimates
+    h * rho(J) (Hairer's stiffness test).
+    """
+    numerator = xp.sum((stage_k[-1] - stage_k[-2]) ** 2, axis=1)
+    denominator = xp.sum((y_new - penultimate) ** 2, axis=1)
+    valid = (denominator > 0.0) & xp.isfinite(denominator)
+    return valid & (h * xp.sqrt(numerator / denominator)
+                    > _STIFFNESS_BOUNDARY)
+
+
+#: Working-set fields that hold one entry per running simulation.
+_ROW_FIELDS = ("rows", "t", "h", "y", "derivative", "save", "n_accepted",
+               "previous_error", "strikes", "streak", "status")
+
+
+@dataclass
+class _WorkingSet:
+    """Compact state of the simulations still running.
+
+    Entry ``i`` of every per-row array belongs to launch row
+    ``rows[i]``, and ``problem`` is the launch's problem bound to
+    exactly those rows, so the step loop evaluates the right-hand side
+    without gathering constants. Rows leave only through
+    :meth:`retire`. All rows attempt every step together, so one step
+    count serves the whole set.
+    """
+
+    rows: Array
+    problem: BatchedODEProblem
+    t: Array
+    h: Array               # proposed size of the next step
+    y: Array
+    derivative: Array      # FSAL: f(t, y), the next step's first stage
+    save: Array            # index of the next save point
+    n_accepted: Array
+    previous_error: Array  # PI memory; negative before the first accept
+    strikes: Array         # stiffness-test violations not yet cleared
+    streak: Array          # consecutive accepted steps without one
+    status: Array
+    n_steps: int = 0       # step attempts of every row in the set
+
+    def retire(self, result: BatchSolveResult) -> bool:
+        """Write back the rows that stopped running and compact the rest.
+
+        Returns whether any row is still running.
+        """
+        leaving = self.status != RUNNING
+        if not leaving.any():
+            return self.rows.size > 0
+        done = self.rows[leaving]
+        result.status_codes[done] = self.status[leaving]
+        result.n_steps[done] = self.n_steps
+        result.n_accepted[done] = self.n_accepted[leaving]
+        result.n_rejected[done] = self.n_steps - self.n_accepted[leaving]
+        keep = xp.flatnonzero(~leaving)
+        if keep.size == 0:
+            return False
+        for name in _ROW_FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.problem = self.problem.subset(keep)
+        return True
+
+    def count_stiffness(self, accepted: Array, violated: Array) -> None:
+        """Strike bookkeeping of the stiffness test on accepted rows;
+        running rows whose strikes persist turn STIFF.
+        """
+        violated = accepted & violated
+        calm = accepted & ~violated
+        self.streak = xp.where(violated, 0, self.streak + calm)
+        self.strikes = xp.where(calm & (self.streak >= _STIFFNESS_RECOVERY),
+                                0, self.strikes + violated)
+        self.status = xp.where(
+            accepted & (self.strikes >= _STIFFNESS_PATIENCE)
+            & (self.status == RUNNING), STIFF, self.status)
 
 
 class BatchDopri5:
@@ -116,148 +207,141 @@ class BatchDopri5:
             result.y[:, 0, :] = states
             save_index[:] = 1
 
-        all_rows = xp.arange(batch)
-        derivatives = problem.fun(times, states, all_rows)
+        derivatives = problem.fun(times, states)
         if options.first_step is not None:
             steps = xp.full(batch, options.first_step)
         else:
             steps = _initial_steps(problem, t0, states, derivatives,
                                    tableau.order, options, t1 - t0)
-        previous_errors = xp.full(batch, -1.0)  # <0: no PI memory yet
         error_exponent = -1.0 / (tableau.error_order + 1)
         max_step = min(options.max_step, t1 - t0)
-        status = result.status_codes
-        stiffness_strikes = xp.zeros(batch, dtype=xp.int64)
-        nonstiff_streak = xp.zeros(batch, dtype=xp.int64)
+        last_save = t_eval.size - 1
+        # A step that reaches this close to a save time lands on it.
+        save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
+        guard = problem.guard
 
-        # Simulations whose whole grid is already recorded.
-        status[save_index >= t_eval.size] = OK
+        work = _WorkingSet(
+            rows=xp.arange(batch), problem=problem, t=times, h=steps,
+            y=states, derivative=derivatives, save=save_index,
+            n_accepted=xp.zeros(batch, dtype=xp.int64),
+            previous_error=xp.full(batch, -1.0),
+            strikes=xp.zeros(batch, dtype=xp.int64),
+            streak=xp.zeros(batch, dtype=xp.int64),
+            # Simulations whose whole grid is already recorded are done.
+            status=xp.where(save_index > last_save, OK, RUNNING))
         tracer.end(compile_span)
         loop_span = tracer.start("step-loop", "phase",
                                  parent=problem.trace_span,
                                  solver=self.name)
 
         while True:
-            active = xp.flatnonzero(status == RUNNING)
-            if active.size == 0:
+            if work.n_steps >= options.max_steps:
+                work.status = xp.where(work.status == RUNNING, EXHAUSTED,
+                                       work.status)
+            if not work.retire(result):
                 break
-            exhausted = active[result.n_steps[active] >= options.max_steps]
-            if exhausted.size:
-                status[exhausted] = EXHAUSTED
-                active = xp.flatnonzero(status == RUNNING)
-                if active.size == 0:
-                    break
 
-            t_act = times[active]
-            h_act = xp.minimum(steps[active], t1 - t_act)
-            next_save = t_eval[xp.minimum(save_index[active],
-                                          t_eval.size - 1)]
-            hit = t_act + h_act >= next_save - _EDGE * xp.maximum(
-                1.0, xp.abs(next_save))
-            h_act = xp.where(hit, next_save - t_act, h_act)
+            t = work.t
+            h = xp.minimum(work.h, t1 - t)
+            next_save = xp.minimum(work.save, last_save)
+            hit = t + h >= save_reach[next_save]
+            h = xp.where(hit, t_eval[next_save] - t, h)
 
             # Non-finite steps (a NaN RHS poisoned the step heuristic or
             # controller) can never recover — break those rows at once.
-            broken_step = ~xp.isfinite(h_act) | \
-                (h_act <= xp.abs(t_act) * 1e-15)
-            dead = active[broken_step]
-            if dead.size:
-                status[dead] = BROKEN
-                if problem.guard is not None:
-                    problem.guard.on_step_break(
-                        dead, problem.row_ids[dead], t_act[broken_step],
-                        h_act[broken_step], status)
-                keep = ~broken_step
-                active, t_act, h_act, hit = (active[keep], t_act[keep],
-                                             h_act[keep], hit[keep])
-                if active.size == 0:
-                    continue
+            broken = ~xp.isfinite(h) | (h <= xp.abs(t) * 1e-15)
+            if broken.any():
+                work.status = xp.where(broken, BROKEN, work.status)
+                if guard is not None:
+                    dead = xp.flatnonzero(broken)
+                    guard.on_step_break(dead, work.problem.row_ids[dead],
+                                        t[dead], h[dead], work.status)
+                if not work.retire(result):
+                    break
+                # Every other row was running, so exactly these stay.
+                keep = ~broken
+                t, h, hit = work.t, h[keep], hit[keep]
 
-            result.n_steps[active] += 1
-            y_act = states[active]
-            stage_k = xp.empty((tableau.n_stages, active.size, n))
-            stage_k[0] = derivatives[active]
+            work.n_steps += 1
+            y = work.y
+            stage_k = xp.empty((tableau.n_stages, t.size, n))
+            stage_k[0] = work.derivative
             penultimate_states = None
             # Diverging rows overflow transiently before they are caught
-            # by the finiteness check; keep those FP warnings quiet.
-            with xp.errstate(over="ignore", invalid="ignore"):
+            # by the finiteness check, and the step-size control runs
+            # both branches on every row; keep those FP warnings quiet.
+            with xp.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
                 for i in range(1, tableau.n_stages):
                     increment = _combine_stages(tableau.a[i, :i],
                                                 stage_k[:i])
-                    stage_states = y_act + h_act[:, None] * increment
+                    stage_states = y + h[:, None] * increment
                     if i == tableau.n_stages - 2:
                         penultimate_states = stage_states
-                    stage_times = t_act + tableau.c[i] * h_act
-                    stage_k[i] = problem.fun(stage_times, stage_states,
-                                             active)
+                    stage_k[i] = work.problem.fun(t + tableau.c[i] * h,
+                                                  stage_states)
 
-                y_new = y_act + h_act[:, None] * _combine_stages(
-                    tableau.b, stage_k)
-                local_error = h_act[:, None] * _combine_stages(
-                    tableau.e, stage_k)
-                err = _scaled_error_norms(local_error, y_act, y_new,
-                                          options)
-            finite = xp.all(xp.isfinite(y_new), axis=1)
-            err = xp.where(finite, err, xp.inf)
+                y_new = y + h[:, None] * _combine_stages(tableau.b, stage_k)
+                local_error = h[:, None] * _combine_stages(tableau.e,
+                                                           stage_k)
+                err = _scaled_error_norms(local_error, y, y_new, options)
+                err = xp.where(xp.all(xp.isfinite(y_new), axis=1), err,
+                               xp.inf)
+                accepted = err <= 1.0
 
-            accepted = err <= 1.0
-            acc_rows = active[accepted]
-            rej_rows = active[~accepted]
-            result.n_accepted[acc_rows] += 1
-            result.n_rejected[rej_rows] += 1
-
-            if acc_rows.size:
-                t_new = t_act[accepted] + h_act[accepted]
-                accepted_states = y_new[accepted]
-                states[acc_rows] = accepted_states
-                derivatives[acc_rows] = stage_k[-1, accepted]  # FSAL
-                times[acc_rows] = t_new
-
-                if problem.guard is not None:
-                    problem.guard.after_accept(
-                        states, acc_rows, problem.row_ids[acc_rows],
-                        t_new, status, gathered=accepted_states)
-
-                if self.abort_on_stiffness:
-                    self._stiffness_test(
-                        acc_rows, accepted, h_act, y_new,
-                        penultimate_states, stage_k, status,
-                        stiffness_strikes, nonstiff_streak)
-
-                hits = xp.flatnonzero(accepted & hit)
-                if hits.size:
-                    # Save from `states` (possibly guard-clamped), and
-                    # only for rows the guard left running.
-                    hit_rows = active[hits]
-                    hit_rows = hit_rows[status[hit_rows] == RUNNING]
-                    result.y[hit_rows, save_index[hit_rows], :] = \
-                        states[hit_rows]
-                    save_index[hit_rows] += 1
-                    status[hit_rows[save_index[hit_rows] >= t_eval.size]] = OK
-
-                err_acc = xp.maximum(err[accepted], 1e-10)
-                factor = options.safety * err_acc ** error_exponent
+                err_accepted = xp.maximum(err, 1e-10)
+                factor = options.safety * err_accepted ** error_exponent
                 if self.use_pi_controller:
-                    memory = previous_errors[acc_rows]
-                    has_memory = memory > 0.0
-                    pi_scale = xp.where(
-                        has_memory,
-                        (xp.maximum(memory, 1e-10) / err_acc) ** 0.04, 1.0)
-                    factor *= pi_scale
+                    memory = work.previous_error
+                    factor *= xp.where(
+                        memory > 0.0,
+                        (xp.maximum(memory, 1e-10) / err_accepted) ** 0.04,
+                        1.0)
                 factor = xp.clip(factor, options.min_step_factor,
                                  options.max_step_factor)
-                previous_errors[acc_rows] = err_acc
-                steps[acc_rows] = xp.minimum(h_act[accepted] * factor,
-                                             max_step)
-
-            if rej_rows.size:
-                err_rej = err[~accepted]
                 shrink = xp.where(
-                    xp.isfinite(err_rej),
+                    xp.isfinite(err),
                     xp.maximum(options.min_step_factor,
-                               options.safety * err_rej ** error_exponent),
+                               options.safety * err ** error_exponent),
                     options.min_step_factor)
-                steps[rej_rows] = h_act[~accepted] * shrink
+                violated = (_stiffness_violations(h, y_new,
+                                                  penultimate_states,
+                                                  stage_k)
+                            if self.abort_on_stiffness else None)
+
+            # Accept/reject: each row keeps its own branch.
+            work.h = xp.where(accepted, xp.minimum(h * factor, max_step),
+                              h * shrink)
+            work.n_accepted += accepted
+            work.previous_error = xp.where(accepted, err_accepted,
+                                           work.previous_error)
+            t_new = t + h
+            if accepted.all():  # the selects would copy these unchanged
+                work.t, work.y, work.derivative = t_new, y_new, stage_k[-1]
+            else:
+                work.t = xp.where(accepted, t_new, t)
+                work.y = xp.where(accepted[:, None], y_new, y)
+                work.derivative = xp.where(accepted[:, None], stage_k[-1],
+                                           work.derivative)
+            if guard is not None and accepted.any():
+                # Clamps land in the working set, in place.
+                moved = xp.flatnonzero(accepted)
+                guard.after_accept(work.y, moved,
+                                   work.problem.row_ids[moved],
+                                   t_new[moved], work.status)
+            if violated is not None:
+                work.count_stiffness(accepted, violated)
+
+            # Save from the (possibly guard-clamped) working state, and
+            # only for rows the guard and the stiffness test left running.
+            hits = accepted & hit & (work.status == RUNNING)
+            if hits.any():
+                saved = xp.flatnonzero(hits)
+                result.y[work.rows[saved], work.save[saved], :] = \
+                    work.y[saved]
+                work.save = work.save + hits
+                work.status = xp.where(hits & (work.save > last_save), OK,
+                                       work.status)
 
         tracer.end(loop_span)
         # Save points are recorded in-loop by per-sim step clipping, so
@@ -266,35 +350,3 @@ class BatchDopri5:
         with tracer.span("dense-output", "phase",
                          parent=problem.trace_span, solver=self.name):
             return result
-
-    @staticmethod
-    def _stiffness_test(acc_rows, accepted, h_act, y_new, penultimate_states,
-                        stage_k, status, strikes, nonstiff_streak) -> None:
-        """Vectorized Hairer stiffness test on the accepted subset.
-
-        The last two DOPRI5 stages both sit at t + h; the ratio of their
-        derivative difference to their state difference estimates
-        h * rho(J). Persistent violations of the explicit stability
-        boundary flag the simulation as stiff and deactivate it (unless
-        it already finished).
-        """
-        with xp.errstate(over="ignore", invalid="ignore",
-                         divide="ignore"):
-            numerator = xp.sum(
-                (stage_k[-1, accepted] - stage_k[-2, accepted]) ** 2,
-                axis=1)
-            denominator = xp.sum(
-                (y_new[accepted] - penultimate_states[accepted]) ** 2,
-                axis=1)
-            valid = (denominator > 0.0) & xp.isfinite(denominator)
-            h_lambda = h_act[accepted] * xp.sqrt(numerator / denominator)
-        violated = valid & (h_lambda > _STIFFNESS_BOUNDARY)
-        strikes[acc_rows[violated]] += 1
-        nonstiff_streak[acc_rows[violated]] = 0
-        calm = acc_rows[~violated]
-        nonstiff_streak[calm] += 1
-        reset = calm[nonstiff_streak[calm] >= 6]
-        strikes[reset] = 0
-        flagged = acc_rows[strikes[acc_rows] >= _STIFFNESS_PATIENCE]
-        still_running = flagged[status[flagged] == RUNNING]
-        status[still_running] = STIFF

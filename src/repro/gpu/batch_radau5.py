@@ -343,11 +343,21 @@ class BatchRadau5:
             rows = active[work]
             n_iterations[work] += 1
             problem.counters.newton_iterations += work.size
+            # One RHS launch for all three stages, stage-major: rows
+            # [i*w, (i+1)*w) of the stacked launch hold stage i. The RHS
+            # is row-wise, so each row rounds as in its own launch;
+            # copying the blocks into a C-ordered buffer keeps the
+            # einsums below on the same memory layout either way.
+            base = states[rows]
+            stacked = problem.fun(
+                xp.concatenate([stage_times[work, i] for i in range(3)]),
+                xp.concatenate([base + increments[work, i, :]
+                                for i in range(3)]),
+                xp.concatenate([rows, rows, rows]))
             stage_derivatives = xp.empty((work.size, 3, n))
             for i in range(3):
-                stage_derivatives[:, i, :] = problem.fun(
-                    stage_times[work, i],
-                    states[rows] + increments[work, i, :], rows)
+                stage_derivatives[:, i, :] = \
+                    stacked[i * work.size:(i + 1) * work.size]
             bad = ~xp.all(xp.isfinite(stage_derivatives), axis=(1, 2))
             if xp.any(bad):
                 failed[work[bad]] = True

@@ -5,13 +5,15 @@ A :class:`BatchedODEProblem` binds a compiled
 parameterizations and an evaluation policy, exposing the masked-subset
 evaluation interface the batched integrators consume:
 
-    fun(times, states, rows)      -> derivatives for the selected sims
+    fun(times, states, rows=None) -> derivatives for the selected sims
     jacobian(times, states, rows) -> batched Jacobians for the selection
 
-``rows`` indexes into the batch (the active-simulation subset of the
-current integration step), so per-simulation kinetic constants are
-looked up device-side without host round trips — the analog of keeping
-the parameter matrix resident in GPU global memory.
+``rows`` indexes into the batch, so per-simulation kinetic constants
+are looked up device-side without host round trips — the analog of
+keeping the parameter matrix resident in GPU global memory. An
+integrator that keeps its running simulations as a working set binds
+them once with :meth:`BatchedODEProblem.subset` and calls ``fun``
+without ``rows``, evaluating every row of the subset.
 """
 
 from __future__ import annotations
@@ -121,24 +123,33 @@ class BatchedODEProblem:
         return self.parameters.initial_states.copy()
 
     def fun(self, times: Array, states: Array,
-            rows: Array) -> Array:
+            rows: Array | None = None) -> Array:
         """Batched dX/dt for the simulations selected by ``rows``.
+
+        ``rows=None`` means every row of this problem, in order: the
+        constants are used as bound, with no gather. This is how an
+        integrator evaluates a working set it holds as a
+        :meth:`subset`.
 
         ``times`` is accepted for interface uniformity; RBM dynamics are
         autonomous so it is unused.
         """
         del times
-        constants = self.parameters.rate_constants[rows]
+        if rows is None:
+            constants, row_ids = self.parameters.rate_constants, self.row_ids
+        else:
+            constants = self.parameters.rate_constants[rows]
+            row_ids = self.row_ids[rows]
         self.counters.rhs_kernel_launches += 1
-        self.counters.rhs_simulation_evaluations += rows.shape[0]
+        self.counters.rhs_simulation_evaluations += states.shape[0]
         derivatives = self.system.rhs(states, constants, self.policy)
         if self.fault_plan is not None:
             if self.fault_plan.injects_nan:
-                faulted = self.fault_plan.nan_mask(self.row_ids[rows])
+                faulted = self.fault_plan.nan_mask(row_ids)
                 if faulted.any():
                     derivatives[faulted] = xp.nan
             if self.fault_plan.injects_drift:
-                drifting = self.fault_plan.drift_mask(self.row_ids[rows])
+                drifting = self.fault_plan.drift_mask(row_ids)
                 if drifting.any():
                     derivatives[drifting] += self.fault_plan.drift_rate
         return derivatives

@@ -99,14 +99,13 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
                                probe_skipped=True)
     states = (problem.initial_states() if initial_states is None
               else xp.asarray(initial_states, dtype=xp.float64))
-    rows = xp.arange(problem.batch_size)
-    times = xp.full(rows.size, t0)
-    base = problem.fun(times, states, rows)
+    times = xp.full(problem.batch_size, t0)
+    base = problem.fun(times, states)
     scale = 1e-7 * (xp.norm(states, axis=1, keepdims=True) + 1.0)
 
     def jacobian_action(directions: Array) -> Array:
         probes = states + scale * directions
-        return (problem.fun(times, probes, rows) - base) / scale
+        return (problem.fun(times, probes) - base) / scale
 
     estimate = power_iteration_matvec(jacobian_action, states)
     return RoutingDecision(estimate.spectral_radius > threshold,

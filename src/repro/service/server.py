@@ -44,6 +44,10 @@ from .config import ServiceConfig
 from .core import CampaignService
 from .jobs import JobRequest
 
+#: Longest request line the server reads (asyncio's default stream
+#: limit); longer lines are answered with a ``BadRequest``.
+MAX_LINE_BYTES = 2 ** 16
+
 
 def _load_model(path: Path):
     from ..io import read_model, read_sbml
@@ -164,11 +168,43 @@ async def _handle_http(state: _ServerState, first_line: bytes,
     await writer.drain()
 
 
+def _bad_request(reason: str) -> dict:
+    return {"ok": False, "error": f"bad request: {reason}",
+            "kind": "BadRequest"}
+
+
+async def _reply(writer, response: dict) -> None:
+    writer.write(json.dumps(response, sort_keys=True).encode() + b"\n")
+    await writer.drain()
+
+
+async def _read_line(reader) -> bytes | None:
+    """The next request line (``b""`` at end of stream), or ``None``
+    for a line longer than :data:`MAX_LINE_BYTES`, which is discarded
+    through its newline so the connection stays in step."""
+    oversize = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            return b"" if oversize else error.partial
+        except asyncio.LimitOverrunError as error:
+            # The scanned bytes stay buffered: drop them, look again.
+            await reader.readexactly(error.consumed)
+            oversize = True
+            continue
+        return None if oversize else line
+
+
 async def _handle_connection(state: _ServerState, reader, writer) -> None:
     try:
         first = True
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                await _reply(writer, _bad_request(
+                    f"request line longer than {MAX_LINE_BYTES} bytes"))
+                continue
             if not line:
                 return
             if first and (line.startswith(b"GET ")
@@ -178,6 +214,9 @@ async def _handle_connection(state: _ServerState, reader, writer) -> None:
             first = False
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise TypeError("a request is one JSON object, got "
+                                    f"{type(payload).__name__}")
                 response = await _handle_request(state, payload)
             except ReproError as error:
                 # Typed rejections (QueueFull, QuotaExceeded, ...) and
@@ -187,11 +226,8 @@ async def _handle_connection(state: _ServerState, reader, writer) -> None:
                             "kind": type(error).__name__}
             except (KeyError, TypeError, ValueError,
                     json.JSONDecodeError) as error:
-                response = {"ok": False, "error": f"bad request: {error}",
-                            "kind": "BadRequest"}
-            writer.write(json.dumps(response, sort_keys=True).encode()
-                         + b"\n")
-            await writer.drain()
+                response = _bad_request(str(error))
+            await _reply(writer, response)
     except (ConnectionError, asyncio.IncompleteReadError):
         return
     finally:
@@ -226,7 +262,8 @@ async def serve_async(host: str = "127.0.0.1", port: int = 8753,
     await service.start()
     state = _ServerState(service)
     server = await asyncio.start_server(
-        lambda r, w: _handle_connection(state, r, w), host, port)
+        lambda r, w: _handle_connection(state, r, w), host, port,
+        limit=MAX_LINE_BYTES)
     bound = server.sockets[0].getsockname()[:2]
     if ready is not None:
         ready(bound)

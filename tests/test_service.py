@@ -662,6 +662,55 @@ class TestServer:
         thread.join(timeout=30.0)
         assert not thread.is_alive()
 
+    @pytest.fixture()
+    def server_port(self):
+        ports = queue.Queue()
+        thread = threading.Thread(
+            target=lambda: asyncio.run(serve_async(
+                port=0, ready=lambda bound: ports.put(bound[1]))),
+            daemon=True)
+        thread.start()
+        port = ports.get(timeout=30.0)
+        yield port
+        with Client(port=port) as client:
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _exchange(sock, line: bytes) -> dict:
+        import json
+        sock.sendall(line)
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = sock.recv(65536)
+            assert chunk, "server closed the connection without a reply"
+            reply += chunk
+        return json.loads(reply)
+
+    def _assert_bad_request_in_step(self, port, line, reason):
+        """``line`` gets a typed BadRequest and the next request on the
+        same connection is read in step."""
+        import socket
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30.0) as sock:
+            for _ in range(2):
+                reply = self._exchange(sock, line)
+                assert reply["ok"] is False
+                assert reply["kind"] == "BadRequest"
+                assert reason in reply["error"]
+                assert self._exchange(sock, b'{"op": "stats"}\n')["ok"]
+
+    def test_oversize_line_is_a_bad_request(self, server_port):
+        from repro.service.server import MAX_LINE_BYTES
+        line = (b'{"op": "stats", "pad": "'
+                + b"x" * (4 * MAX_LINE_BYTES) + b'"}\n')
+        self._assert_bad_request_in_step(server_port, line, "longer than")
+
+    @pytest.mark.parametrize("line", [b"[1]\n", b'"stats"\n', b"null\n"])
+    def test_non_object_line_is_a_bad_request(self, server_port, line):
+        self._assert_bad_request_in_step(server_port, line, "JSON object")
+
     def test_admission_errors_cross_the_wire(self, model_folder):
         ports = queue.Queue()
         config = ServiceConfig(
