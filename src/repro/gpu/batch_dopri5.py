@@ -6,12 +6,12 @@ kernels, but each keeps its own time, step size, PI controller memory
 and accept/reject decision — the NumPy realization of one CUDA thread
 (block) per simulation with per-thread adaptive stepping.
 
-The running simulations live in a persistent working set: compact
-per-row arrays that the step loop updates with element-wise selects,
-plus the problem bound to exactly those rows. A row leaves the set
-(finished, exhausted, broken, stiff or stopped by the guard) and the
-set is compacted only on the iterations where that happens — the
-batched analogue of retiring finished threads.
+The running simulations live in the persistent working set of
+:mod:`repro.gpu.working_set`: compact per-row arrays that the step loop
+updates with element-wise selects, plus the problem bound to exactly
+those rows. A row leaves the set (finished, exhausted, broken, stiff or
+stopped by the guard) and the set is compacted only on the iterations
+where that happens — the batched analogue of retiring finished threads.
 
 Save times are shared across the batch and hit exactly by per-sim step
 clipping, which is how the coarse-grained GPU simulators of this paper
@@ -26,9 +26,10 @@ from ..backend import Array, xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
 from ..solvers.tableaus import DOPRI5
 from ..telemetry.tracer import NULL_TRACER
-from .batch_result import (BROKEN, EXHAUSTED, METHOD_DOPRI5, OK, RUNNING,
-                           STIFF, BatchSolveResult, allocate_result)
+from .batch_result import (METHOD_DOPRI5, OK, RUNNING, STIFF,
+                           BatchSolveResult, allocate_result)
 from .batched_ode import BatchedODEProblem
+from .working_set import WorkingSet
 
 _EDGE = 1e-12  # relative tolerance when matching save times
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
@@ -96,57 +97,16 @@ def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
                     > _STIFFNESS_BOUNDARY)
 
 
-#: Working-set fields that hold one entry per running simulation.
-_ROW_FIELDS = ("rows", "t", "h", "y", "derivative", "save", "n_accepted",
-               "previous_error", "strikes", "streak", "status")
-
-
 @dataclass
-class _WorkingSet:
-    """Compact state of the simulations still running.
+class _Dopri5Set(WorkingSet):
+    """The working set plus DOPRI5's PI memory and stiffness strikes."""
 
-    Entry ``i`` of every per-row array belongs to launch row
-    ``rows[i]``, and ``problem`` is the launch's problem bound to
-    exactly those rows, so the step loop evaluates the right-hand side
-    without gathering constants. Rows leave only through
-    :meth:`retire`. All rows attempt every step together, so one step
-    count serves the whole set.
-    """
-
-    rows: Array
-    problem: BatchedODEProblem
-    t: Array
-    h: Array               # proposed size of the next step
-    y: Array
-    derivative: Array      # FSAL: f(t, y), the next step's first stage
-    save: Array            # index of the next save point
-    n_accepted: Array
     previous_error: Array  # PI memory; negative before the first accept
     strikes: Array         # stiffness-test violations not yet cleared
     streak: Array          # consecutive accepted steps without one
-    status: Array
-    n_steps: int = 0       # step attempts of every row in the set
 
-    def retire(self, result: BatchSolveResult) -> bool:
-        """Write back the rows that stopped running and compact the rest.
-
-        Returns whether any row is still running.
-        """
-        leaving = self.status != RUNNING
-        if not leaving.any():
-            return self.rows.size > 0
-        done = self.rows[leaving]
-        result.status_codes[done] = self.status[leaving]
-        result.n_steps[done] = self.n_steps
-        result.n_accepted[done] = self.n_accepted[leaving]
-        result.n_rejected[done] = self.n_steps - self.n_accepted[leaving]
-        keep = xp.flatnonzero(~leaving)
-        if keep.size == 0:
-            return False
-        for name in _ROW_FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
-        self.problem = self.problem.subset(keep)
-        return True
+    ROW_FIELDS = WorkingSet.ROW_FIELDS + ("previous_error", "strikes",
+                                          "streak")
 
     def count_stiffness(self, accepted: Array, violated: Array) -> None:
         """Strike bookkeeping of the stiffness test on accepted rows;
@@ -220,7 +180,7 @@ class BatchDopri5:
         save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
         guard = problem.guard
 
-        work = _WorkingSet(
+        work = _Dopri5Set(
             rows=xp.arange(batch), problem=problem, t=times, h=steps,
             y=states, derivative=derivatives, save=save_index,
             n_accepted=xp.zeros(batch, dtype=xp.int64),
@@ -234,13 +194,7 @@ class BatchDopri5:
                                  parent=problem.trace_span,
                                  solver=self.name)
 
-        while True:
-            if work.n_steps >= options.max_steps:
-                work.status = xp.where(work.status == RUNNING, EXHAUSTED,
-                                       work.status)
-            if not work.retire(result):
-                break
-
+        while work.retire(result, options.max_steps):
             t = work.t
             h = xp.minimum(work.h, t1 - t)
             next_save = xp.minimum(work.save, last_save)
@@ -251,12 +205,8 @@ class BatchDopri5:
             # controller) can never recover — break those rows at once.
             broken = ~xp.isfinite(h) | (h <= xp.abs(t) * 1e-15)
             if broken.any():
-                work.status = xp.where(broken, BROKEN, work.status)
-                if guard is not None:
-                    dead = xp.flatnonzero(broken)
-                    guard.on_step_break(dead, work.problem.row_ids[dead],
-                                        t[dead], h[dead], work.status)
-                if not work.retire(result):
+                work.break_rows(broken, t, h)
+                if not work.retire(result, options.max_steps):
                     break
                 # Every other row was running, so exactly these stay.
                 keep = ~broken
@@ -334,14 +284,7 @@ class BatchDopri5:
 
             # Save from the (possibly guard-clamped) working state, and
             # only for rows the guard and the stiffness test left running.
-            hits = accepted & hit & (work.status == RUNNING)
-            if hits.any():
-                saved = xp.flatnonzero(hits)
-                result.y[work.rows[saved], work.save[saved], :] = \
-                    work.y[saved]
-                work.save = work.save + hits
-                work.status = xp.where(hits & (work.save > last_save), OK,
-                                       work.status)
+            work.record(accepted & hit, result)
 
         tracer.end(loop_span)
         # Save points are recorded in-loop by per-sim step clipping, so

@@ -1,6 +1,6 @@
 """Batched Radau IIA order-5 integrator.
 
-The stiff half of the GPU-style substrate: every active simulation runs
+The stiff half of the GPU-style substrate: every running simulation runs
 its own simplified-Newton iteration on the transformed three-stage
 system, but all linear algebra is executed as *batched* operations —
 ``numpy.linalg.inv`` over a stacked (b, N, N) axis plays the role the
@@ -11,9 +11,21 @@ Each simulation keeps its own step size, Jacobian freshness flag,
 factorization cache, collocation polynomial (used to predict the next
 step's stage values) and predictive step controller, exactly like the
 scalar :class:`~repro.solvers.radau5.Radau5` it is validated against.
+
+That state lives in the persistent working set shared with DOPRI5
+(:mod:`repro.gpu.working_set`): compact per-row arrays, updated with
+element-wise selects and compacted only on an iteration where a row
+leaves. Rows are gathered only for work a strict subset of the set
+needs: a partial factor refresh, a Newton iteration some rows already
+left, the error refinement, the derivative after a partial accept and
+Jacobian refreshes. While every row iterates, the Newton loop's stacked
+three-stage launch runs on the set's problem tiled three times.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 from ..backend import Array, xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
@@ -21,9 +33,10 @@ from ..solvers.radau5 import (MU_COMPLEX, MU_REAL, RADAU_C, RADAU_E, RADAU_T,
                               RADAU_TI)
 from ..telemetry.tracer import NULL_TRACER
 from .batch_dopri5 import _initial_steps, _scaled_error_norms
-from .batch_result import (BROKEN, EXHAUSTED, METHOD_RADAU5, OK, RUNNING,
-                           BatchSolveResult, allocate_result)
+from .batch_result import (METHOD_RADAU5, OK, RUNNING, BatchSolveResult,
+                           allocate_result)
 from .batched_ode import BatchedODEProblem
+from .working_set import WorkingSet
 
 _EDGE = 1e-12
 _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
@@ -32,6 +45,65 @@ _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
 #: Radau nodes); maps stage increments to polynomial coefficients.
 _VANDERMONDE_INV = xp.inv(
     xp.vander(RADAU_C, 3, increasing=True) * RADAU_C[:, None])
+
+
+def _pick(values: Array, index: Array | None) -> Array:
+    """``values[index]``, or ``values`` itself when ``index`` is None
+    (every row of the set, no gather).
+    """
+    return values if index is None else values[index]
+
+
+def _scatter(target: Array, index: Array | None, values: Array) -> Array:
+    """``target`` with rows ``index`` replaced by ``values``.
+
+    ``index`` None means every row: ``values`` replaces ``target``
+    outright (rebound, not copied). Otherwise ``target`` is written in
+    place, so it must be an array the caller owns.
+    """
+    if index is None:
+        return values
+    target[index] = values
+    return target
+
+
+def _tiled(problem: BatchedODEProblem) -> BatchedODEProblem:
+    """``problem`` with its rows repeated three times, stage-major: the
+    binding of the Newton iteration's stacked three-stage launch.
+    """
+    rows = xp.arange(problem.batch_size)
+    return problem.subset(xp.concatenate([rows, rows, rows]))
+
+
+@dataclass
+class _Radau5Set(WorkingSet):
+    """The working set plus Radau5's Jacobians, factorizations,
+    collocation polynomial and controller memory.
+    """
+
+    jacobian: Array
+    jac_current: Array     # Jacobian taken at the current state
+    inv_real: Array        # inverses of the real and complex Newton
+    inv_complex: Array     # matrices, valid for steps of h_factored
+    h_factored: Array      # negative when the inverses are stale
+    poly_coeffs: Array     # collocation polynomial of the last accepted
+    poly_y_start: Array    # step, which predicts the next stage values
+    has_poly: Array
+    h_previous: Array
+    err_previous: Array    # controller memory; negative before an accept
+    stacked: BatchedODEProblem = field(init=False)
+
+    ROW_FIELDS = WorkingSet.ROW_FIELDS + (
+        "jacobian", "jac_current", "inv_real", "inv_complex", "h_factored",
+        "poly_coeffs", "poly_y_start", "has_poly", "h_previous",
+        "err_previous")
+
+    def __post_init__(self) -> None:
+        self.stacked = _tiled(self.problem)
+
+    def compact(self, keep: Array) -> None:
+        super().compact(keep)
+        self.stacked = _tiled(self.problem)
 
 
 class BatchRadau5:
@@ -74,207 +146,190 @@ class BatchRadau5:
             result.y[:, 0, :] = states
             save_index[:] = 1
 
-        all_rows = xp.arange(batch)
-        derivatives = problem.fun(times, states, all_rows)
+        derivatives = problem.fun(times, states)
         if options.first_step is not None:
             steps = xp.full(batch, options.first_step)
         else:
             steps = _initial_steps(problem, t0, states, derivatives, 5,
                                    options, t1 - t0)
         max_step = min(options.max_step, t1 - t0)
+        last_save = t_eval.size - 1
+        # A step that reaches this close to a save time lands on it.
+        save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
 
-        jacobians = problem.jacobian(times, states, all_rows)
-        jac_current = xp.ones(batch, dtype=bool)
-        inv_real = xp.zeros((batch, n, n))
-        inv_complex = xp.zeros((batch, n, n), dtype=xp.complex128)
-        h_factored = xp.full(batch, -1.0)
-
-        poly_coeffs = xp.zeros((batch, 3, n))
-        poly_y_start = xp.zeros((batch, n))
-        has_poly = xp.zeros(batch, dtype=bool)
-        h_previous = steps.copy()
-        err_previous = xp.full(batch, -1.0)
-
-        status = result.status_codes
-        status[save_index >= t_eval.size] = OK
+        work = _Radau5Set(
+            rows=xp.arange(batch), problem=problem, t=times, h=steps,
+            y=states, derivative=derivatives, save=save_index,
+            n_accepted=xp.zeros(batch, dtype=xp.int64),
+            # Simulations whose whole grid is already recorded are done.
+            status=xp.where(save_index > last_save, OK, RUNNING),
+            jacobian=problem.jacobian(times, states),
+            jac_current=xp.ones(batch, dtype=bool),
+            inv_real=xp.zeros((batch, n, n)),
+            inv_complex=xp.zeros((batch, n, n), dtype=xp.complex128),
+            h_factored=xp.full(batch, -1.0),
+            poly_coeffs=xp.zeros((batch, 3, n)),
+            poly_y_start=xp.zeros((batch, n)),
+            has_poly=xp.zeros(batch, dtype=bool),
+            h_previous=steps,
+            err_previous=xp.full(batch, -1.0))
         tracer.end(compile_span)
         loop_span = tracer.start("step-loop", "phase",
                                  parent=problem.trace_span,
                                  solver=self.name)
 
-        while True:
-            active = xp.flatnonzero(status == RUNNING)
-            if active.size == 0:
-                break
-            exhausted = active[result.n_steps[active] >= options.max_steps]
-            if exhausted.size:
-                status[exhausted] = EXHAUSTED
-                active = xp.flatnonzero(status == RUNNING)
-                if active.size == 0:
+        while work.retire(result, options.max_steps):
+            t = work.t
+            h = xp.minimum(work.h, t1 - t)
+            next_save = xp.minimum(work.save, last_save)
+            hit = t + h >= save_reach[next_save]
+            h = xp.where(hit, t_eval[next_save] - t, h)
+            underflow = (h <= xp.abs(t) * 1e-15) | (h < 1e-300) | \
+                ~xp.isfinite(h)
+            if underflow.any():
+                work.break_rows(underflow, t, h)
+                if not work.retire(result, options.max_steps):
                     break
-
-            t_act = times[active]
-            h_act = xp.minimum(steps[active], t1 - t_act)
-            next_save = t_eval[xp.minimum(save_index[active],
-                                          t_eval.size - 1)]
-            hit = t_act + h_act >= next_save - _EDGE * xp.maximum(
-                1.0, xp.abs(next_save))
-            h_act = xp.where(hit, next_save - t_act, h_act)
-            underflow = (h_act <= xp.abs(t_act) * 1e-15) | \
-                (h_act < 1e-300) | ~xp.isfinite(h_act)
-            if xp.any(underflow):
-                dead = active[underflow]
-                status[dead] = BROKEN
-                if problem.guard is not None:
-                    problem.guard.on_step_break(
-                        dead, problem.row_ids[dead], t_act[underflow],
-                        h_act[underflow], status)
+                # Every other row was running, so exactly these stay.
                 keep = ~underflow
-                active, t_act, h_act, hit = (active[keep], t_act[keep],
-                                             h_act[keep], hit[keep])
-                if active.size == 0:
-                    continue
-            steps[active] = h_act
-            result.n_steps[active] += 1
+                t, h, hit = work.t, h[keep], hit[keep]
+            work.n_steps += 1
+            work.h = h
 
-            self._refresh_factorizations(active, h_act, h_factored,
-                                         jacobians, inv_real, inv_complex,
-                                         identity, problem)
+            self._refresh_factorizations(work, h, identity)
+            stage_guess = self._predict_stages(work, h)
+            converged, n_iter, rates, increments = self._newton(
+                work, h, stage_guess, newton_tol, max_newton, options)
 
-            stage_guess = self._predict_stages(active, h_act, h_previous,
-                                               has_poly, poly_coeffs,
-                                               poly_y_start, states, n)
-            converged, n_iter, rate, increments = self._newton(
-                problem, active, t_act, h_act, states, stage_guess,
-                inv_real, inv_complex, newton_tol, max_newton, options)
-
-            # --- Newton failures: refresh Jacobian or halve the step.
+            # --- Newton failures: refresh a stale Jacobian, or halve
+            # the step of rows whose Jacobian was already current.
             failed = ~converged
-            if xp.any(failed):
-                failed_rows = active[failed]
-                stale = failed_rows[~jac_current[failed_rows]]
-                if stale.size:
-                    jacobians[stale] = problem.jacobian(
-                        times[stale], states[stale], stale)
-                    jac_current[stale] = True
-                    h_factored[stale] = -1.0
-                fresh = failed_rows[jac_current[failed_rows]]
-                # Rows whose Jacobian was already current halve the step.
-                overlap = xp.setdiff1d(fresh, stale, assume_unique=True)
-                steps[overlap] = steps[overlap] * 0.5
-                h_factored[overlap] = -1.0
-                result.n_rejected[failed_rows] += 1
+            if failed.any():
+                stale = failed & ~work.jac_current
+                if stale.any():
+                    part = None if stale.all() else xp.flatnonzero(stale)
+                    work.jacobian = _scatter(
+                        work.jacobian, part,
+                        work.problem.jacobian(_pick(t, part),
+                                              _pick(work.y, part), part))
+                work.h = xp.where(failed & work.jac_current, h * 0.5, h)
+                work.jac_current = work.jac_current | failed
+                work.h_factored = xp.where(failed, -1.0, work.h_factored)
+                if not converged.any():
+                    continue
 
-            if not xp.any(converged):
-                continue
-            conv_rows = active[converged]
-            z = increments[converged]
-            h_conv = h_act[converged]
-            t_conv = t_act[converged]
-            y_conv = states[conv_rows]
-            n_iter_conv = n_iter[converged]
-            rate_conv = rate[converged]
-
-            y_new = y_conv + z[:, 2, :]
-            stage_error = xp.einsum("s,bsn->bn", RADAU_E, z) / h_conv[:, None]
-            error = xp.batched_matvec(inv_real[conv_rows],
-                              derivatives[conv_rows] + stage_error)
-            err = _scaled_error_norms(error, y_conv, y_new, options)
-            needs_refinement = err >= 1.0
-            if xp.any(needs_refinement):
-                ref_local = xp.flatnonzero(needs_refinement)
-                ref_rows = conv_rows[ref_local]
-                refined_f = problem.fun(t_conv[ref_local],
-                                        y_conv[ref_local]
-                                        + error[ref_local], ref_rows)
-                refined = xp.batched_matvec(inv_real[ref_rows],
-                                    refined_f + stage_error[ref_local])
-                err[ref_local] = _scaled_error_norms(
-                    refined, y_conv[ref_local], y_new[ref_local], options)
-
-            finite = xp.all(xp.isfinite(y_new), axis=1)
-            err = xp.where(finite, err, xp.inf)
+            # --- Error estimate of the converged rows.
+            conv = None if converged.all() else xp.flatnonzero(converged)
+            y, z = _pick(work.y, conv), _pick(increments, conv)
+            h_conv = _pick(h, conv)
+            # Rows that failed Newton may carry overflowing increments;
+            # their values are never selected.
+            with xp.errstate(over="ignore", invalid="ignore"):
+                y_new = work.y + increments[:, 2, :]
+            y_new_conv = _pick(y_new, conv)
+            stage_error = (xp.einsum("s,bsn->bn", RADAU_E, z)
+                           / h_conv[:, None])
+            error = xp.batched_matvec(
+                _pick(work.inv_real, conv),
+                _pick(work.derivative, conv) + stage_error)
+            err_conv = _scaled_error_norms(error, y, y_new_conv, options)
+            needs_refinement = err_conv >= 1.0
+            if needs_refinement.any():
+                ref = (None if needs_refinement.all()
+                       else xp.flatnonzero(needs_refinement))
+                ref_rows = _pick(conv, ref) if conv is not None else ref
+                y_ref = _pick(y, ref)
+                refined_f = work.problem.fun(_pick(t, ref_rows),
+                                             y_ref + _pick(error, ref),
+                                             ref_rows)
+                refined = xp.batched_matvec(
+                    _pick(work.inv_real, ref_rows),
+                    refined_f + _pick(stage_error, ref))
+                err_conv = _scatter(err_conv, ref, _scaled_error_norms(
+                    refined, y_ref, _pick(y_new_conv, ref), options))
+            # Rows that failed Newton count as infinitely wrong.
+            err = _scatter(xp.full(h.size, xp.inf), conv, err_conv)
+            err = xp.where(xp.all(xp.isfinite(y_new), axis=1), err, xp.inf)
             safety = (options.safety * (2 * max_newton + 1)
-                      / (2 * max_newton + n_iter_conv))
+                      / (2 * max_newton + n_iter))
 
-            accepted = err < 1.0
-            rej_local = xp.flatnonzero(~accepted)
-            if rej_local.size:
-                rej_rows = conv_rows[rej_local]
-                result.n_rejected[rej_rows] += 1
-                err_rej = err[rej_local]
-                shrink = xp.where(
-                    xp.isfinite(err_rej),
-                    xp.clip(safety[rej_local] * err_rej ** -0.25,
-                            options.min_step_factor, 1.0),
-                    options.min_step_factor)
-                steps[rej_rows] = h_conv[rej_local] * shrink
-
-            acc_local = xp.flatnonzero(accepted)
-            if acc_local.size == 0:
-                continue
-            acc_rows = conv_rows[acc_local]
-            result.n_accepted[acc_rows] += 1
-            t_new = t_conv[acc_local] + h_conv[acc_local]
-            states[acc_rows] = y_new[acc_local]
-            times[acc_rows] = t_new
-            if problem.guard is not None:
-                problem.guard.after_accept(states, acc_rows,
-                                           problem.row_ids[acc_rows],
-                                           t_new, status)
-            derivatives[acc_rows] = problem.fun(t_new, states[acc_rows],
-                                                acc_rows)
-
-            poly_y_start[acc_rows] = y_conv[acc_local]
-            poly_coeffs[acc_rows] = xp.einsum("ij,bjn->bin",
-                                              _VANDERMONDE_INV,
-                                              z[acc_local])
-            has_poly[acc_rows] = True
-            h_previous[acc_rows] = h_conv[acc_local]
-
-            hit_mask = hit[converged][acc_local]
-            hit_rows = acc_rows[hit_mask]
-            hit_rows = hit_rows[status[hit_rows] == RUNNING]
-            if hit_rows.size:
-                result.y[hit_rows, save_index[hit_rows], :] = \
-                    states[hit_rows]
-                save_index[hit_rows] += 1
-                status[hit_rows[save_index[hit_rows] >= t_eval.size]] = OK
-
-            err_acc = xp.maximum(err[acc_local], 1e-10)
+            # Predictive (Gustafsson) controller, kept for accepted rows.
+            err_acc = xp.maximum(err, 1e-10)
             factor = xp.minimum(options.max_step_factor,
-                                safety[acc_local] * err_acc ** -0.25)
-            memory = err_previous[acc_rows]
-            has_memory = memory > 0.0
+                                safety * err_acc ** -0.25)
+            memory = work.err_previous
             predictive = xp.where(
-                has_memory,
-                safety[acc_local] * (xp.maximum(memory, 1e-10) / err_acc)
+                memory > 0.0,
+                safety * (xp.maximum(memory, 1e-10) / err_acc)
                 ** 0.1 * err_acc ** -0.25,
                 xp.inf)
             factor = xp.minimum(factor, predictive)
             factor = xp.maximum(factor, options.min_step_factor)
-            err_previous[acc_rows] = err_acc
-            h_new = xp.minimum(h_conv[acc_local] * factor, max_step)
+            h_new = xp.minimum(h * factor, max_step)
+            # Keep the factorization when the step barely changes.
+            h_new = xp.where(xp.abs(h_new - h) > 0.1 * h, h_new, h)
+
+            accepted = err < 1.0
+            rejected = converged & ~accepted
+            if rejected.any():
+                # An accepted row's zero error divides by zero here;
+                # only rejected rows keep the result.
+                with xp.errstate(divide="ignore"):
+                    shrink = xp.where(
+                        xp.isfinite(err),
+                        xp.clip(safety * err ** -0.25,
+                                options.min_step_factor, 1.0),
+                        options.min_step_factor)
+                work.h = xp.where(rejected, h * shrink, work.h)
+            if not accepted.any():
+                continue
+
+            # --- Accepted rows advance.
+            acc = None if accepted.all() else xp.flatnonzero(accepted)
+            y_old = work.y
+            t_new = t + h
+            work.n_accepted += accepted
+            if acc is None:  # the selects would copy these unchanged
+                work.t, work.y, work.poly_y_start = t_new, y_new, y_old
+                work.h_previous, work.err_previous = h, err_acc
+            else:
+                work.t = xp.where(accepted, t_new, t)
+                work.y = xp.where(accepted[:, None], y_new, y_old)
+                work.poly_y_start = xp.where(accepted[:, None], y_old,
+                                             work.poly_y_start)
+                work.h_previous = xp.where(accepted, h, work.h_previous)
+                work.err_previous = xp.where(accepted, err_acc,
+                                             work.err_previous)
+            work.has_poly = work.has_poly | accepted
+            guard = work.problem.guard
+            if guard is not None:
+                # Clamps land in the working set, in place.
+                moved = xp.flatnonzero(accepted)
+                guard.after_accept(work.y, moved,
+                                   work.problem.row_ids[moved],
+                                   t_new[moved], work.status)
+            work.derivative = _scatter(
+                work.derivative, acc,
+                work.problem.fun(_pick(t_new, acc), _pick(work.y, acc), acc))
+            work.poly_coeffs = _scatter(
+                work.poly_coeffs, acc,
+                xp.einsum("ij,bjn->bin", _VANDERMONDE_INV,
+                          _pick(increments, acc)))
+            work.record(accepted & hit, result)
 
             if self.reuse_jacobian:
-                refresh_mask = (n_iter_conv[acc_local] > 2) & \
-                    (rate_conv[acc_local] > 1e-3)
+                refresh = accepted & (n_iter > 2) & (rates > 1e-3)
             else:
-                refresh_mask = xp.ones(acc_local.size, dtype=bool)
-            refresh_rows = acc_rows[refresh_mask]
-            if refresh_rows.size:
-                jacobians[refresh_rows] = problem.jacobian(
-                    times[refresh_rows], states[refresh_rows], refresh_rows)
-                jac_current[refresh_rows] = True
-                h_factored[refresh_rows] = -1.0
-            keep_rows = acc_rows[~refresh_mask]
-            jac_current[keep_rows] = False
-
-            # Keep the factorization when the step barely changes.
-            significant = xp.abs(h_new - h_conv[acc_local]) > \
-                0.1 * h_conv[acc_local]
-            steps[acc_rows] = xp.where(significant, h_new,
-                                       h_conv[acc_local])
+                refresh = accepted
+            if refresh.any():
+                part = None if refresh.all() else xp.flatnonzero(refresh)
+                work.jacobian = _scatter(
+                    work.jacobian, part,
+                    work.problem.jacobian(_pick(work.t, part),
+                                          _pick(work.y, part), part))
+                work.h_factored = xp.where(refresh, -1.0, work.h_factored)
+            work.jac_current = xp.where(accepted, refresh, work.jac_current)
+            work.h = xp.where(accepted, h_new, work.h)
 
         tracer.end(loop_span)
         # Save points are recorded in-loop (collocation interpolation at
@@ -287,117 +342,139 @@ class BatchRadau5:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _refresh_factorizations(active, h_act, h_factored, jacobians,
-                                inv_real, inv_complex, identity,
-                                problem) -> None:
-        needs = h_factored[active] != h_act
-        rows = active[needs]
-        if rows.size == 0:
+    def _refresh_factorizations(work: _Radau5Set, h: Array,
+                                identity: Array) -> None:
+        """Invert the Newton matrices of rows whose inverses were
+        factored for another step size.
+        """
+        needs = work.h_factored != h
+        if not needs.any():
             return
-        h_rows = h_act[needs]
-        jac_rows = jacobians[rows]
+        part = None if needs.all() else xp.flatnonzero(needs)
+        h_rows = _pick(h, part)
+        jac_rows = _pick(work.jacobian, part)
         real_matrices = (MU_REAL / h_rows)[:, None, None] * identity \
             - jac_rows
         complex_matrices = (MU_COMPLEX / h_rows)[:, None, None] * identity \
             - jac_rows.astype(xp.complex128)
-        inv_real[rows] = xp.batched_inv(real_matrices)
-        inv_complex[rows] = xp.batched_inv(complex_matrices)
-        h_factored[rows] = h_rows
-        problem.counters.factorizations += 2 * rows.size
+        work.inv_real = _scatter(work.inv_real, part,
+                                xp.batched_inv(real_matrices))
+        work.inv_complex = _scatter(work.inv_complex, part,
+                                   xp.batched_inv(complex_matrices))
+        work.h_factored = xp.where(needs, h, work.h_factored)
+        work.problem.counters.factorizations += 2 * h_rows.size
 
     @staticmethod
-    def _predict_stages(active, h_act, h_previous, has_poly, poly_coeffs,
-                        poly_y_start, states, n) -> Array:
-        guess = xp.zeros((active.size, 3, n))
-        predictable = has_poly[active]
-        rows = active[predictable]
-        if rows.size == 0:
-            return guess
-        ratio = h_act[predictable] / h_previous[rows]
+    def _predict_stages(work: _Radau5Set, h: Array) -> Array:
+        """Stage increments extrapolated from each row's last collocation
+        polynomial (zero for rows without one).
+        """
+        if not work.has_poly.any():
+            return xp.zeros(work.poly_coeffs.shape)
+        part = None if work.has_poly.all() else xp.flatnonzero(work.has_poly)
+        ratio = _pick(h, part) / _pick(work.h_previous, part)
         theta = 1.0 + ratio[:, None] * RADAU_C[None, :]       # (b, 3)
         powers = xp.stack([theta, theta ** 2, theta ** 3], axis=2)
-        offsets = xp.einsum("bij,bjn->bin", powers, poly_coeffs[rows])
-        guess[predictable] = offsets + (poly_y_start[rows]
-                                        - states[rows])[:, None, :]
-        return guess
+        offsets = xp.einsum("bij,bjn->bin", powers,
+                            _pick(work.poly_coeffs, part))
+        return _scatter(xp.zeros(work.poly_coeffs.shape), part, offsets + (
+            _pick(work.poly_y_start, part) - _pick(work.y, part))[:, None, :])
 
-    def _newton(self, problem, active, t_act, h_act, states, stage_guess,
-                inv_real, inv_complex, tol, max_iterations, options):
-        """Vectorized simplified Newton over the active sub-batch."""
-        b = active.size
-        n = states.shape[1]
-        increments = stage_guess.copy()                        # (b, 3, n)
+    def _newton(self, work: _Radau5Set, h: Array, stage_guess: Array,
+                tol: float, max_iterations: int, options: SolverOptions):
+        """Vectorized simplified Newton over the working set.
+
+        While every row iterates, nothing is gathered; once some rows
+        have stopped, the rest are picked by index.
+        """
+        b, n = work.y.shape
+        increments = stage_guess                                 # (b, 3, n)
         transformed = xp.einsum("ij,bjn->bin", RADAU_TI, increments)
-        stage_times = t_act[:, None] + RADAU_C[None, :] * h_act[:, None]
+        stage_times = work.t[:, None] + RADAU_C[None, :] * h[:, None]
         converged = xp.zeros(b, dtype=bool)
         failed = xp.zeros(b, dtype=bool)
         n_iterations = xp.zeros(b, dtype=xp.int64)
         rates = xp.full(b, xp.inf)
         previous_norms = xp.full(b, -1.0)
-        scale = options.atol + xp.abs(states[active]) * options.rtol
+        scale = options.atol + xp.abs(work.y) * options.rtol
+        # Invariant over the iterations: the stacked launch's times and
+        # the shifts of the transformed Newton matrices.
+        stacked_times = xp.concatenate([stage_times[:, i] for i in range(3)])
+        shift_real = (MU_REAL / h)[:, None]
+        shift_complex = (MU_COMPLEX / h)[:, None]
 
         for iteration in range(max_iterations):
-            work = xp.flatnonzero(~converged & ~failed)
-            if work.size == 0:
+            iterating = ~converged & ~failed
+            if not iterating.any():
                 break
-            rows = active[work]
-            n_iterations[work] += 1
-            problem.counters.newton_iterations += work.size
+            part = None if iterating.all() else xp.flatnonzero(iterating)
+            n_iterations += iterating
+            width = b if part is None else part.size
+            work.problem.counters.newton_iterations += width
             # One RHS launch for all three stages, stage-major: rows
             # [i*w, (i+1)*w) of the stacked launch hold stage i. The RHS
             # is row-wise, so each row rounds as in its own launch;
             # copying the blocks into a C-ordered buffer keeps the
             # einsums below on the same memory layout either way.
-            base = states[rows]
-            stacked = problem.fun(
-                xp.concatenate([stage_times[work, i] for i in range(3)]),
-                xp.concatenate([base + increments[work, i, :]
-                                for i in range(3)]),
-                xp.concatenate([rows, rows, rows]))
-            stage_derivatives = xp.empty((work.size, 3, n))
+            base = _pick(work.y, part)
+            guess = _pick(increments, part)
+            stage_states = xp.concatenate(
+                [base + guess[:, i, :] for i in range(3)])
+            if part is None:
+                stacked = work.stacked.fun(stacked_times, stage_states)
+            else:
+                stacked = work.problem.fun(
+                    xp.concatenate([stage_times[part, i] for i in range(3)]),
+                    stage_states, xp.concatenate([part, part, part]))
+            stage_derivatives = xp.empty((width, 3, n))
             for i in range(3):
                 stage_derivatives[:, i, :] = \
-                    stacked[i * work.size:(i + 1) * work.size]
-            bad = ~xp.all(xp.isfinite(stage_derivatives), axis=(1, 2))
-            if xp.any(bad):
-                failed[work[bad]] = True
-                good = ~bad
-                work = work[good]
-                if work.size == 0:
-                    continue
-                rows = active[work]
-                stage_derivatives = stage_derivatives[good]
+                    stacked[i * width:(i + 1) * width]
+            # One fold finds any non-finite value (an overflowing sum
+            # only costs the exact per-row pass).
+            if not math.isfinite(stacked.sum()):
+                bad = ~xp.all(xp.isfinite(stage_derivatives), axis=(1, 2))
+                if bad.any():
+                    if part is None:
+                        part = xp.arange(b)
+                    failed[part[bad]] = True
+                    good = ~bad
+                    part = part[good]
+                    if part.size == 0:
+                        continue
+                    stage_derivatives = stage_derivatives[good]
 
+            z_rows = _pick(transformed, part)
             residual_real = xp.einsum("s,bsn->bn", RADAU_TI[0],
                                       stage_derivatives) \
-                - (MU_REAL / h_act[work])[:, None] * transformed[work, 0, :]
-            zeta = transformed[work, 1, :] + 1j * transformed[work, 2, :]
+                - _pick(shift_real, part) * z_rows[:, 0, :]
+            zeta = z_rows[:, 1, :] + 1j * z_rows[:, 2, :]
             residual_complex = xp.einsum("s,bsn->bn", _TI_COMPLEX,
                                          stage_derivatives) \
-                - (MU_COMPLEX / h_act[work])[:, None] * zeta
-            delta_real = xp.batched_matvec(inv_real[rows],
-                                   residual_real)
-            delta_complex = xp.batched_matvec(inv_complex[rows],
-                                      residual_complex)
+                - _pick(shift_complex, part) * zeta
+            delta_real = xp.batched_matvec(_pick(work.inv_real, part),
+                                           residual_real)
+            delta_complex = xp.batched_matvec(_pick(work.inv_complex, part),
+                                              residual_complex)
             delta = xp.stack([delta_real, delta_complex.real,
                               delta_complex.imag], axis=1)
-            transformed[work] += delta
-            increments[work] = xp.einsum("ij,bjn->bin", RADAU_T,
-                                         transformed[work])
+            z_rows = z_rows + delta
+            transformed = _scatter(transformed, part, z_rows)
+            increments = _scatter(increments, part,
+                                 xp.einsum("ij,bjn->bin", RADAU_T, z_rows))
 
             delta_norms = xp.sqrt(xp.mean(
-                (delta / scale[work, None, :]) ** 2, axis=(1, 2)))
-            have_previous = previous_norms[work] > 0.0
-            current_rates = xp.where(
-                have_previous,
-                delta_norms / xp.maximum(previous_norms[work], 1e-300),
-                xp.inf)
-            rates[work] = xp.where(have_previous, current_rates, rates[work])
-
-            diverged = have_previous & (current_rates >= 1.0)
+                (delta / _pick(scale, part)[:, None, :]) ** 2, axis=(1, 2)))
+            previous = _pick(previous_norms, part)
+            have_previous = previous > 0.0
             remaining = max_iterations - iteration - 1
+            # A too-large step on a stiff row overflows the rate.
             with xp.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
+                current_rates = xp.where(
+                    have_previous,
+                    delta_norms / xp.maximum(previous, 1e-300), xp.inf)
+                diverged = have_previous & (current_rates >= 1.0)
                 hopeless = have_previous & ~diverged & (
                     current_rates ** remaining / (1.0 - current_rates)
                     * delta_norms > tol)
@@ -406,8 +483,12 @@ class BatchRadau5:
                     ~diverged & (current_rates / (1.0 - current_rates)
                                  * delta_norms < tol),
                     delta_norms < tol)
-            failed[work[diverged | hopeless]] = True
-            converged[work[done & ~(diverged | hopeless)]] = True
-            previous_norms[work] = delta_norms
+            rates = _scatter(rates, part, xp.where(
+                have_previous, current_rates, _pick(rates, part)))
+            stop = diverged | hopeless
+            failed = _scatter(failed, part, _pick(failed, part) | stop)
+            converged = _scatter(converged, part,
+                                _pick(converged, part) | (done & ~stop))
+            previous_norms = _scatter(previous_norms, part, delta_norms)
 
         return converged, n_iterations, rates, increments

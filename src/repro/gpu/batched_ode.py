@@ -6,7 +6,7 @@ parameterizations and an evaluation policy, exposing the masked-subset
 evaluation interface the batched integrators consume:
 
     fun(times, states, rows=None) -> derivatives for the selected sims
-    jacobian(times, states, rows) -> batched Jacobians for the selection
+    jacobian(times, states, rows=None) -> batched Jacobians for the selection
 
 ``rows`` indexes into the batch, so per-simulation kinetic constants
 are looked up device-side without host round trips — the analog of
@@ -155,12 +155,15 @@ class BatchedODEProblem:
         return derivatives
 
     def jacobian(self, times: Array, states: Array,
-                 rows: Array) -> Array:
-        """Batched Jacobians for the selected simulations."""
+                 rows: Array | None = None) -> Array:
+        """Batched Jacobians for the selected simulations (``rows=None``:
+        every row of this problem, as for :meth:`fun`).
+        """
         del times
-        constants = self.parameters.rate_constants[rows]
+        constants = (self.parameters.rate_constants if rows is None
+                     else self.parameters.rate_constants[rows])
         self.counters.jacobian_kernel_launches += 1
-        self.counters.jacobian_simulation_evaluations += rows.shape[0]
+        self.counters.jacobian_simulation_evaluations += states.shape[0]
         return self.system.jacobian(states, constants)
 
     def subset(self, rows: Array) -> "BatchedODEProblem":

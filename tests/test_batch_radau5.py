@@ -1,13 +1,17 @@
 """Tests for the batched Radau IIA integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.gpu import BatchRadau5, BatchedODEProblem
-from repro.gpu.batch_result import OK
+from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK
 from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, dimerization, robertson
 from repro.solvers import Radau5, SolverOptions
+
+from .row_isolation import MIXED_OPTIONS, RowIsolationChecks, mixed_exit_launch
 
 
 def make_problem(model, batch_size=6, seed=0, spread=0.25):
@@ -97,3 +101,54 @@ class TestBatchSemantics:
         result = BatchRadau5().solve(problem, (0, 3), grid)
         assert np.all(result.status_codes == OK)
         assert not np.any(np.isnan(result.y))
+
+    def test_large_first_step_raises_no_fp_warning(self):
+        # A first step far too large for Robertson makes the Newton
+        # contraction rate overflow; that must stay inside the solver.
+        problem, _ = make_problem(robertson(), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = BatchRadau5(SolverOptions(
+                max_steps=100_000, first_step=1.0)).solve(
+                    problem, (0, 1e4), np.array([0.0, 1e4]))
+        assert result.all_success
+
+
+class TestRowIsolation(RowIsolationChecks):
+    """The mixed launch: rows finish, exhaust ``max_steps``, break on a
+    NaN step and are clamped by the guard; along the way the launch
+    refines error estimates, rejects steps, accepts only some rows and
+    leaves some rows iterating Newton after others converged.
+    """
+
+    def solver(self):
+        return BatchRadau5(MIXED_OPTIONS)
+
+    def test_launch_covers_every_exit_path(self):
+        problem, log = mixed_exit_launch()
+        result = self.solver().solve(problem, self.SPAN, self.GRID)
+        assert result.status_codes.tolist() == [
+            OK, OK, OK, EXHAUSTED, OK, BROKEN, OK, OK]
+        # Rows leave at many different iterations.
+        assert len(set(result.n_steps.tolist())) == 8
+        assert result.n_rejected.sum() > 0
+        assert log.n_clamped_steps > 0 and not log
+
+
+class TestRowIsolationNewtonFailures(RowIsolationChecks):
+    """The mixed launch at loose tolerances from a large first step:
+    Newton fails with a reused Jacobian (which is refreshed) and with a
+    current one (the step is halved), and row 5's NaN right-hand side
+    fails it on every step.
+    """
+
+    def solver(self):
+        return BatchRadau5(SolverOptions(rtol=1e-3, atol=1e-6,
+                                         max_steps=200, first_step=0.5))
+
+    def test_nan_row_fails_newton_on_every_step(self):
+        problem, _ = mixed_exit_launch()
+        result = self.solver().solve(problem, self.SPAN, self.GRID)
+        assert result.status_codes.tolist() == [
+            OK, OK, OK, EXHAUSTED, OK, EXHAUSTED, OK, OK]
+        assert result.n_accepted[5] == 0 and result.n_rejected[5] == 200
