@@ -16,6 +16,12 @@ Two assertions gate the run (executed as a plain script by the CI
   5% — the supervision machinery (heartbeats, polling tick, queue
   transfer) must be cheap when nothing fails.
 
+Both arms of the gate run with ``max_batch_per_launch=CHUNK_SIZE``, so
+each runs one launch per chunk and the gate compares supervision cost,
+not launch width. The serial loop's default, which coalesces all
+chunks into one launch, is timed alongside as
+``serial_coalesced_seconds`` and held to the same bytes.
+
 Higher worker counts are reported for shape only: on the in-process
 NumPy substrate real speedup depends on BLAS thread contention, so no
 gate is attached to them.
@@ -54,12 +60,13 @@ SUPERVISION = dict(heartbeat_interval=0.25, heartbeat_timeout=5.0,
                    restart_backoff=0.01, restart_backoff_cap=0.05)
 
 
-def one_run(batch, workers: int):
+def one_run(batch, workers: int, coalesce: bool = False):
     config = CampaignConfig(chunk_size=CHUNK_SIZE, workers=workers,
                             **(SUPERVISION if workers else {}))
+    launch_cap = {} if coalesce else {"max_batch_per_launch": CHUNK_SIZE}
     started = time.perf_counter()
     outcome = run_campaign(MODEL, T_SPAN, T_EVAL, batch, config=config,
-                           options=OPTIONS)
+                           options=OPTIONS, **launch_cap)
     elapsed = time.perf_counter() - started
     assert not outcome.incomplete and not outcome.degraded
     return elapsed, outcome
@@ -85,10 +92,15 @@ def main() -> int:
     # Paired measurements: serial and each worker count interleaved in
     # every round so machine drift cancels; the gate compares medians.
     serial_times: list[float] = []
+    coalesced_times: list[float] = []
     sharded_times: dict[int, list[float]] = {w: [] for w in WORKER_COUNTS}
     for _ in range(REPEATS):
         elapsed, _ = one_run(batch, 0)
         serial_times.append(elapsed)
+        elapsed, outcome = one_run(batch, 0, coalesce=True)
+        coalesced_times.append(elapsed)
+        assert signature(outcome) == serial_signature, \
+            "coalesced serial result is not byte-identical to serial"
         for workers in WORKER_COUNTS:
             elapsed, outcome = one_run(batch, workers)
             sharded_times[workers].append(elapsed)
@@ -96,12 +108,15 @@ def main() -> int:
                 f"workers={workers} result is not byte-identical to serial"
 
     serial_median = statistics.median(serial_times)
+    coalesced_median = statistics.median(coalesced_times)
     medians = {w: statistics.median(sharded_times[w])
                for w in WORKER_COUNTS}
     throughput = {w: n_chunks / medians[w] for w in WORKER_COUNTS}
 
     print(f"serial      : {serial_median * 1e3:8.1f} ms  "
           f"({n_chunks / serial_median:6.1f} chunks/s)")
+    print(f"coalesced   : {coalesced_median * 1e3:8.1f} ms  "
+          f"({n_chunks / coalesced_median:6.1f} chunks/s)")
     for workers in WORKER_COUNTS:
         print(f"workers={workers:<4}: {medians[workers] * 1e3:8.1f} ms  "
               f"({throughput[workers]:6.1f} chunks/s)")
@@ -114,6 +129,7 @@ def main() -> int:
                      "chunk_size": CHUNK_SIZE, "n_chunks": n_chunks,
                      "t_span": list(T_SPAN), "n_save_points": len(T_EVAL)},
         "serial_seconds": serial_median,
+        "serial_coalesced_seconds": coalesced_median,
         "sharded_seconds": {str(w): medians[w] for w in WORKER_COUNTS},
         "chunks_per_second": {"serial": n_chunks / serial_median,
                               **{str(w): throughput[w]

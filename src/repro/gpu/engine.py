@@ -42,6 +42,10 @@ from .router import RoutingDecision, StiffnessRouter
 
 METHODS = ("auto", "dopri5", "radau5", "bdf")
 
+#: Default cap on simulations per launch (``max_batch_per_launch``); the
+#: campaign runner coalesces journaled chunks up to the same cap.
+MAX_BATCH_PER_LAUNCH = 512
+
 
 @dataclass
 class EngineReport:
@@ -214,7 +218,7 @@ class BatchSimulator:
     def __init__(self, model: ReactionBasedModel,
                  options: SolverOptions = DEFAULT_OPTIONS,
                  policy: str = "hybrid", method: str = "auto",
-                 max_batch_per_launch: int = 512,
+                 max_batch_per_launch: int = MAX_BATCH_PER_LAUNCH,
                  device: VirtualDevice = TITAN_X,
                  retry_policy: RetryPolicy | None = None,
                  fault_plan: FaultPlan | None = None,

@@ -7,8 +7,9 @@ deadline does not force a full re-run. The journal is one JSON file::
     {
       "format_version": 1,
       "fingerprint": {...},          # identity of the campaign
-      "chunks": {"0": {"file": "...", "quarantine": [...]}, ...},
-      "payloads": {"start-0": {...}, ...}
+      "chunks": {"0": {"file": "...", "quarantine": [...],
+                       "launch": 0}, ...},
+      "payloads": {"metrics-0": {...}, "start-0": {...}, ...}
     }
 
 Chunk trajectories live in sibling ``<stem>.chunk<index>.npz`` archives
@@ -18,6 +19,14 @@ per-start optima there). The fingerprint is compared on open: resuming
 a journal that belongs to a *different* campaign raises
 :class:`~repro.errors.ResilienceError` instead of silently splicing
 mismatched trajectories.
+
+One engine launch may cover several consecutive chunks.
+:meth:`CampaignCheckpoint.commit` journals such a launch atomically:
+every chunk archive is written first, then the journal is rewritten
+once with all of the launch's chunk entries and its ``metrics-<first>``
+payload, keyed by the launch's first chunk. Each entry's ``launch``
+names that key; journals without it (one launch per chunk) default to
+the chunk's own index.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from pathlib import Path
 
 from ..errors import FormatError, ResilienceError
 from ..gpu.batch_result import BatchSolveResult
+from ..telemetry.metrics import MetricsRegistry
 from .results import load_result, save_result
 
 _JOURNAL_VERSION = 1
@@ -102,13 +112,58 @@ class CampaignCheckpoint:
     def completed_indices(self) -> list[int]:
         return sorted(self.chunks)
 
+    def launch_of(self, index: int) -> int:
+        """First chunk of the launch that produced journaled chunk
+        ``index``: the launch's metrics are payload ``metrics-<it>``."""
+        return int(self.chunks[index].get("launch", index))
+
     def save_chunk(self, index: int, result: BatchSolveResult,
-                   quarantine: list[dict] | None = None) -> None:
-        """Persist one completed chunk and journal it durably."""
+                   quarantine: list[dict] | None = None, *,
+                   launch: int | None = None, write: bool = True) -> None:
+        """Persist one completed chunk and journal it durably.
+
+        ``launch`` is the first chunk of the launch that produced it
+        (default: the chunk itself). With ``write=False`` the entry is
+        only staged; the next journal rewrite makes it durable.
+        """
         file = save_result(self.chunk_file(index), result)
         self.chunks[index] = {"file": file.name,
-                              "quarantine": quarantine or []}
-        self._write()
+                              "quarantine": quarantine or [],
+                              "launch": index if launch is None
+                              else int(launch)}
+        if write:
+            self._write()
+
+    def commit(self, chunks: list[tuple[int, BatchSolveResult,
+                                        list[dict]]],
+               metrics: dict | None = None) -> None:
+        """Journal one launch's chunks and its metrics in one rewrite.
+
+        ``chunks`` are the launch's ``(index, result, quarantine)``
+        slices; the launch is keyed by the first one. Every archive is
+        written before the single journal rewrite, so a crash leaves
+        either the whole launch journaled or none of it. If chunks
+        outside this commit still cite an earlier launch under the same
+        key (the first chunk was re-run after its archive was deleted),
+        that launch's metrics are kept and this launch's added.
+        """
+        launch = chunks[0][0]
+        key = f"metrics-{launch}"
+        for position, (index, result, quarantine) in enumerate(chunks):
+            self.save_chunk(index, result, quarantine, launch=launch,
+                            write=metrics is None
+                            and position == len(chunks) - 1)
+        if metrics is None:
+            return
+        committed = {index for index, _, _ in chunks}
+        previous = self.payloads.get(key)
+        if previous is not None and any(
+                self.launch_of(index) == launch
+                for index in self.chunks if index not in committed):
+            folded = MetricsRegistry.from_dict(previous)
+            folded.merge(MetricsRegistry.from_dict(metrics))
+            metrics = folded.to_dict()
+        self.set_payload(key, metrics)
 
     def load_chunk(self, index: int) -> tuple[BatchSolveResult, list[dict]]:
         """Reload a completed chunk's result and quarantine entries.

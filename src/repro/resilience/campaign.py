@@ -5,10 +5,15 @@
 into fixed-size chunks, every completed chunk is journaled through
 :class:`~repro.io.checkpoint.CampaignCheckpoint`, and a re-run of the
 same campaign (same model, batch shape, grid and chunking) skips the
-journaled chunks — so a crash or ``KeyboardInterrupt`` costs at most
-one chunk of work. A wall-clock ``deadline_seconds`` degrades
-gracefully: execution stops between chunks and the partial result is
-returned with ``incomplete=True`` instead of raising.
+journaled chunks. On the batched engine, consecutive pending chunks
+run as one launch of up to ``max_batch_per_launch`` rows (wide batches
+amortise per-launch cost) and are journaled in one atomic commit, so a
+crash or ``KeyboardInterrupt`` costs at most one launch of
+≤ ``max_batch_per_launch`` rows. Rows do not depend on launch width,
+so the merged result is the same as with one launch per chunk. A
+wall-clock ``deadline_seconds`` degrades gracefully: execution stops
+between launches (one chunk each under a deadline) and the partial
+result is returned with ``incomplete=True`` instead of raising.
 
 PSA-1D/2D and Sobol SA accept a :class:`CampaignConfig` directly
 (``campaign=`` keyword); parameter estimation journals its multi-start
@@ -43,8 +48,10 @@ class CampaignConfig:
     Attributes
     ----------
     chunk_size:
-        Simulations per journaled chunk — the resume granularity (and
-        the most work a crash can lose).
+        Simulations per journaled chunk — the resume granularity. The
+        serial loop runs consecutive pending chunks as one engine
+        launch of up to ``max_batch_per_launch`` rows, so the most work
+        a crash can lose is one such launch.
     checkpoint_path:
         JSON journal location; ``None`` disables journaling (chunked
         execution and deadlines still apply).
@@ -155,8 +162,8 @@ class CampaignResult:
     #: True when the worker pool collapsed and the remaining chunks ran
     #: on the supervisor's in-process fallback.
     degraded: bool = False
-    #: True when a ``cancel_event`` stopped the campaign at a chunk
-    #: boundary; everything journaled so far resumes exact-once.
+    #: True when a ``cancel_event`` stopped the campaign between
+    #: launches; everything journaled so far resumes exact-once.
     cancelled: bool = False
 
     @property
@@ -235,27 +242,34 @@ def run_campaign(model, t_span: tuple[float, float],
 
     ``chunk_gate`` and ``cancel_event`` are the campaign service's
     hooks (:mod:`repro.service`). The gate arbitrates chunk starts
-    across concurrent campaigns: every chunk acquires a permit for its
-    row width before executing and releases it after, so a scheduler
-    can enforce fair-share and in-flight caps without knowing chunk
-    internals (``acquire(width, cancel_event) -> bool`` /
-    ``try_acquire(width) -> bool`` / ``release(width)``). The
-    ``cancel_event`` (a ``threading.Event``) requests *cooperative*
-    cancellation: checked at every chunk boundary, so a cancelled
-    campaign stops after at most one more chunk with its journal
-    intact (``CampaignResult.cancelled``) and resumes exact-once later.
+    across concurrent campaigns: every chunk holds a permit for its
+    row width while it executes, so a scheduler can enforce fair-share
+    and in-flight caps without knowing chunk internals
+    (``acquire(width, cancel_event) -> bool`` /
+    ``try_acquire(width) -> bool`` / ``release(width)``). A launch
+    takes its first chunk with the blocking ``acquire``, adds further
+    chunks while ``try_acquire`` grants them, and releases every grant
+    after the launch. The ``cancel_event`` (a ``threading.Event``)
+    requests *cooperative* cancellation: checked before every launch,
+    so a cancelled campaign stops after at most one more launch with
+    its journal intact (``CampaignResult.cancelled``) and resumes
+    exact-once later.
     ``trace_parent`` nests the campaign's root span under a service
     ``job`` span.
 
     ``telemetry`` enables tracing: a trace-file path (JSONL, appended),
-    a :class:`~repro.telemetry.Tracer`, or ``None``. Span sinks flush
-    right after each chunk is journaled and the ``campaign`` root span
-    is written only when the campaign completes, so a crashed-and-
-    resumed campaign (each run passing the *same trace path*) appends
-    into one coherent tree with stable structural ids — no duplicate
-    roots, no orphaned chunks. Per-chunk engine metrics are journaled
-    as checkpoint payloads and rehydrated on resume, so
-    :attr:`CampaignResult.metrics` always aggregates the whole batch.
+    a :class:`~repro.telemetry.Tracer`, or ``None``. Every chunk gets a
+    ``chunk-<i>`` span whose ``launch`` attribute names the first chunk
+    of its launch; the engine's spans nest under that first chunk.
+    Span sinks flush right after each launch is journaled and the
+    ``campaign`` root span is written only when the campaign
+    completes, so a crashed-and-resumed campaign (each run passing the
+    *same trace path*) appends into one coherent tree with stable
+    structural ids — no duplicate roots, no orphaned chunks. Each
+    launch's engine metrics are journaled as one checkpoint payload
+    and rehydrated once on resume, so :attr:`CampaignResult.metrics`
+    always aggregates the whole batch; ``campaign.launches`` counts
+    the launches this run executed.
     """
     from ..core.simulate import _normalize
     from ..solvers.base import DEFAULT_OPTIONS
@@ -293,6 +307,7 @@ def run_campaign(model, t_span: tuple[float, float],
     # Pass 1 — resume everything the journal already holds (cheap, no
     # integration), leaving a work-list of chunks still to execute.
     remaining: list[tuple[int, int, int]] = []
+    resumed_launches: set[int] = set()
     for index in range(total_chunks):
         start = index * config.chunk_size
         stop = min(start + config.chunk_size, batch.size)
@@ -303,9 +318,13 @@ def run_campaign(model, t_span: tuple[float, float],
         chunk_result, quarantine_dicts = checkpoint.load_chunk(index)
         _check_chunk_shape(chunk_result, rows.size, t_eval, index)
         quarantine.merge(QuarantineLog.from_dicts(quarantine_dicts))
-        chunk_metrics = checkpoint.get_payload(f"metrics-{index}")
-        if chunk_metrics is not None:
-            metrics.merge(MetricsRegistry.from_dict(chunk_metrics))
+        # A launch's metrics cover all of its chunks: count them once.
+        launch = checkpoint.launch_of(index)
+        launch_metrics = (None if launch in resumed_launches
+                          else checkpoint.get_payload(f"metrics-{launch}"))
+        resumed_launches.add(launch)
+        if launch_metrics is not None:
+            metrics.merge(MetricsRegistry.from_dict(launch_metrics))
         merged.merge_rows(chunk_result, rows)
         completed += 1
         resumed += 1
@@ -343,9 +362,19 @@ def run_campaign(model, t_span: tuple[float, float],
         if executed:
             metrics.count("campaign.chunks.executed", executed)
     else:
-        min_chunk_seconds: float | None = None
-        for index, start, stop in remaining:
-            rows = np.arange(start, stop)
+        from ..gpu.engine import MAX_BATCH_PER_LAUNCH
+        # Consecutive pending chunks share one launch of up to the
+        # engine's launch cap. Only the batched engine coalesces, and
+        # a wall-clock deadline keeps one chunk per launch because it
+        # is checked between launches.
+        launch_cap = 0
+        if engine == "batched" and config.deadline_seconds is None:
+            launch_cap = int(engine_kwargs.get("max_batch_per_launch",
+                                               MAX_BATCH_PER_LAUNCH))
+        min_launch_seconds: float | None = None
+        position = 0
+        while position < len(remaining):
+            index, start, stop = remaining[position]
             now = clock.monotonic()
             if cancel_event is not None and cancel_event.is_set():
                 cancelled = True
@@ -355,18 +384,17 @@ def run_campaign(model, t_span: tuple[float, float],
                 deadline_hit = True
                 break
             # Predictive budget check: even with wall-clock budget left,
-            # starting a chunk the fastest chunk so far could not finish
-            # within would only burn time past the deadline — skip
-            # straight to the incomplete result instead.
+            # starting a launch the fastest launch so far could not
+            # finish within would only burn time past the deadline —
+            # skip straight to the incomplete result instead.
             if config.deadline_seconds is not None and \
-                    min_chunk_seconds is not None and \
+                    min_launch_seconds is not None and \
                     config.deadline_seconds - (now - started) \
-                    < min_chunk_seconds:
+                    < min_launch_seconds:
                 deadline_hit = True
                 break
             if fault_plan is not None and \
-                    fault_plan.crash_after_launches is not None and \
-                    executed >= fault_plan.crash_after_launches:
+                    fault_plan.crashes_before_launch(executed):
                 raise CampaignInterrupted(
                     f"injected crash before campaign chunk {index}",
                     checkpoint_path=(None if checkpoint is None
@@ -374,22 +402,46 @@ def run_campaign(model, t_span: tuple[float, float],
                     completed_chunks=completed)
 
             if chunk_gate is not None:
-                if not chunk_gate.acquire(int(rows.size), cancel_event):
+                if not chunk_gate.acquire(stop - start, cancel_event):
                     cancelled = True
                     break
                 # The gate may have blocked for a while; restart the
-                # chunk timer so the wait is not billed as compute.
+                # launch timer so the wait is not billed as compute.
                 now = clock.monotonic()
-            chunk_plan = (None if fault_plan is None
-                          else fault_plan.for_chunk(index, start, stop))
+            # Every chunk of the group holds one gate grant.
+            group = [remaining[position]]
+            while position + len(group) < len(remaining) and _joins_launch(
+                    group, remaining[position + len(group)], launch_cap,
+                    fault_plan, executed + len(group), chunk_gate):
+                group.append(remaining[position + len(group)])
+            group_stop = group[-1][2]
+            launch_plan = (None if fault_plan is None
+                           else fault_plan.for_chunk(index, start,
+                                                     group_stop))
             chunk_span = tracer.start(f"chunk-{index}", "chunk",
                                       parent=campaign_span,
-                                      rows=int(rows.size))
+                                      rows=int(stop - start),
+                                      launch=int(index))
             try:
-                chunk_result, chunk_quarantine, report = _run_chunk(
-                    model, batch.subset(rows), t_span, t_eval, engine,
-                    options, retry_policy, chunk_plan, engine_kwargs,
-                    tracer, chunk_span)
+                try:
+                    result, launch_quarantine, report = _run_chunk(
+                        model, batch.subset(np.arange(start, group_stop)),
+                        t_span, t_eval, engine, options, retry_policy,
+                        launch_plan, engine_kwargs, tracer, chunk_span)
+                finally:
+                    if chunk_gate is not None:
+                        for _, begin, end in group:
+                            chunk_gate.release(end - begin)
+                tracer.end(chunk_span)
+                entries = _split_launch(result, launch_quarantine, group,
+                                        tracer, campaign_span)
+                if checkpoint is not None:
+                    checkpoint.commit(
+                        [(chunk, chunk_result, chunk_quarantine.to_dicts())
+                         for chunk, chunk_result, chunk_quarantine
+                         in entries],
+                        None if report is None
+                        else report.metrics.to_dict())
             except KeyboardInterrupt:
                 raise CampaignInterrupted(
                     f"campaign interrupted during chunk {index}; "
@@ -397,36 +449,27 @@ def run_campaign(model, t_span: tuple[float, float],
                     checkpoint_path=(None if checkpoint is None
                                      else checkpoint.path),
                     completed_chunks=completed) from None
-            finally:
-                if chunk_gate is not None:
-                    chunk_gate.release(int(rows.size))
-            tracer.end(chunk_span)
-            quarantine.merge(chunk_quarantine, row_offset=start)
-            if report is not None:
-                metrics.merge(report.metrics)
-            if checkpoint is not None:
-                shifted = QuarantineLog()
-                shifted.merge(chunk_quarantine, row_offset=start)
-                checkpoint.save_chunk(index, chunk_result,
-                                      shifted.to_dicts())
-                if report is not None:
-                    checkpoint.set_payload(f"metrics-{index}",
-                                           report.metrics.to_dict())
-            # Flush spans only after the chunk is journaled: the trace
-            # file and the journal lose exactly the same chunk on a
+            # Flush spans only after the launch is journaled: the trace
+            # file and the journal lose exactly the same chunks on a
             # crash.
             tracer.flush()
-            merged.merge_rows(chunk_result, rows)
-            completed += 1
-            executed += 1
-            metrics.count("campaign.chunks.executed")
+            for _, _, chunk_quarantine in entries:
+                quarantine.merge(chunk_quarantine)
+            if report is not None:
+                metrics.merge(report.metrics)
+            merged.merge_rows(result, np.arange(start, group_stop))
+            position += len(group)
+            completed += len(group)
+            executed += len(group)
+            metrics.count("campaign.chunks.executed", len(group))
+            metrics.count("campaign.launches")
             after = clock.monotonic()
             duration = after - now
-            if min_chunk_seconds is None or duration < min_chunk_seconds:
-                min_chunk_seconds = duration
-            # Post-chunk wall-clock check: a chunk that overshot the
+            if min_launch_seconds is None or duration < min_launch_seconds:
+                min_launch_seconds = duration
+            # Post-launch wall-clock check: a launch that overshot the
             # deadline mid-flight must mark the result, not wait for
-            # the next pre-chunk check that may never come.
+            # the next pre-launch check that may never come.
             if config.deadline_seconds is not None and \
                     after - started > config.deadline_seconds \
                     and completed < total_chunks:
@@ -467,8 +510,57 @@ def _deadline_exceeded(config: CampaignConfig,
             now - started > config.deadline_seconds:
         return True
     return (fault_plan is not None
-            and fault_plan.deadline_after_chunks is not None
-            and executed >= fault_plan.deadline_after_chunks)
+            and fault_plan.expires_before_chunk(executed))
+
+
+def _joins_launch(group, candidate, launch_cap: int,
+                  fault_plan: FaultPlan | None, executed: int,
+                  chunk_gate) -> bool:
+    """Whether the pending ``candidate`` chunk may join ``group``'s launch.
+
+    It must follow the group's last chunk, fit the launch cap, not be
+    the chunk at which an injected crash or deadline fires (``executed``
+    counts the chunks run before it) and, last, win a gate grant. A
+    chunk with an injected launch failure or memory pressure runs
+    alone, so no clean chunk's rows share its retry rungs.
+    """
+    index, start, stop = candidate
+    first = group[0][0]
+    if index != group[-1][0] + 1 or stop - group[0][1] > launch_cap:
+        return False
+    if fault_plan is not None and (
+            fault_plan.crashes_before_launch(executed)
+            or fault_plan.expires_before_chunk(executed)
+            or {first, index} & set(fault_plan.fail_launches
+                                    + fault_plan.oom_launches)):
+        return False
+    return chunk_gate is None or chunk_gate.try_acquire(stop - start)
+
+
+def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
+                  group, tracer, campaign_span) -> list:
+    """Per-chunk ``(index, result, quarantine)`` slices of a launch.
+
+    Quarantine rows move to campaign space. Every chunk after the first
+    gets its own (empty) ``chunk-<i>`` span naming the launch it shared.
+    """
+    first, offset, _ = group[0]
+    shifted = QuarantineLog()
+    shifted.merge(launch_quarantine, row_offset=offset)
+    entries = []
+    for index, start, stop in group:
+        if index != first:
+            tracer.end(tracer.start(f"chunk-{index}", "chunk",
+                                    parent=campaign_span,
+                                    rows=int(stop - start),
+                                    launch=int(first)))
+        records = [record for record in shifted
+                   if start <= record.row < stop]
+        entries.append((index,
+                        result.take_rows(np.arange(start - offset,
+                                                   stop - offset)),
+                        QuarantineLog(records)))
+    return entries
 
 
 def _run_chunk(model, sub_batch, t_span, t_eval, engine, options,

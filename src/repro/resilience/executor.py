@@ -583,11 +583,9 @@ class ShardSupervisor:
         if self.checkpoint is not None:
             shifted = QuarantineLog()
             shifted.merge(state.quarantine, row_offset=state.start)
-            self.checkpoint.save_chunk(index, state.buffer,
-                                       shifted.to_dicts())
-            if state.has_metrics:
-                self.checkpoint.set_payload(f"metrics-{index}",
-                                            state.metrics.to_dict())
+            self.checkpoint.commit(
+                [(index, state.buffer, shifted.to_dicts())],
+                state.metrics.to_dict() if state.has_metrics else None)
         # Same transactional alignment as the serial loop: spans flush
         # only once their chunk is journaled.
         self.tracer.flush()

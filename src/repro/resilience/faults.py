@@ -159,6 +159,10 @@ class FaultPlan:
         return (self.crash_after_launches is not None
                 and launch_index >= self.crash_after_launches)
 
+    def expires_before_chunk(self, chunks_executed: int) -> bool:
+        return (self.deadline_after_chunks is not None
+                and chunks_executed >= self.deadline_after_chunks)
+
     # -- worker-process faults (shard executor) --------------------------
 
     def kills_worker(self, chunk_index: int, attempt: int) -> bool:

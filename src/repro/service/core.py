@@ -259,8 +259,8 @@ class CampaignService:
 
     def cancel(self, job_id: int) -> JobRecord:
         """Request cooperative cancellation: a queued job terminates
-        immediately, a running one stops at its next chunk boundary
-        with its journal intact."""
+        immediately, a running one stops before its next launch with
+        its journal intact."""
         job = self.get(job_id)
         if job.terminal:
             return job
@@ -347,8 +347,8 @@ class CampaignService:
 
     def _preempt_excess(self) -> None:
         """The ladder shrank the running set: pull the weakest running
-        jobs back to the queue (cooperatively — each stops at its next
-        chunk boundary and requeues with its journal intact)."""
+        jobs back to the queue (cooperatively — each stops before its
+        next launch and requeues with its journal intact)."""
         limit = self.ladder.effective_max_running()
         excess = len(self._running) - limit
         if excess <= 0:
@@ -504,7 +504,7 @@ class CampaignService:
         return job.state
 
     def _requeue(self, job: JobRecord) -> None:
-        """A preempted campaign stopped at a chunk boundary: back to
+        """A preempted campaign stopped between launches: back to
         the queue, journal intact, to resume under the next grant."""
         job.preempted = False
         job.cancel.clear()

@@ -96,8 +96,8 @@ class JobRecord:
     #: True when the job ran (or finished) under a degraded ladder
     #: state or its campaign itself degraded to serial.
     degraded: bool = False
-    #: Cooperative cancellation flag, checked by the campaign at every
-    #: chunk boundary.
+    #: Cooperative cancellation flag, checked by the campaign before
+    #: every launch.
     cancel: threading.Event = field(default_factory=threading.Event)
     #: Set when the dispatcher pulls a running job back to the queue
     #: (ladder shrank the running set); distinguishes preemption from
