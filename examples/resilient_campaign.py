@@ -55,9 +55,9 @@ def recovery_demo(model, batch) -> None:
     result = simulate(model, T_SPAN, T_EVAL, batch,
                       retry_policy=default_retry_policy(),
                       fault_plan=FaultPlan(fail_launches=(0,)))
-    report = result.engine_report
-    print(f"retried {report.n_retried_rows} row-attempts, recovered "
-          f"{report.n_recovered_rows}/{batch.size}; "
+    counts = result.engine_report.metrics.counters
+    print(f"retried {counts['retry.retried_rows']} row-attempts, recovered "
+          f"{counts['retry.recovered_rows']}/{batch.size}; "
           f"all_success={result.all_success}, "
           f"quarantined={result.n_quarantined}")
     print()

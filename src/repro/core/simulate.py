@@ -62,9 +62,9 @@ class SimulationResult:
     """Batch trajectories with model-aware accessors.
 
     ``engine_report`` is populated by the batched engine only; it
-    carries routing decisions, kernel counters and — when the engine
-    ran with a retry policy — the quarantine log of rows that exhausted
-    the retry ladder.
+    carries routing decisions, the metrics registry (kernel and retry
+    counts) and — when the engine ran with a retry policy — the
+    quarantine log of rows that exhausted the retry ladder.
     """
 
     model: ReactionBasedModel
@@ -205,8 +205,6 @@ class SequentialSimulator:
                 result.status_codes[index] = EXHAUSTED
             else:
                 result.status_codes[index] = BROKEN
-            result.counters.rhs_simulation_evaluations += \
-                single.stats.n_rhs_evaluations
             completed += 1
         result.status_codes[completed:] = BROKEN
         result.elapsed_seconds = clock.monotonic() - started

@@ -59,7 +59,6 @@ class BatchBDF:
         states = (problem.initial_states() if initial_states is None
                   else xp.array(initial_states, dtype=xp.float64))
         result = allocate_result(t_eval, batch, n, self.method_code)
-        result.counters = problem.counters
 
         times = xp.full(batch, t0)
         save_index = xp.zeros(batch, dtype=xp.int64)
@@ -353,7 +352,8 @@ class BatchBDF:
             norms = norms[keep]
             y[work] += delta
             correction[work] += delta
-            with xp.errstate(divide="ignore", invalid="ignore"):
+            with xp.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
                 done = (norms == 0.0) | (
                     (previous[work] > 0)
                     & ((norms / xp.maximum(previous[work], 1e-300))

@@ -138,7 +138,6 @@ class BatchRadau5:
         states = (problem.initial_states() if initial_states is None
                   else xp.array(initial_states, dtype=xp.float64))
         result = allocate_result(t_eval, batch, n, self.method_code)
-        result.counters = problem.counters
 
         times = xp.full(batch, t0)
         save_index = xp.zeros(batch, dtype=xp.int64)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..backend import Array, xp
-from .batched_ode import KernelCounters
 
 #: Per-simulation integer status codes.
 RUNNING = 0
@@ -54,8 +53,6 @@ class BatchSolveResult:
         Shape (B,), which integrator produced each row.
     n_steps, n_accepted, n_rejected:
         Per-simulation step counters, each shape (B,).
-    counters:
-        Substrate-level kernel/work counters.
     elapsed_seconds:
         Wall-clock of the integration (filled by the engine).
     """
@@ -67,7 +64,6 @@ class BatchSolveResult:
     n_steps: Array
     n_accepted: Array
     n_rejected: Array
-    counters: KernelCounters = field(default_factory=KernelCounters)
     elapsed_seconds: float = 0.0
 
     @property
@@ -112,12 +108,9 @@ class BatchSolveResult:
         Used by the router and the retry ladder to splice per-method
         sub-batches back into the full batch. ``other`` must hold
         exactly ``rows.size`` simulations on the same time grid.
-
-        Counters are only merged when the two results do *not* already
-        share one substrate account: the engine threads a single
-        :class:`~repro.gpu.batched_ode.KernelCounters` through every
-        launch chunk and router subset, and merging an account into
-        itself would double-count all substrate work.
+        Only per-row data moves: kernel work is accounted on the
+        launch's :class:`~repro.gpu.batched_ode.KernelCounters`, never
+        on a result.
         """
         self.y[rows] = other.y
         self.status_codes[rows] = other.status_codes
@@ -125,11 +118,9 @@ class BatchSolveResult:
         self.n_steps[rows] = other.n_steps
         self.n_accepted[rows] = other.n_accepted
         self.n_rejected[rows] = other.n_rejected
-        if other.counters is not self.counters:
-            self.counters.merge(other.counters)
 
     def take_rows(self, rows: Array) -> "BatchSolveResult":
-        """Copy of a row subset (fresh, empty counter account)."""
+        """Copy of a row subset (per-row data only)."""
         return BatchSolveResult(
             t=self.t.copy(),
             y=self.y[rows].copy(),

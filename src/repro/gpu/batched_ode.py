@@ -19,7 +19,7 @@ without ``rows``, evaluating every row of the subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from ..backend import Array, xp
 from ..errors import SolverError
@@ -29,16 +29,24 @@ from ..model.odesystem import POLICIES
 if TYPE_CHECKING:  # layering: resilience.faults is a leaf data module
     from ..guards.state import KernelGuard
     from ..resilience.faults import FaultPlan
+    from ..telemetry.metrics import MetricsRegistry
     from ..telemetry.tracer import SpanHandle, Tracer
 
 
 @dataclass
 class KernelCounters:
-    """Workload counters of the batched substrate.
+    """One launch's workload account on the batched substrate.
 
     ``kernel_launches`` counts vectorized evaluation calls (the analog
     of CUDA kernel launches); ``simulation_evaluations`` counts the
     per-simulation work they performed (launches x active batch width).
+
+    The engine opens one account per launch; the step loops bump it on
+    the hot path, the launch's ``LaunchCost`` is priced from it, and it
+    is then folded into the run's
+    :class:`~repro.telemetry.MetricsRegistry`, which is the only
+    run-level store of these counts. :attr:`METRIC_NAMES` is the one
+    field -> metric-name table both directions go through.
     """
 
     rhs_kernel_launches: int = 0
@@ -48,14 +56,26 @@ class KernelCounters:
     factorizations: int = 0
     newton_iterations: int = 0
 
-    def merge(self, other: "KernelCounters") -> None:
-        self.rhs_kernel_launches += other.rhs_kernel_launches
-        self.rhs_simulation_evaluations += other.rhs_simulation_evaluations
-        self.jacobian_kernel_launches += other.jacobian_kernel_launches
-        self.jacobian_simulation_evaluations += \
-            other.jacobian_simulation_evaluations
-        self.factorizations += other.factorizations
-        self.newton_iterations += other.newton_iterations
+    METRIC_NAMES: ClassVar[dict[str, str]] = {
+        "rhs_kernel_launches": "kernel.rhs_launches",
+        "rhs_simulation_evaluations": "kernel.rhs_evals",
+        "jacobian_kernel_launches": "kernel.jacobian_launches",
+        "jacobian_simulation_evaluations": "kernel.jacobian_evals",
+        "factorizations": "newton.factorizations",
+        "newton_iterations": "newton.iterations",
+    }
+
+    def fold_into(self, metrics: "MetricsRegistry") -> None:
+        """Add this account to the registry's counters (zeros too, so
+        every run carries the same key set)."""
+        for name, metric in self.METRIC_NAMES.items():
+            metrics.count(metric, getattr(self, name))
+
+    @classmethod
+    def from_metrics(cls, metrics: "MetricsRegistry") -> "KernelCounters":
+        """The registry's running totals, read back as an account."""
+        return cls(**{name: metrics.counters.get(metric, 0)
+                      for name, metric in cls.METRIC_NAMES.items()})
 
 
 @dataclass
@@ -169,10 +189,11 @@ class BatchedODEProblem:
     def subset(self, rows: Array) -> "BatchedODEProblem":
         """Problem restricted to a subset of simulations.
 
-        The kernel counters are *shared* with the parent problem so
-        router-split sub-batches keep accumulating into one workload
-        account; global row identities, the fault plan and the kernel
-        guard travel with the subset.
+        The kernel counters are *shared* with the parent problem, so the
+        launch's router subsets, governor segments and retry rungs all
+        accumulate into the launch's one account; global row
+        identities, the fault plan and the kernel guard travel with the
+        subset.
         """
         return BatchedODEProblem(self.system, self.parameters.subset(rows),
                                  self.policy, self.counters,

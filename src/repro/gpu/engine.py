@@ -53,9 +53,7 @@ class EngineReport:
 
     ``quarantine`` holds the rows that exhausted the retry ladder (only
     populated when the simulator runs with a
-    :class:`~repro.resilience.RetryPolicy`); ``n_retried_rows`` counts
-    row-attempts the ladder executed and ``n_recovered_rows`` how many
-    failed rows a retry rung rescued.
+    :class:`~repro.resilience.RetryPolicy`).
 
     ``guard_log`` collects the numerical-integrity violations (only
     populated when the simulator runs with a
@@ -64,10 +62,14 @@ class EngineReport:
     budget.
 
     ``metrics`` is the typed telemetry registry
-    (:class:`~repro.telemetry.MetricsRegistry`): step/kernel/Newton
-    counters, guard and retry accounting, and per-launch working-set
-    histograms, always populated (the registry is timestamp-free, so
-    it is safe to embed in campaign checkpoints).
+    (:class:`~repro.telemetry.MetricsRegistry`) and the report's only
+    store of counts: steps, kernel work (``kernel.*``, ``newton.*``,
+    folded in from each launch's
+    :class:`~repro.gpu.batched_ode.KernelCounters`), guard and retry
+    accounting (``retry.retried_rows`` row-attempts the ladder ran,
+    ``retry.recovered_rows`` rows it rescued) and per-launch
+    working-set histograms. It is always populated, and it is
+    timestamp-free, so it is safe to embed in campaign checkpoints.
 
     ``launch_costs`` pairs every launch's perfmodel prediction with
     its observed wall-clock and working set — the raw material of
@@ -78,11 +80,8 @@ class EngineReport:
     elapsed_seconds: float
     n_launches: int
     routing: list[RoutingDecision] = field(default_factory=list)
-    counters: KernelCounters = field(default_factory=KernelCounters)
     modeled_device_time: DeviceTimeEstimate | None = None
     quarantine: QuarantineLog = field(default_factory=QuarantineLog)
-    n_retried_rows: int = 0
-    n_recovered_rows: int = 0
     guard_log: GuardLog = field(default_factory=GuardLog)
     memory_events: list[MemoryEvent] = field(default_factory=list)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -95,7 +94,6 @@ class EngineReport:
             "elapsed_seconds": float(self.elapsed_seconds),
             "n_launches": int(self.n_launches),
             "routing": [decision.to_dict() for decision in self.routing],
-            "counters": asdict(self.counters),
             "modeled_device_time": (None if modeled is None
                                     else asdict(modeled)),
             "quarantine": self.quarantine.to_dicts(),
@@ -103,8 +101,6 @@ class EngineReport:
             # need not parse the full quarantine records; from_dict
             # rebuilds it from "quarantine", keeping round-trips exact.
             "n_quarantined": len(self.quarantine),
-            "n_retried_rows": int(self.n_retried_rows),
-            "n_recovered_rows": int(self.n_recovered_rows),
             "guard_log": {
                 "violations": self.guard_log.to_dicts(),
                 "n_clamped_steps": int(self.guard_log.n_clamped_steps),
@@ -121,6 +117,10 @@ class EngineReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineReport":
+        """Inverse of :meth:`to_dict`. Older reports also carried
+        ``counters``, ``n_retried_rows`` and ``n_recovered_rows``; the
+        same counts are in their ``metrics``, so those keys are ignored.
+        """
         guard_data = data.get("guard_log", {})
         guard_log = GuardLog.from_dicts(guard_data.get("violations", []))
         # GuardLog.from_dicts only rebuilds the violation list; the
@@ -133,12 +133,9 @@ class EngineReport:
             n_launches=int(data["n_launches"]),
             routing=[RoutingDecision.from_dict(entry)
                      for entry in data.get("routing", [])],
-            counters=KernelCounters(**data.get("counters", {})),
             modeled_device_time=(None if modeled is None
                                  else DeviceTimeEstimate(**modeled)),
             quarantine=QuarantineLog.from_dicts(data.get("quarantine", [])),
-            n_retried_rows=int(data.get("n_retried_rows", 0)),
-            n_recovered_rows=int(data.get("n_recovered_rows", 0)),
             guard_log=guard_log,
             memory_events=[MemoryEvent(**entry)
                            for entry in data.get("memory_events", [])],
@@ -258,17 +255,15 @@ class BatchSimulator:
 
         ``parameters`` defaults to a single simulation of the model's
         nominal parameterization. Execution metadata (wall-clock,
-        routing decisions, kernel counters, modeled device time) is
-        stored in :attr:`last_report`.
+        routing decisions, the metrics registry, modeled device time)
+        is stored in :attr:`last_report`.
         """
         batch = self._normalize_parameters(parameters)
         if t_eval is None:
             t_eval = xp.array([float(t_span[0]), float(t_span[1])])
         t_eval = xp.asarray(t_eval, dtype=xp.float64)
 
-        counters = KernelCounters()
-        report = EngineReport(elapsed_seconds=0.0, n_launches=0,
-                              counters=counters)
+        report = EngineReport(elapsed_seconds=0.0, n_launches=0)
         kernel_guard, invariant_monitor = self._build_guards(batch, report)
         tracer = self.tracer
         chunks: list[BatchSolveResult] = []
@@ -281,6 +276,7 @@ class BatchSimulator:
                     completed_chunks=report.n_launches)
             stop = min(start + self.max_batch_per_launch, batch.size)
             sub_batch = batch.subset(xp.arange(start, stop))
+            counters = KernelCounters()
             problem = BatchedODEProblem(self.system, sub_batch, self.policy,
                                         counters, self.fault_plan,
                                         xp.arange(start, stop), kernel_guard,
@@ -294,7 +290,6 @@ class BatchSimulator:
                                      method=self.method)
             problem.trace_span = rung_span
             routing_before = len(report.routing)
-            counters_before = KernelCounters(**asdict(counters))
             launch_t0 = clock.monotonic()
             chunk = self._run_launch_governed(problem, t_span, t_eval,
                                               report)
@@ -306,14 +301,17 @@ class BatchSimulator:
             if invariant_monitor is not None:
                 self._check_invariants(invariant_monitor, report, problem,
                                        chunk)
+            retried = recovered = 0
             if self.retry_policy is not None:
-                self._retry_failed_rows(problem, chunk, t_span, t_eval,
-                                        report, invariant_monitor,
-                                        launch_span)
+                retried, recovered = self._retry_failed_rows(
+                    problem, chunk, t_span, t_eval, report,
+                    invariant_monitor, launch_span)
             observed = clock.monotonic() - launch_t0
-            cost = self._launch_cost(report, routing_before,
-                                     counters_before, observed,
-                                     stop - start, t_eval.size)
+            cost = self._launch_cost(report, routing_before, counters,
+                                     observed, stop - start, t_eval.size)
+            counters.fold_into(report.metrics)
+            report.metrics.count("retry.retried_rows", retried)
+            report.metrics.count("retry.recovered_rows", recovered)
             tracer.end(launch_span, method=self.method,
                        predicted_ms=cost.predicted_seconds * 1.0e3,
                        predicted_doubles=cost.predicted_doubles,
@@ -322,9 +320,11 @@ class BatchSimulator:
             chunks.append(chunk)
             report.n_launches += 1
         report.elapsed_seconds = clock.monotonic() - started
+        # From the run's totals, not a sum of per-launch estimates: the
+        # model is nonlinear in batch size.
         report.modeled_device_time = estimate_device_time(
-            counters, batch.size, self.system.n_species,
-            self.system.n_reactions, self.device)
+            KernelCounters.from_metrics(report.metrics), batch.size,
+            self.system.n_species, self.system.n_reactions, self.device)
 
         with tracer.span("merge", "phase", parent=self.trace_parent,
                          launches=len(chunks)):
@@ -363,25 +363,21 @@ class BatchSimulator:
                                      n_save_points, self.method))
 
     def _launch_cost(self, report: EngineReport, routing_before: int,
-                     counters_before: KernelCounters, observed: float,
+                     counters: KernelCounters, observed: float,
                      rows: int, n_save_points: int) -> LaunchCost:
         """Record one launch's predicted-vs-observed cost.
 
-        Prediction uses only the launch's *own* kernel counters (the
-        delta against the pre-launch snapshot, so retries and memory
-        splits are attributed to the launch that incurred them). The
+        Prediction prices the launch's *own* account, which its router
+        subsets, memory splits and retry rungs all accumulate into, so
+        their work is attributed to the launch that incurred it. The
         actual working set discounts ``"auto"`` down to the rows that
         really took the implicit path — the prediction conservatively
         budgets Radau storage for every row; the routing decisions say
         how many used it.
         """
-        counters = report.counters
-        delta = KernelCounters(**{
-            name: value - getattr(counters_before, name)
-            for name, value in asdict(counters).items()})
         n_species = self.system.n_species
         n_reactions = self.system.n_reactions
-        predicted = estimate_device_time(delta, rows, n_species,
+        predicted = estimate_device_time(counters, rows, n_species,
                                          n_reactions, self.device)
         predicted_doubles = memory_footprint_doubles(
             rows, n_species, n_reactions, n_save_points, self.method)
@@ -406,7 +402,8 @@ class BatchSimulator:
     @staticmethod
     def _populate_metrics(report: EngineReport,
                           result: BatchSolveResult) -> None:
-        """Fold the run's counters and logs into the metrics registry.
+        """Fold the run's step counts and logs into the metrics registry
+        (kernel and retry counts are folded in after each launch).
 
         Everything here is a deterministic count — no timestamps — so
         the registry is safe to journal in campaign checkpoints
@@ -415,22 +412,10 @@ class BatchSimulator:
         metrics = report.metrics
         metrics.count("steps.accepted", int(result.n_accepted.sum()))
         metrics.count("steps.rejected", int(result.n_rejected.sum()))
-        counters = report.counters
-        metrics.count("kernel.rhs_launches", counters.rhs_kernel_launches)
-        metrics.count("kernel.rhs_evals",
-                      counters.rhs_simulation_evaluations)
-        metrics.count("kernel.jacobian_launches",
-                      counters.jacobian_kernel_launches)
-        metrics.count("kernel.jacobian_evals",
-                      counters.jacobian_simulation_evaluations)
-        metrics.count("newton.iterations", counters.newton_iterations)
-        metrics.count("newton.factorizations", counters.factorizations)
         metrics.count("guard.clamped_steps",
                       report.guard_log.n_clamped_steps)
         for kind, count in report.guard_log.counts().items():
             metrics.count(f"guard.violations.{kind}", count)
-        metrics.count("retry.retried_rows", report.n_retried_rows)
-        metrics.count("retry.recovered_rows", report.n_recovered_rows)
         metrics.count("governor.splits", len(report.memory_events))
         metrics.count("governor.segments",
                       sum(event.n_splits for event in report.memory_events))
@@ -528,7 +513,6 @@ class BatchSimulator:
             return self._run_launch(problem, t_span, t_eval, report)
         merged = allocate_result(t_eval, problem.batch_size,
                                  problem.n_species, 0)
-        merged.counters = problem.counters
         for start, stop in plan.segments:
             rows = xp.arange(start, stop)
             segment = self._run_launch(problem.subset(rows), t_span,
@@ -578,7 +562,7 @@ class BatchSimulator:
                            report: EngineReport,
                            invariant_monitor: InvariantMonitor | None = None,
                            launch_span: SpanHandle | None = None
-                           ) -> None:
+                           ) -> tuple[int, int]:
         """Climb the retry ladder for the launch's failed-row subset.
 
         Recovered rows are spliced back into ``chunk`` via
@@ -589,10 +573,14 @@ class BatchSimulator:
         are re-checked against the invariant monitor before a row
         counts as recovered — a rung that converges but still drifts is
         not a rescue.
+
+        Returns the launch's ``(retried, recovered)`` row counts: the
+        row-attempts the ladder ran and the rows it rescued.
         """
         failed = xp.flatnonzero(chunk.failed_mask)
+        retried_rows = recovered_rows = 0
         if failed.size == 0:
-            return
+            return retried_rows, recovered_rows
         histories = {
             int(row): [RetryAttempt(
                 "first-pass",
@@ -617,7 +605,7 @@ class BatchSimulator:
             if invariant_monitor is not None:
                 self._check_invariants(invariant_monitor, report,
                                        subproblem, retried)
-            report.n_retried_rows += int(failed.size)
+            retried_rows += int(failed.size)
             report.metrics.count(f"retry.rung{rung + 1}.rows",
                                  int(failed.size))
             for local, row in enumerate(failed):
@@ -630,7 +618,7 @@ class BatchSimulator:
             if recovered.size:
                 chunk.merge_rows(retried.take_rows(recovered),
                                  failed[recovered])
-                report.n_recovered_rows += int(recovered.size)
+                recovered_rows += int(recovered.size)
                 report.metrics.count(f"retry.rung{rung + 1}.recovered",
                                      int(recovered.size))
             failed = failed[retried.status_codes != OK]
@@ -641,6 +629,7 @@ class BatchSimulator:
                 problem.parameters.rate_constants[row].copy(),
                 problem.parameters.initial_states[row].copy(),
                 histories[int(row)]))
+        return retried_rows, recovered_rows
 
     @staticmethod
     def _merge(chunks: list[BatchSolveResult],
@@ -659,6 +648,5 @@ class BatchSimulator:
                 [chunk.n_accepted for chunk in chunks]),
             n_rejected=xp.concatenate(
                 [chunk.n_rejected for chunk in chunks]),
-            counters=chunks[0].counters,
         )
         return merged

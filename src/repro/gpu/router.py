@@ -161,7 +161,6 @@ class StiffnessRouter:
         t_eval = xp.asarray(t_eval, dtype=xp.float64)
         merged = allocate_result(t_eval, batch, problem.n_species,
                                  METHOD_DOPRI5)
-        merged.counters = problem.counters
 
         nonstiff_rows = xp.flatnonzero(~decision.stiff_mask)
         stiff_rows = xp.flatnonzero(decision.stiff_mask)

@@ -8,6 +8,8 @@ from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, dimerization, robertson
 from repro.solvers import BDF, SolverOptions
 
+from .row_isolation import MIXED_OPTIONS, RowIsolationChecks
+
 OPTIONS = SolverOptions(rtol=1e-6, atol=1e-10, max_steps=200_000)
 
 
@@ -112,3 +114,11 @@ class TestEngineIntegration:
         radau = BatchSimulator(model, OPTIONS, method="radau5").simulate(
             (0, 1e2), np.array([0.0, 1.0, 1e2]), batch)
         assert np.allclose(result.y, radau.y, rtol=1e-3, atol=1e-7)
+
+
+class TestRowIsolation(RowIsolationChecks):
+    """The mixed launch on BDF: every row's bytes match its own width-1
+    launch and survive a permutation."""
+
+    def solver(self):
+        return BatchBDF(MIXED_OPTIONS)

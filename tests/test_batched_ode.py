@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SolverError
 from repro.gpu import BatchedODEProblem, KernelCounters
 from repro.model import ODESystem, perturbed_batch
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture
@@ -70,15 +71,24 @@ class TestCounters:
         assert problem.counters.jacobian_kernel_launches == 1
         assert problem.counters.jacobian_simulation_evaluations == 6
 
-    def test_merge(self):
-        first = KernelCounters(rhs_kernel_launches=1,
-                               rhs_simulation_evaluations=10,
-                               factorizations=2)
-        second = KernelCounters(rhs_kernel_launches=3,
-                                rhs_simulation_evaluations=5,
-                                newton_iterations=7)
-        first.merge(second)
-        assert first.rhs_kernel_launches == 4
-        assert first.rhs_simulation_evaluations == 15
-        assert first.factorizations == 2
-        assert first.newton_iterations == 7
+    def test_metric_table_folds_and_reads_back(self):
+        # The registry names are a published surface (dashboards and the
+        # benchmark read them); the table is the only mapping. A zero
+        # account still registers every name, so key sets never vary.
+        metrics = MetricsRegistry()
+        KernelCounters().fold_into(metrics)
+        assert metrics.counters == dict.fromkeys(
+            KernelCounters.METRIC_NAMES.values(), 0)
+        account = KernelCounters(rhs_kernel_launches=1,
+                                 rhs_simulation_evaluations=10,
+                                 jacobian_kernel_launches=2,
+                                 jacobian_simulation_evaluations=3,
+                                 factorizations=4, newton_iterations=7)
+        account.fold_into(metrics)
+        account.fold_into(metrics)
+        assert metrics.counters == {
+            "kernel.rhs_launches": 2, "kernel.rhs_evals": 20,
+            "kernel.jacobian_launches": 4, "kernel.jacobian_evals": 6,
+            "newton.factorizations": 8, "newton.iterations": 14}
+        totals = KernelCounters.from_metrics(metrics)
+        assert totals == KernelCounters(2, 20, 4, 6, 8, 14)

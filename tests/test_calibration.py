@@ -16,6 +16,7 @@ from repro.gpu.perfmodel import memory_footprint_doubles
 from repro.io import write_model
 from repro.model import ODESystem, perturbed_batch
 from repro.models import lotka_volterra, robertson
+from repro.resilience import FaultPlan, default_retry_policy
 from repro.service import (CampaignService, JobRequest, ServiceConfig,
                            TenantQuota)
 from repro.solvers import SolverOptions
@@ -191,6 +192,25 @@ class TestEngineLaunchCosts:
             assert record.predicted_seconds > 0.0
             assert record.predicted_doubles > 0
             assert record.actual_doubles == record.predicted_doubles
+
+    def test_retry_work_is_priced_on_the_launch_that_incurred_it(self):
+        model = lotka_volterra()
+        batch = perturbed_batch(model.nominal_parameterization(), 8,
+                                np.random.default_rng(5))
+
+        def costs(fault_plan):
+            simulator = BatchSimulator(model, method="dopri5",
+                                       max_batch_per_launch=4,
+                                       retry_policy=default_retry_policy(),
+                                       fault_plan=fault_plan)
+            simulator.simulate((0.0, 2.0), T_EVAL, batch)
+            return [cost.predicted_seconds
+                    for cost in simulator.last_report.launch_costs]
+
+        clean = costs(None)
+        faulted = costs(FaultPlan(fail_launches=(1,)))
+        assert faulted[0] == clean[0]
+        assert faulted[1] > clean[1]
 
     def test_report_round_trip_keeps_costs(self):
         model = lotka_volterra()

@@ -244,7 +244,7 @@ class TestEngineIntegration:
                                     replicated_batch(model, 4))
         report = simulator.last_report
         assert result.status_codes[1] == GUARD
-        assert report.n_recovered_rows == 0
+        assert report.metrics.counters["retry.recovered_rows"] == 0
         assert report.quarantine.rows().tolist() == [1]
         record = next(iter(report.quarantine))
         assert record.attempts[0].status == "guard_violation"

@@ -120,9 +120,9 @@ class TestRetryEscalation:
                           fault_plan=FaultPlan(fail_launches=(0,)))
         assert result.all_success
         assert result.n_quarantined == 0
-        report = result.engine_report
-        assert report.n_recovered_rows == 8
-        assert report.n_retried_rows >= 8
+        counts = result.engine_report.metrics.counters
+        assert counts["retry.recovered_rows"] == 8
+        assert counts["retry.retried_rows"] >= 8
 
     def test_persistent_fault_exhausts_ladder_into_quarantine(self,
                                                               lv_model):

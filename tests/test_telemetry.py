@@ -320,9 +320,17 @@ class TestEngineIntegration:
         assert restored.guard_log.n_clamped_steps == \
             report.guard_log.n_clamped_steps
         assert restored.metrics.to_dict() == report.metrics.to_dict()
-        assert restored.counters == report.counters
         assert np.array_equal(restored.routing[0].stiff_mask,
                               report.routing[0].stiff_mask)
+        # The registry is the only store of kernel and retry counts...
+        removed = {"counters", "n_retried_rows", "n_recovered_rows"}
+        assert not removed & set(exported)
+        # ...and older reports that still carry the copies load, with
+        # the copies ignored.
+        legacy = dict(exported, counters={"rhs_kernel_launches": 1},
+                      n_retried_rows=99, n_recovered_rows=98)
+        loaded = EngineReport.from_dict(legacy)
+        assert loaded.to_dict() == restored.to_dict()
 
 
 class TestCampaignTelemetry:
