@@ -24,13 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import simulate as run_simulation
+from .core import SEQUENTIAL_ENGINES, simulate as run_simulation
 from .errors import LintGateError, ReproError
 from .io import (read_batch, read_model, read_sbml, read_t_vector,
                  sbml_to_biosimware, write_model, write_sbml)
 from .model import ReactionBasedModel, perturbed_batch
 from .solvers import SolverOptions
 from .synth import SyntheticModelSpec, generate_model
+
+#: ``--engine`` choices of ``simulate`` and ``trace record``: the batched
+#: engine and the sequential ODE loops.
+ODE_ENGINES = ("batched",) + SEQUENTIAL_ENGINES
 
 
 def _load_model(path: Path) -> ReactionBasedModel:
@@ -507,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--points", type=int, default=51)
     sim.add_argument("--t-grid", action="store_true",
                      help="use the folder's t_vector as the save grid")
-    sim.add_argument("--engine", default="batched",
-                     choices=("batched", "lsoda", "vode", "dopri5",
-                              "radau5", "autoswitch", "bdf"))
+    sim.add_argument("--engine", default="batched", choices=ODE_ENGINES)
     sim.add_argument("--perturb", type=int, default=0, metavar="B",
                      help="simulate B log-uniformly perturbed "
                           "parameterizations instead of the nominal one")
@@ -605,9 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "executor (0 = in-process serial loop)")
     record.add_argument("--t-end", type=float, default=10.0)
     record.add_argument("--points", type=int, default=51)
-    record.add_argument("--engine", default="batched",
-                        choices=("batched", "lsoda", "vode", "dopri5",
-                                 "radau5", "autoswitch", "bdf"))
+    record.add_argument("--engine", default="batched", choices=ODE_ENGINES)
     record.add_argument("--seed", type=int, default=0)
     record.add_argument("--checkpoint", default=None,
                         help="campaign journal path; enables resume and "

@@ -14,9 +14,12 @@ Engines
 ``"lsoda"``, ``"vode"``
     Sequential CPU baselines: one SciPy/ODEPACK integration per
     simulation, exactly how the paper family benchmarks CPUs.
-``"dopri5"``, ``"radau5"``, ``"autoswitch"``
+``"dopri5"``, ``"radau5"``, ``"bdf"``
     Sequential runs of this package's own scalar solvers (the
-    fine-grained-only reference points).
+    fine-grained-only reference points). A sequential run that switches
+    between explicit and implicit integration is
+    ``engine="batched", max_batch_per_launch=1``: rows do not depend on
+    the launch width.
 ``"ssa"``, ``"tau-leaping"``
     Batched stochastic engines (exact Gillespie / tau-leaping) at a
     volume given by the ``volume`` engine kwarg; trajectories are
@@ -31,29 +34,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AnalysisError
-from ..gpu.batch_result import (BROKEN, EXHAUSTED, METHOD_AUTOSWITCH,
-                                METHOD_BDF, METHOD_DOPRI5, METHOD_LSODA,
-                                METHOD_RADAU5, METHOD_VODE, OK,
+from ..gpu.batch_result import (BROKEN, EXHAUSTED, METHOD_BDF, METHOD_DOPRI5,
+                                METHOD_LSODA, METHOD_RADAU5, METHOD_VODE, OK,
                                 BatchSolveResult, allocate_result)
 from ..gpu.engine import BatchSimulator, EngineReport
 from ..resilience.quarantine import QuarantineLog
 from ..model import (ODESystem, Parameterization, ParameterizationBatch,
                      ReactionBasedModel)
-from ..solvers import (AutoSwitchSolver, BDF, ExplicitRungeKutta, Radau5,
-                       ScipyLSODA, ScipyVODE)
+from ..solvers import BDF, ExplicitRungeKutta, Radau5, ScipyLSODA, ScipyVODE
 from ..solvers.base import DEFAULT_OPTIONS, SUCCESS, MAX_STEPS, SolverOptions
 from ..telemetry import clock
 from ..solvers.tableaus import DOPRI5
 
-SEQUENTIAL_ENGINES = ("lsoda", "vode", "dopri5", "radau5", "autoswitch",
-                      "bdf")
+SEQUENTIAL_ENGINES = ("lsoda", "vode", "dopri5", "radau5", "bdf")
 STOCHASTIC_ENGINES = ("ssa", "tau-leaping")
 ENGINES = ("batched",) + SEQUENTIAL_ENGINES + STOCHASTIC_ENGINES
 
 _SEQUENTIAL_METHOD_CODES = {
     "lsoda": METHOD_LSODA, "vode": METHOD_VODE, "dopri5": METHOD_DOPRI5,
-    "radau5": METHOD_RADAU5, "autoswitch": METHOD_AUTOSWITCH,
-    "bdf": METHOD_BDF,
+    "radau5": METHOD_RADAU5, "bdf": METHOD_BDF,
 }
 
 
@@ -156,9 +155,7 @@ class SequentialSimulator:
             return ExplicitRungeKutta(DOPRI5, self.options)
         if self.engine == "radau5":
             return Radau5(self.options)
-        if self.engine == "bdf":
-            return BDF(self.options)
-        return AutoSwitchSolver(self.options)
+        return BDF(self.options)
 
     def simulate(self, t_span: tuple[float, float],
                  t_eval: np.ndarray | None = None,
@@ -179,8 +176,7 @@ class SequentialSimulator:
         result = allocate_result(t_eval, batch.size, self.model.n_species,
                                  _SEQUENTIAL_METHOD_CODES[self.engine])
         solver = self._make_solver()
-        supports_jacobian = self.engine in ("vode", "radau5", "autoswitch",
-                                            "lsoda", "bdf")
+        supports_jacobian = self.engine != "dopri5"
         started = clock.monotonic()
         completed = 0
         for index in range(batch.size):

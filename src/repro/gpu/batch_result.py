@@ -23,6 +23,7 @@ METHOD_DOPRI5 = 0
 METHOD_RADAU5 = 1
 METHOD_LSODA = 2
 METHOD_VODE = 3
+#: Retired engine; the code stays so earlier archives still decode.
 METHOD_AUTOSWITCH = 4
 METHOD_SSA = 5
 METHOD_TAU_LEAPING = 6

@@ -30,17 +30,15 @@ from ..telemetry import clock
 from ..telemetry.calibration import LaunchCost
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import SpanHandle, as_tracer
-from .batch_dopri5 import BatchDopri5
-from .batch_radau5 import BatchRadau5
 from .batch_result import (BROKEN, GUARD, OK, STATUS_NAMES, BatchSolveResult,
                            allocate_result)
 from .batched_ode import BatchedODEProblem, KernelCounters
 from .device import TITAN_X, VirtualDevice
 from .perfmodel import (DeviceTimeEstimate, estimate_device_time,
                         memory_footprint_doubles)
-from .router import RoutingDecision, StiffnessRouter
+from .router import INTEGRATORS, RoutingDecision, StiffnessRouter
 
-METHODS = ("auto", "dopri5", "radau5", "bdf")
+METHODS = ("auto",) + tuple(INTEGRATORS)
 
 #: Default cap on simulations per launch (``max_batch_per_launch``); the
 #: campaign runner coalesces journaled chunks up to the same cap.
@@ -537,24 +535,11 @@ class BatchSimulator:
                     problem, t_span, t_eval)
             report.routing.append(decision)
             return result
-        if self.method == "dopri5":
-            return BatchDopri5(self.options).solve(problem, t_span, t_eval)
-        if self.method == "bdf":
-            from .batch_bdf import BatchBDF
-            return BatchBDF(self.options).solve(problem, t_span, t_eval)
-        return BatchRadau5(self.options).solve(problem, t_span, t_eval)
+        return INTEGRATORS[self.method](self.options).solve(
+            problem, t_span, t_eval)
 
     # ------------------------------------------------------------------
     # retry escalation + quarantine (the resilience layer)
-
-    @staticmethod
-    def _retry_solver(method: str, options: SolverOptions):
-        if method == "dopri5":
-            return BatchDopri5(options)
-        if method == "radau5":
-            return BatchRadau5(options)
-        from .batch_bdf import BatchBDF
-        return BatchBDF(options)
 
     def _retry_failed_rows(self, problem: BatchedODEProblem,
                            chunk: BatchSolveResult,
@@ -594,7 +579,7 @@ class BatchSimulator:
             if failed.size == 0:
                 break
             options = stage.derive_options(self.options)
-            solver = self._retry_solver(stage.method, options)
+            solver = INTEGRATORS[stage.method](options)
             subproblem = problem.subset(failed)
             rung_span = self.tracer.start(
                 f"rung-{rung + 1}", "rung", parent=launch_span,

@@ -17,11 +17,16 @@ from ..backend import Array, xp
 from ..lint.model_rules import STIFFNESS_SAFE_DECADES, stiffness_risk_score
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.stiffness import power_iteration_matvec
+from .batch_bdf import BatchBDF
 from .batch_dopri5 import BatchDopri5
 from .batch_radau5 import BatchRadau5
 from .batch_result import (METHOD_DOPRI5, OK, BatchSolveResult,
                            allocate_result)
 from .batched_ode import BatchedODEProblem
+
+#: The batched integrator that serves each method name: the router's
+#: implicit rung, the engine's fixed-method launches and its retry rungs.
+INTEGRATORS = {"dopri5": BatchDopri5, "radau5": BatchRadau5, "bdf": BatchBDF}
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,13 @@ class StiffnessRouter:
 
     def _implicit_solver(self, batch_size: int, n_species: int):
         """Implicit solver class + name for this batch shape."""
+        method = "radau5"
         if self.cost_model is not None:
             preferred = self.cost_model.preferred_stiff_method(
                 batch_size, n_species)
             if preferred == "bdf":
-                from .batch_bdf import BatchBDF
-                return BatchBDF, "bdf"
-        return BatchRadau5, "radau5"
+                method = "bdf"
+        return INTEGRATORS[method], method
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
               t_eval: Array | None = None,

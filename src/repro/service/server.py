@@ -36,6 +36,7 @@ import json
 import socket
 from pathlib import Path
 
+from ..core.simulate import ENGINES
 from ..errors import ReproError, ServiceError
 from ..telemetry.live import MetricsHub
 from ..telemetry.prometheus import render_prometheus
@@ -86,6 +87,11 @@ class _ServerState:
 
 
 def _request_from_payload(state: _ServerState, payload: dict) -> JobRequest:
+    # Reject an unknown engine before any model is loaded from disk.
+    engine = payload.get("engine")
+    if engine is not None and engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of "
+                         f"{ENGINES}")
     model = state.model(str(payload["model"]))
     t_span = payload.get("t_span", [0.0, 1.0])
     request = JobRequest(model=model,

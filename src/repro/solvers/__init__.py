@@ -1,11 +1,9 @@
 """CPU reference ODE solvers: explicit RK family, Radau IIA, baselines."""
 
-from .autoswitch import AutoSwitchSolver
 from .bdf import BDF
-from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, STIFF_DETECTED,
-                   SUCCESS, SolveResult, SolverOptions, SolverStats,
-                   StepController, error_norm, initial_step_size,
-                   validate_time_grid)
+from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, SUCCESS, SolveResult,
+                   SolverOptions, SolverStats, StepController, error_norm,
+                   initial_step_size, validate_time_grid)
 from .explicit import Dopri5Interpolant, ExplicitRungeKutta
 from .radau5 import (MU_COMPLEX, MU_REAL, RADAU_A, RADAU_C, RADAU_E,
                      RADAU_T, RADAU_TI, Radau5)
@@ -16,8 +14,8 @@ from .tableaus import (BOGACKI_SHAMPINE_23, CASH_KARP_45, DOPRI5,
                        FEHLBERG_45, TABLEAUS, ButcherTableau)
 
 __all__ = [
-    "AutoSwitchSolver", "BDF",
-    "DEFAULT_OPTIONS", "FAILED", "MAX_STEPS", "STIFF_DETECTED", "SUCCESS",
+    "BDF",
+    "DEFAULT_OPTIONS", "FAILED", "MAX_STEPS", "SUCCESS",
     "SolveResult", "SolverOptions", "SolverStats", "StepController",
     "error_norm", "initial_step_size", "validate_time_grid",
     "Dopri5Interpolant", "ExplicitRungeKutta",

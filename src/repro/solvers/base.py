@@ -19,7 +19,6 @@ from ..errors import SolverError
 SUCCESS = "success"
 MAX_STEPS = "max_steps"
 FAILED = "failed"
-STIFF_DETECTED = "stiff_detected"
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,9 @@ class SolverOptions:
     newton_max_iterations, newton_tol_factor:
         Implicit-stage Newton controls (Radau).
     stiffness_threshold:
-        Dominant-eigenvalue magnitude above which a system is routed to
-        the stiff method by the auto-switching drivers.
+        Dominant-eigenvalue magnitude above which the batched router's
+        spectral-radius probe sends a row to the implicit method (and
+        ``analyze_model`` reports the model as stiff).
     """
 
     rtol: float = 1e-6
@@ -92,15 +92,6 @@ class SolverStats:
     n_factorizations: int = 0
     n_newton_iterations: int = 0
 
-    def merge(self, other: "SolverStats") -> None:
-        self.n_steps += other.n_steps
-        self.n_accepted += other.n_accepted
-        self.n_rejected += other.n_rejected
-        self.n_rhs_evaluations += other.n_rhs_evaluations
-        self.n_jacobian_evaluations += other.n_jacobian_evaluations
-        self.n_factorizations += other.n_factorizations
-        self.n_newton_iterations += other.n_newton_iterations
-
 
 @dataclass
 class SolveResult:
@@ -128,11 +119,6 @@ class SolveResult:
     stats: SolverStats = field(default_factory=SolverStats)
     method: str = ""
     message: str = ""
-    stiffness_detected: bool = False
-    #: Internal integrator state at early termination (stiffness abort,
-    #: failure); lets a switching driver resume from where we stopped.
-    t_stop: float | None = None
-    y_stop: np.ndarray | None = None
 
     @property
     def success(self) -> bool:

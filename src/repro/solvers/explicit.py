@@ -4,8 +4,7 @@ One tableau-driven implementation serves every embedded explicit pair
 (RKF45, Cash-Karp, Bogacki-Shampine, DOPRI5). Steps are clipped so that
 every requested save time is hit exactly; DOPRI5 additionally offers the
 classical quartic dense-output interpolant (see
-:class:`Dopri5Interpolant`) and the Hairer stiffness test used by the
-auto-switching driver to escalate to Radau IIA.
+:class:`Dopri5Interpolant`).
 """
 
 from __future__ import annotations
@@ -13,16 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, STIFF_DETECTED,
-                   SUCCESS, SolveResult, SolverOptions, SolverStats,
-                   StepController, error_norm, initial_step_size,
-                   validate_time_grid)
+from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, SUCCESS, SolveResult,
+                   SolverOptions, SolverStats, StepController, error_norm,
+                   initial_step_size, validate_time_grid)
 from .tableaus import DOPRI5, DOPRI5_DENSE_D, ButcherTableau
-
-#: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
-_STIFFNESS_BOUNDARY = 3.25
-#: Consecutive violations before a problem is flagged as stiff.
-_STIFFNESS_PATIENCE = 15
 
 
 class ExplicitRungeKutta:
@@ -37,25 +30,14 @@ class ExplicitRungeKutta:
     use_pi_controller:
         Select the PI (Gustafsson) step controller instead of the
         elementary one.
-    detect_stiffness:
-        Run Hairer's stiffness test on tableaus whose last two stages
-        both sit at c = 1 (DOPRI5). A positive test does not abort the
-        integration; it sets ``stiffness_detected`` on the result.
     """
 
     def __init__(self, tableau: ButcherTableau,
                  options: SolverOptions = DEFAULT_OPTIONS,
-                 use_pi_controller: bool = True,
-                 detect_stiffness: bool = True,
-                 abort_on_stiffness: bool = False) -> None:
+                 use_pi_controller: bool = True) -> None:
         self.tableau = tableau
         self.options = options
         self.use_pi_controller = use_pi_controller
-        n_stages = tableau.n_stages
-        self.detect_stiffness = (
-            detect_stiffness and n_stages >= 2
-            and tableau.c[-1] == 1.0 and tableau.c[-2] == 1.0)
-        self.abort_on_stiffness = abort_on_stiffness and self.detect_stiffness
 
     @property
     def name(self) -> str:
@@ -99,17 +81,13 @@ class ExplicitRungeKutta:
 
         interpolants: list[Dopri5Interpolant] = []
         stages = np.empty((tableau.n_stages, y.size))
-        stiffness_strikes = 0
-        non_stiff_streak = 0
-        stiff = False
 
         while t < t1 - 1e-14 * max(1.0, abs(t1)):
             if stats.n_steps >= options.max_steps:
                 return SolveResult(t_eval[:save_index].copy(),
                                    output[:save_index].copy(), MAX_STEPS,
                                    stats, self.name,
-                                   f"step budget exhausted at t={t:g}",
-                                   stiff, t, y.copy())
+                                   f"step budget exhausted at t={t:g}")
             h = min(h, t1 - t)
             # Clip so the next save time is hit exactly.
             clipped = False
@@ -120,8 +98,7 @@ class ExplicitRungeKutta:
                 return SolveResult(t_eval[:save_index].copy(),
                                    output[:save_index].copy(), FAILED,
                                    stats, self.name,
-                                   f"step size underflow at t={t:g}", stiff,
-                                   t, y.copy())
+                                   f"step size underflow at t={t:g}")
 
             stats.n_steps += 1
             stages[0] = f_current
@@ -143,18 +120,6 @@ class ExplicitRungeKutta:
                 else:
                     f_new = fun(t + h, y_new)
                     stats.n_rhs_evaluations += 1
-                if self.detect_stiffness:
-                    stiff_now = self._stiffness_test(h, y, y_new, stages,
-                                                     tableau)
-                    if stiff_now:
-                        stiffness_strikes += 1
-                        non_stiff_streak = 0
-                        if stiffness_strikes >= _STIFFNESS_PATIENCE:
-                            stiff = True
-                    else:
-                        non_stiff_streak += 1
-                        if non_stiff_streak >= 6:
-                            stiffness_strikes = 0
                 if collect_interpolants and tableau is DOPRI5:
                     interpolants.append(
                         Dopri5Interpolant(t, h, y.copy(), y_new.copy(),
@@ -168,12 +133,6 @@ class ExplicitRungeKutta:
                 factor = controller.factor(err)
                 t, y, f_current = t_new, y_new, f_new
                 h = min(h * factor, max_step)
-                if stiff and self.abort_on_stiffness:
-                    return SolveResult(
-                        t_eval[:save_index].copy(),
-                        output[:save_index].copy(), STIFF_DETECTED, stats,
-                        self.name, f"stiffness detected at t={t:g}", True,
-                        t, y.copy())
             else:
                 stats.n_rejected += 1
                 if np.isfinite(err):
@@ -189,28 +148,10 @@ class ExplicitRungeKutta:
         if save_index != t_eval.size:  # pragma: no cover - defensive
             raise SolverError("internal error: save grid not exhausted")
         result = SolveResult(t_eval.copy(), output, SUCCESS, stats,
-                             self.name, "", stiff)
+                             self.name)
         if collect_interpolants:
             result.interpolants = interpolants  # type: ignore[attr-defined]
         return result
-
-    @staticmethod
-    def _stiffness_test(h: float, y: np.ndarray, y_new: np.ndarray,
-                        stages: np.ndarray, tableau: ButcherTableau) -> bool:
-        """Hairer's h * rho(J) estimate from the last two c=1 stages.
-
-        Both the last stage (evaluated at y_new) and the one before it
-        sit at t + h; the ratio of their derivative difference to their
-        state difference estimates the local Lipschitz constant, and
-        h * lambda beyond the explicit stability boundary signals
-        stiffness.
-        """
-        y_penultimate = y + h * tableau.a[-2, :-2].dot(stages[:-2])
-        numerator = float(np.sum((stages[-1] - stages[-2]) ** 2))
-        denominator = float(np.sum((y_new - y_penultimate) ** 2))
-        if denominator <= 0.0:
-            return False
-        return h * np.sqrt(numerator / denominator) > _STIFFNESS_BOUNDARY
 
 
 class Dopri5Interpolant:

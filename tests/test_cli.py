@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import SEQUENTIAL_ENGINES
 from repro.io import read_batch, read_model, write_model
 from repro.models import robertson
 
@@ -65,11 +66,12 @@ class TestSimulate:
         assert "4 parameterization(s)" in capsys.readouterr().out
 
     def test_sequential_engine_choice(self, model_folder, capsys):
-        code = main(["simulate", str(model_folder), "--t-end", "1",
-                     "--points", "3", "--engine", "lsoda",
-                     "--max-steps", "100000"])
-        assert code == 0
-        assert "'lsoda'" in capsys.readouterr().out
+        for engine in SEQUENTIAL_ENGINES:
+            code = main(["simulate", str(model_folder), "--t-end", "1",
+                         "--points", "3", "--engine", engine,
+                         "--max-steps", "100000"])
+            assert code == 0
+            assert f"'{engine}'" in capsys.readouterr().out
 
 
 class TestConvertAndGenerate:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import simulate
 from repro.errors import FormatError
+from repro.gpu import METHOD_NAMES
 from repro.io import load_result, save_result
 from repro.models import decay_chain
 from repro.solvers import SolverOptions
@@ -40,9 +41,14 @@ class TestRoundTrip:
         assert loaded.batch_size == 3
 
     def test_methods_survive(self, sample_result, tmp_path):
-        path = save_result(tmp_path / "run.npz", sample_result.raw)
-        loaded, _ = load_result(path)
-        assert loaded.methods() == sample_result.raw.methods()
+        """Every method code decodes, including retired ones (such as
+        ``autoswitch``) that archives written earlier still carry."""
+        raw = sample_result.raw
+        for code, name in METHOD_NAMES.items():
+            raw.method_codes[:] = code
+            path = save_result(tmp_path / f"run-{code}.npz", raw)
+            loaded, _ = load_result(path)
+            assert loaded.methods() == [name] * raw.batch_size
 
 
 class TestErrors:

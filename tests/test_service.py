@@ -711,6 +711,21 @@ class TestServer:
     def test_non_object_line_is_a_bad_request(self, server_port, line):
         self._assert_bad_request_in_step(server_port, line, "JSON object")
 
+    @pytest.mark.parametrize("engine", ["autoswitch", "magic"])
+    def test_unknown_engine_is_a_bad_request(self, server_port, engine,
+                                             tmp_path):
+        """The engine is checked before the (missing) model is loaded,
+        and the rejected line is never counted as a submission."""
+        import json
+        line = json.dumps({"op": "submit", "engine": engine,
+                           "model": str(tmp_path / "missing")}).encode()
+        self._assert_bad_request_in_step(server_port, line + b"\n",
+                                         "unknown engine")
+        with Client(port=server_port) as client:
+            stats = client.stats()
+        assert stats["states"] == {}
+        assert "service.jobs.submitted" not in stats["metrics"]["counters"]
+
     def test_admission_errors_cross_the_wire(self, model_folder):
         ports = queue.Queue()
         config = ServiceConfig(

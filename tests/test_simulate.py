@@ -70,5 +70,6 @@ class TestTimeBudget:
         assert result.elapsed_seconds < 5.0
 
     def test_unknown_sequential_engine_rejected(self):
-        with pytest.raises(AnalysisError):
-            SequentialSimulator(decay_chain(2), engine="magic")
+        for engine in ("magic", "autoswitch"):
+            with pytest.raises(AnalysisError):
+                SequentialSimulator(decay_chain(2), engine=engine)

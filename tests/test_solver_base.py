@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import SolverError
 from repro.solvers import (DEFAULT_OPTIONS, SolveResult, SolverOptions,
-                           SolverStats, StepController, error_norm,
-                           initial_step_size, validate_time_grid)
+                           StepController, error_norm, initial_step_size,
+                           validate_time_grid)
 
 
 class TestSolverOptions:
@@ -125,19 +125,6 @@ class TestStepController:
 
 
 class TestStats:
-    def test_merge_accumulates(self):
-        first = SolverStats(n_steps=3, n_accepted=2, n_rejected=1,
-                            n_rhs_evaluations=20)
-        second = SolverStats(n_steps=5, n_accepted=5,
-                             n_jacobian_evaluations=2, n_factorizations=4)
-        first.merge(second)
-        assert first.n_steps == 8
-        assert first.n_accepted == 7
-        assert first.n_rejected == 1
-        assert first.n_rhs_evaluations == 20
-        assert first.n_jacobian_evaluations == 2
-        assert first.n_factorizations == 4
-
     def test_result_helpers(self):
         result = SolveResult(np.array([0.0, 1.0]),
                              np.array([[1.0], [0.5]]), "success")
