@@ -44,9 +44,12 @@ def _combine_stages(weights: Array, stages: Array) -> Array:
     """Weighted stage sum with per-row rounding independent of how many
     rows are in flight.
 
-    ``xp.tensordot`` lowers to a BLAS product whose row results can
-    change with the array width; this element-wise accumulation keeps
-    split launches bit-identical to unsplit ones.
+    The element-wise accumulation rounds every product and every partial
+    sum on its own, in stage order, whatever the array's shape. Library
+    contractions do not: ``xp.tensordot`` lowers to a BLAS product whose
+    row results change with the array width, and ``xp.einsum`` switches
+    to a lane-split dot product when the stage axis is the only one left
+    (one row of a one-species model).
     """
     combined = weights[0] * stages[0]
     for j in range(1, len(weights)):
@@ -59,7 +62,8 @@ def _scaled_error_norms(error: Array, reference: Array,
                         options: SolverOptions) -> Array:
     scale = options.atol + options.rtol * xp.maximum(xp.abs(reference),
                                                      xp.abs(candidate))
-    return xp.sqrt(xp.mean((error / scale) ** 2, axis=1))
+    # sum / n is what mean computes, without mean's Python frame.
+    return xp.sqrt(xp.sum((error / scale) ** 2, axis=1) / error.shape[1])
 
 
 def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
@@ -178,6 +182,8 @@ class BatchDopri5:
         # A step that reaches this close to a save time lands on it.
         save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
         guard = problem.guard
+        n_stages = tableau.n_stages
+        stage_weights = [tableau.a[i, :i] for i in range(n_stages)]
 
         work = _Dopri5Set(
             rows=xp.arange(batch), problem=problem, t=times, h=steps,
@@ -213,7 +219,7 @@ class BatchDopri5:
 
             work.n_steps += 1
             y = work.y
-            stage_k = xp.empty((tableau.n_stages, t.size, n))
+            stage_k = xp.empty((n_stages, t.size, n))
             stage_k[0] = work.derivative
             penultimate_states = None
             # Diverging rows overflow transiently before they are caught
@@ -221,11 +227,11 @@ class BatchDopri5:
             # both branches on every row; keep those FP warnings quiet.
             with xp.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
-                for i in range(1, tableau.n_stages):
-                    increment = _combine_stages(tableau.a[i, :i],
+                for i in range(1, n_stages):
+                    increment = _combine_stages(stage_weights[i],
                                                 stage_k[:i])
                     stage_states = y + h[:, None] * increment
-                    if i == tableau.n_stages - 2:
+                    if i == n_stages - 2:
                         penultimate_states = stage_states
                     stage_k[i] = work.problem.fun(t + tableau.c[i] * h,
                                                   stage_states)

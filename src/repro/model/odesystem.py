@@ -232,18 +232,21 @@ class ODESystem:
     # ------------------------------------------------------------------
     # flux evaluation
 
-    def _extended(self, states: np.ndarray) -> np.ndarray:
-        """Append the constant-1 column used by the index fast path."""
+    def flux(self, states: np.ndarray, constants: np.ndarray) -> np.ndarray:
+        """Reaction flux vector, shape (B, M).
+
+        Every :meth:`rhs` policy evaluates this one body. A constant-1
+        column appended to the state lets mass action of orders 0-2
+        share two gathers; the other rate laws overwrite their columns
+        in place, so a mass-action-only model pays for the gathers and
+        the constants multiply alone.
+        """
+        if states.ndim != 2:
+            states = np.atleast_2d(states)
         batch = states.shape[0]
         extended = np.empty((batch, self.n_species + 1))
-        extended[:, :self.n_species] = states
-        extended[:, self.n_species] = 1.0
-        return extended
-
-    def flux(self, states: np.ndarray, constants: np.ndarray) -> np.ndarray:
-        """Reaction flux vector, shape (B, M)."""
-        states = np.atleast_2d(states)
-        extended = self._extended(states)
+        extended[:, :-1] = states
+        extended[:, -1] = 1.0
         fluxes = extended[:, self._idx1] * extended[:, self._idx2]
         for monomial in self._generic:
             fluxes[:, monomial.reaction] = np.prod(
@@ -255,18 +258,18 @@ class ODESystem:
             s = np.maximum(states[:, substrate], 0.0)
             s_n = s ** hill_n
             fluxes[:, i] = s_n / (km ** hill_n + s_n)
-        result = fluxes * constants
+        # Out of place, so (M,) and (1, M) constants broadcast.
+        fluxes = fluxes * constants
         if self._custom:
-            batch = states.shape[0]
             constants_2d = np.broadcast_to(np.atleast_2d(constants),
                                            (batch, self.n_reactions))
             for i, law, _, binding in self._custom:
                 environment = {name: states[:, j]
                                for name, j in binding.items()}
                 environment["k"] = constants_2d[:, i]
-                result[:, i] = np.broadcast_to(
+                fluxes[:, i] = np.broadcast_to(
                     law.expression.evaluate(environment), (batch,))
-        return result
+        return fluxes
 
     # ------------------------------------------------------------------
     # right-hand side
@@ -274,7 +277,8 @@ class ODESystem:
     def rhs(self, states: np.ndarray, constants: np.ndarray,
             policy: str = "hybrid") -> np.ndarray:
         """dX/dt for a batch of states, shape (B, N)."""
-        states = np.atleast_2d(states)
+        if states.ndim != 2:
+            states = np.atleast_2d(states)
         if policy == "hybrid":
             return self._rhs_hybrid(states, constants)
         if policy == "coarse":
@@ -343,17 +347,18 @@ class ODESystem:
         n = self.n_species
         constants = np.broadcast_to(np.atleast_2d(constants),
                                     (batch, self.n_reactions))
-        extended = self._extended(states)
         react = self._p_react
         # Partial values for the fast mass-action pattern (codes: 0 -> k,
-        # 1 -> k * x_other, 2 -> 2 k * x_other).
+        # 1 -> k * x_other, 2 -> 2 k * x_other). Only code 0 has the
+        # constant-1 column as its other factor, so codes 1 and 2 gather
+        # from the state itself.
         values = constants[:, react].copy()
         mask1 = self._p_code == 1
         if np.any(mask1):
-            values[:, mask1] *= extended[:, self._p_other[mask1]]
+            values[:, mask1] *= states[:, self._p_other[mask1]]
         mask2 = self._p_code == 2
         if np.any(mask2):
-            values[:, mask2] *= 2.0 * extended[:, self._p_other[mask2]]
+            values[:, mask2] *= 2.0 * states[:, self._p_other[mask2]]
         # One sparse matmul scatters all partials into the Jacobian.
         jac_flat = self._jac_operator.T.dot(values.T).T   # (B, N*N)
         jac = np.ascontiguousarray(jac_flat.reshape(batch, n, n))

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.gpu import BatchDopri5, BatchedODEProblem
+from repro.gpu import BatchDopri5, BatchedODEProblem, batch_dopri5
 from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK, STIFF
-from repro.model import ODESystem, perturbed_batch
+from repro.model import (ODESystem, ParameterizationBatch, ReactionBasedModel,
+                         perturbed_batch)
 from repro.models import decay_chain, lotka_volterra, robertson
 from repro.solvers import ExplicitRungeKutta, SolverOptions
 from repro.solvers.tableaus import DOPRI5
+from repro.synth import generate_symmetric
 
 from .row_isolation import MIXED_OPTIONS, RowIsolationChecks, mixed_exit_launch
 
@@ -131,3 +133,94 @@ class TestRowIsolation(RowIsolationChecks):
         # Rows leave at many different iterations.
         assert len(set(result.n_steps.tolist())) == 8
         assert log.n_clamped_steps > 0 and not log
+
+
+def _result_bytes(result, rows=slice(None)):
+    return [array[rows].tobytes() for array in (
+        result.y, result.status_codes, result.method_codes, result.n_steps,
+        result.n_accepted, result.n_rejected)]
+
+
+def _scalar_combination(weights, stages):
+    """Reference stage sum in Python floats: per element, one rounded
+    product and one rounded partial sum per stage, in stage order."""
+    _, rows, n = stages.shape
+    combined = np.empty((rows, n))
+    for b in range(rows):
+        for s in range(n):
+            total = float(weights[0]) * float(stages[0, b, s])
+            for j in range(1, len(weights)):
+                total = total + float(weights[j]) * float(stages[j, b, s])
+            combined[b, s] = total
+    return combined
+
+
+def _one_species_model():
+    model = ReactionBasedModel("logistic")
+    model.add_species("A", 0.5)
+    model.add("A -> 2 A @ 1.3")
+    model.add("2 A -> A @ 0.2")
+    model.add("-> A @ 0.05")
+    return model
+
+
+class TestStageCombination:
+    """Every element of a stage combination is rounded the same way
+    whatever the launch width and species count."""
+
+    WEIGHTS = ([DOPRI5.a[i, :i] for i in range(1, DOPRI5.n_stages)]
+               + [DOPRI5.b, DOPRI5.e])
+
+    @pytest.mark.parametrize("width, n", [(1, 1), (4, 1), (1, 33), (4, 33),
+                                          (15, 33), (256, 33)])
+    def test_matches_in_order_scalar_sum(self, width, n):
+        rng = np.random.default_rng(width * 100 + n)
+        stage_k = (rng.standard_normal((DOPRI5.n_stages, width, n))
+                   * np.exp(4.0 * rng.standard_normal((DOPRI5.n_stages,
+                                                       width, n))))
+        stage_k[:, :, ::7] = 0.0
+        stage_k[:, ::3, ::5] = -0.0
+        for weights in self.WEIGHTS:
+            stages = stage_k[:weights.size]
+            combined = batch_dopri5._combine_stages(weights, stages)
+            assert combined.shape == (width, n)
+            assert combined.tobytes() == \
+                _scalar_combination(weights, stages).tobytes()
+
+    @staticmethod
+    def _launches():
+        """One-species rows, and E1-model rows with -0.0 and +0.0
+        initial entries."""
+        model = _one_species_model()
+        yield (BatchedODEProblem(
+                   ODESystem.from_model(model),
+                   perturbed_batch(model.nominal_parameterization(), 6,
+                                   np.random.default_rng(3))),
+               SolverOptions(rtol=1e-6, atol=1e-10), (0.0, 5.0),
+               np.linspace(0.0, 5.0, 6))
+        model = generate_symmetric(32, seed=11)
+        batch = perturbed_batch(model.nominal_parameterization(), 6,
+                                np.random.default_rng(5))
+        initial = batch.initial_states.copy()
+        initial[::2, ::3] = -0.0
+        initial[1::2, 1::4] = 0.0
+        yield (BatchedODEProblem(
+                   ODESystem.from_model(model),
+                   ParameterizationBatch(batch.rate_constants, initial)),
+               SolverOptions(rtol=1e-6, atol=1e-12), (0.0, 2.0),
+               np.linspace(0.0, 2.0, 11))
+
+    @pytest.mark.parametrize("launch", [0, 1],
+                             ids=["one_species", "signed_zeros"])
+    def test_rows_match_their_width_one_launch(self, launch):
+        problem, options, span, grid = list(self._launches())[launch]
+        solver = BatchDopri5(options, abort_on_stiffness=True)
+        shipped = solver.solve(problem, span, grid)
+        assert shipped.status_codes.tolist() == [OK] * 6
+        if launch == 1:
+            # Signed zeros reach the results unchanged.
+            assert np.signbit(shipped.y[:, 0]).any()
+        for row in range(6):
+            alone = solver.solve(problem.subset(np.array([row])), span, grid)
+            assert _result_bytes(alone) == _result_bytes(
+                shipped, slice(row, row + 1))

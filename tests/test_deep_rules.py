@@ -2,10 +2,11 @@
 
 Each test reintroduces a minimal version of a defect the rule exists
 to prevent and asserts the analyzer catches it — including the two
-real-source regressions the gate was built for: reverting the
-``tensordot`` stage combination in ``batch_dopri5.py`` (the width-
-stability fix) and stripping the GUARD status handling out of the
-engine's quarantine path.
+real-source regressions the gate was built for: replacing the
+element-wise stage combination in ``batch_dopri5.py`` with a
+``tensordot`` or a stage-major einsum (the width-stability fix) and
+stripping the GUARD status handling out of the engine's quarantine
+path.
 """
 
 import re
@@ -18,6 +19,11 @@ from repro.lint import DeepConfig, lint_deep
 from repro.lint.deep_rules import _einsum_contracted_operands
 
 REPO_GPU = Path(__file__).resolve().parent.parent / "src" / "repro" / "gpu"
+#: The body of ``_combine_stages`` as shipped in ``batch_dopri5.py``.
+_SHIPPED_COMBINATION = ("    combined = weights[0] * stages[0]\n"
+                        "    for j in range(1, len(weights)):\n"
+                        "        combined += weights[j] * stages[j]\n"
+                        "    return combined")
 
 
 def analyze(tmp_path, files, config=DeepConfig(), baseline=None):
@@ -40,10 +46,7 @@ class TestDET001:
         shipped DOPRI5 kernel must fire DET001."""
         source = (REPO_GPU / "batch_dopri5.py").read_text()
         reverted = source.replace(
-            "    combined = weights[0] * stages[0]\n"
-            "    for j in range(1, len(weights)):\n"
-            "        combined += weights[j] * stages[j]\n"
-            "    return combined",
+            _SHIPPED_COMBINATION,
             "    return np.tensordot(weights, stages, axes=(0, 0))")
         assert reverted != source, "stage-combination body moved; " \
             "update the revert in this test"
@@ -51,6 +54,20 @@ class TestDET001:
         hits = report.by_rule("DET001")
         assert hits and hits[0].severity == "error"
         assert "tensordot" in hits[0].message
+
+    def test_stage_major_einsum_in_real_dopri5(self, tmp_path):
+        """A stage-major einsum contracts the leading axis of the
+        stage operand, so DET001 fires on it."""
+        source = (REPO_GPU / "batch_dopri5.py").read_text()
+        rewritten = source.replace(
+            _SHIPPED_COMBINATION,
+            '    return xp.einsum("kbs,k->bs", stages, weights)')
+        assert rewritten != source, "stage-combination body moved; " \
+            "update the rewrite in this test"
+        report = analyze(tmp_path, {"gpu/batch_dopri5.py": rewritten})
+        hits = report.by_rule("DET001")
+        assert hits and hits[0].severity == "error"
+        assert "'kbs,k->bs'" in hits[0].message
 
     def test_shipped_kernels_are_clean(self, tmp_path):
         files = {f"gpu/{path.name}": path.read_text()

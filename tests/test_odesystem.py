@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.model import (Hill, MichaelisMenten, ODESystem,
+from repro.model import (CustomLaw, Hill, MichaelisMenten, ODESystem,
                          ReactionBasedModel)
 from repro.synth import generate_symmetric
 
@@ -123,6 +123,105 @@ class TestRHS:
         assert np.allclose(fun(0.0, state),
                            toy_system.rhs_single(state, constants))
         assert jac(0.0, state).shape == (4, 4)
+
+
+def _every_law_model():
+    """Mass action of orders 0-3 beside MM, Hill and custom laws."""
+    model = ReactionBasedModel("every-law")
+    for name, amount in (("X", 0.7), ("Y", 0.4), ("Z", 0.2), ("W", 0.1)):
+        model.add_species(name, amount)
+    model.add("0 -> X @ 0.3")
+    model.add("X -> Y @ 1.1")
+    model.add("X + Y -> Z @ 0.7")
+    model.add("2 Y -> W @ 0.2")
+    model.add("2 X + Y -> 3 X @ 0.5")
+    model.add("Z -> X", rate_constant=1.5, law=MichaelisMenten(km=0.3))
+    model.add("W -> Y", rate_constant=2.0, law=Hill(km=0.4, n=2.5))
+    model.add("Y -> Z", rate_constant=0.9,
+              law=CustomLaw.from_string("k * Y * X / (0.1 + X)"))
+    return model
+
+
+def _gathered_flux(system, states, constants):
+    """The flux as formulated before the one-body rewrite: a separate
+    extended-state helper, the two gathers, the rate-law loops, then
+    the constants multiply and the custom laws."""
+    states = np.atleast_2d(states)
+    batch, n = states.shape
+    extended = np.empty((batch, n + 1))
+    extended[:, :n] = states
+    extended[:, n] = 1.0
+    fluxes = extended[:, system._idx1] * extended[:, system._idx2]
+    for monomial in system._generic:
+        fluxes[:, monomial.reaction] = np.prod(
+            states[:, monomial.species] ** monomial.powers, axis=1)
+    for i, substrate, km in system._mm:
+        s = states[:, substrate]
+        fluxes[:, i] = s / (km + s)
+    for i, substrate, km, hill_n in system._hill:
+        s = np.maximum(states[:, substrate], 0.0)
+        s_n = s ** hill_n
+        fluxes[:, i] = s_n / (km ** hill_n + s_n)
+    result = fluxes * constants
+    constants_2d = np.broadcast_to(np.atleast_2d(constants),
+                                   (batch, system.n_reactions))
+    for i, law, _, binding in system._custom:
+        environment = {name: states[:, j] for name, j in binding.items()}
+        environment["k"] = constants_2d[:, i]
+        result[:, i] = np.broadcast_to(
+            law.expression.evaluate(environment), (batch,))
+    return result
+
+
+def _gathered_rhs(system, states, constants):
+    fluxes = _gathered_flux(system, states, constants)
+    if not system._row_stable_gemm:
+        return system._net_csc_t.dot(fluxes.T).T
+    if fluxes.shape[0] == 1:
+        return (np.concatenate([fluxes, fluxes]) @ system._net)[:1]
+    return fluxes @ system._net
+
+
+class TestOneFluxBody:
+    """``flux`` and the hybrid ``rhs`` are byte-equal to the former
+    gather-then-multiply formulation."""
+
+    @staticmethod
+    def _inputs(model, width):
+        rng = np.random.default_rng(width)
+        states = rng.random((width, model.n_species)) * 2.0
+        states[::3, 0] = 0.0
+        states[1::3, -1] = -0.0
+        constants = model.rate_constants() * rng.uniform(
+            0.5, 1.5, (width, model.n_reactions))
+        return states, constants
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 256])
+    @pytest.mark.parametrize("build", [
+        _every_law_model, lambda: generate_symmetric(32, seed=11)],
+        ids=["every-law", "mass-action"])
+    def test_batch_states(self, build, width):
+        model = build()
+        system = ODESystem.from_model(model)
+        states, constants = self._inputs(model, width)
+        for k in (constants, constants[0], constants[:1]):
+            assert system.flux(states, k).tobytes() == \
+                _gathered_flux(system, states, k).tobytes()
+            assert system.rhs(states, k).tobytes() == \
+                _gathered_rhs(system, states, k).tobytes()
+
+    def test_one_dimensional_state(self):
+        model = _every_law_model()
+        system = ODESystem.from_model(model)
+        states, constants = self._inputs(model, 1)
+        state, k = states[0], constants[0]
+        assert system.flux(state, k).shape == (1, model.n_reactions)
+        assert system.flux(state, k).tobytes() == \
+            _gathered_flux(system, state, k).tobytes()
+        assert system.rhs(state, k).tobytes() == \
+            _gathered_rhs(system, state, k).tobytes()
+        assert system.rhs_single(state, k).tobytes() == \
+            _gathered_rhs(system, state, k)[0].tobytes()
 
 
 class TestJacobian:
