@@ -21,11 +21,14 @@ Executed as a plain script by the CI deep-lint job::
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 import time
 
 import numpy as np
 
+import repro.gpu
 from repro.backend import REQUIRED_OPS, validate_backend, xp
 from repro.gpu import BatchSimulator
 from repro.model import perturbed_batch
@@ -41,8 +44,9 @@ T_SPAN = (0.0, 2.0)
 T_EVAL = np.linspace(0.0, 2.0, 11)
 
 #: Every gpu module that binds ``xp`` at import time.
-XP_MODULES = ("batch_dopri5", "batch_radau5", "batch_bdf",
-              "batch_result", "batched_ode", "engine", "router")
+XP_MODULES = tuple(
+    info.name for info in pkgutil.iter_modules(repro.gpu.__path__)
+    if hasattr(importlib.import_module(f"repro.gpu.{info.name}"), "xp"))
 
 
 def raw_numpy_namespace():

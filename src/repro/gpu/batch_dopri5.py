@@ -23,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..backend import Array, xp
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.tableaus import DOPRI5
-from ..telemetry.tracer import NULL_TRACER
-from .batch_result import (METHOD_DOPRI5, OK, RUNNING, STIFF,
-                           BatchSolveResult, allocate_result)
+from .batch_result import METHOD_DOPRI5, RUNNING, STIFF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import WorkingSet
+from .working_set import Launch, WorkingSet
 
 _EDGE = 1e-12  # relative tolerance when matching save times
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
@@ -66,26 +64,6 @@ def _scaled_error_norms(error: Array, reference: Array,
     return xp.sqrt(xp.sum((error / scale) ** 2, axis=1) / error.shape[1])
 
 
-def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
-                   derivatives: Array, order: int,
-                   options: SolverOptions, span: float) -> Array:
-    """Vectorized Hairer starting-step heuristic (one extra kernel)."""
-    scale = options.atol + xp.abs(states) * options.rtol
-    d0 = xp.sqrt(xp.mean((states / scale) ** 2, axis=1))
-    d1 = xp.sqrt(xp.mean((derivatives / scale) ** 2, axis=1))
-    h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
-    probe = states + h0[:, None] * derivatives
-    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe)
-    d2 = xp.sqrt(xp.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
-    dmax = xp.maximum(d1, d2)
-    h1 = xp.where(dmax <= 1e-15, xp.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / xp.maximum(dmax, 1e-300)) ** (1.0 / (order + 1)))
-    # Pairwise minimum in fixed order: bit-identical to the former
-    # minimum.reduce over the same three operands.
-    cap = xp.full_like(h0, min(options.max_step, span))
-    return xp.minimum(xp.minimum(100.0 * h0, h1), cap)
-
-
 def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
                           stage_k: Array) -> Array:
     """Rows whose step crossed the explicit stability boundary.
@@ -105,12 +83,13 @@ def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
 class _Dopri5Set(WorkingSet):
     """The working set plus DOPRI5's PI memory and stiffness strikes."""
 
+    derivative: Array      # f(t, y), the FSAL first stage
     previous_error: Array  # PI memory; negative before the first accept
     strikes: Array         # stiffness-test violations not yet cleared
     streak: Array          # consecutive accepted steps without one
 
-    ROW_FIELDS = WorkingSet.ROW_FIELDS + ("previous_error", "strikes",
-                                          "streak")
+    ROW_FIELDS = WorkingSet.ROW_FIELDS + ("derivative", "previous_error",
+                                          "strikes", "streak")
 
     def count_stiffness(self, accepted: Array, violated: Array) -> None:
         """Strike bookkeeping of the stiffness test on accepted rows;
@@ -140,10 +119,8 @@ class BatchDopri5:
     method_code = METHOD_DOPRI5
 
     def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 use_pi_controller: bool = True,
                  abort_on_stiffness: bool = False) -> None:
         self.options = options
-        self.use_pi_controller = use_pi_controller
         self.abort_on_stiffness = abort_on_stiffness
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
@@ -151,33 +128,12 @@ class BatchDopri5:
               initial_states: Array | None = None) -> BatchSolveResult:
         options = self.options
         tableau = DOPRI5
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        batch = problem.batch_size
-        n = problem.n_species
-        tracer = problem.tracer or NULL_TRACER
-        compile_span = tracer.start("compile", "phase",
-                                    parent=problem.trace_span,
-                                    solver=self.name, rows=batch)
-
-        states = (problem.initial_states() if initial_states is None
-                  else xp.array(initial_states, dtype=xp.float64))
-        result = allocate_result(t_eval, batch, n, self.method_code)
-
-        times = xp.full(batch, t0)
-        save_index = xp.zeros(batch, dtype=xp.int64)
-        if t_eval[0] == t0:
-            result.y[:, 0, :] = states
-            save_index[:] = 1
-
-        derivatives = problem.fun(times, states)
-        if options.first_step is not None:
-            steps = xp.full(batch, options.first_step)
-        else:
-            steps = _initial_steps(problem, t0, states, derivatives,
-                                   tableau.order, options, t1 - t0)
+        launch = Launch(self, problem, t_span, t_eval, initial_states,
+                        tableau.order)
+        t_eval, t1, result = launch.t_eval, launch.t1, launch.result
+        max_step = launch.max_step
+        batch, n = problem.batch_size, problem.n_species
         error_exponent = -1.0 / (tableau.error_order + 1)
-        max_step = min(options.max_step, t1 - t0)
         last_save = t_eval.size - 1
         # A step that reaches this close to a save time lands on it.
         save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
@@ -185,19 +141,12 @@ class BatchDopri5:
         n_stages = tableau.n_stages
         stage_weights = [tableau.a[i, :i] for i in range(n_stages)]
 
-        work = _Dopri5Set(
-            rows=xp.arange(batch), problem=problem, t=times, h=steps,
-            y=states, derivative=derivatives, save=save_index,
-            n_accepted=xp.zeros(batch, dtype=xp.int64),
+        work = launch.working_set(
+            _Dopri5Set, y=launch.y, derivative=launch.derivative,
             previous_error=xp.full(batch, -1.0),
             strikes=xp.zeros(batch, dtype=xp.int64),
-            streak=xp.zeros(batch, dtype=xp.int64),
-            # Simulations whose whole grid is already recorded are done.
-            status=xp.where(save_index > last_save, OK, RUNNING))
-        tracer.end(compile_span)
-        loop_span = tracer.start("step-loop", "phase",
-                                 parent=problem.trace_span,
-                                 solver=self.name)
+            streak=xp.zeros(batch, dtype=xp.int64))
+        launch.step_loop()
 
         while work.retire(result, options.max_steps):
             t = work.t
@@ -246,12 +195,10 @@ class BatchDopri5:
 
                 err_accepted = xp.maximum(err, 1e-10)
                 factor = options.safety * err_accepted ** error_exponent
-                if self.use_pi_controller:
-                    memory = work.previous_error
-                    factor *= xp.where(
-                        memory > 0.0,
-                        (xp.maximum(memory, 1e-10) / err_accepted) ** 0.04,
-                        1.0)
+                memory = work.previous_error
+                factor *= xp.where(
+                    memory > 0.0,
+                    (xp.maximum(memory, 1e-10) / err_accepted) ** 0.04, 1.0)
                 factor = xp.clip(factor, options.min_step_factor,
                                  options.max_step_factor)
                 shrink = xp.where(
@@ -291,10 +238,4 @@ class BatchDopri5:
             # only for rows the guard and the stiffness test left running.
             work.record(accepted & hit, result)
 
-        tracer.end(loop_span)
-        # Save points are recorded in-loop by per-sim step clipping, so
-        # the dense-output phase of this substrate is only the result
-        # hand-off; the span keeps the phase catalog uniform.
-        with tracer.span("dense-output", "phase",
-                         parent=problem.trace_span, solver=self.name):
-            return result
+        return launch.finish()

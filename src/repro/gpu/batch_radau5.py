@@ -12,10 +12,10 @@ factorization cache, collocation polynomial (used to predict the next
 step's stage values) and predictive step controller, exactly like the
 scalar :class:`~repro.solvers.radau5.Radau5` it is validated against.
 
-That state lives in the persistent working set shared with DOPRI5
-(:mod:`repro.gpu.working_set`): compact per-row arrays, updated with
-element-wise selects and compacted only on an iteration where a row
-leaves. Rows are gathered only for work a strict subset of the set
+That state lives in the persistent working set all three batched
+integrators share (:mod:`repro.gpu.working_set`): compact per-row
+arrays, updated with element-wise selects and compacted only on an
+iteration where a row leaves. Rows are gathered only for work a strict subset of the set
 needs: a partial factor refresh, a Newton iteration some rows already
 left, the error refinement, the derivative after a partial accept and
 Jacobian refreshes. While every row iterates, the Newton loop's stacked
@@ -28,15 +28,13 @@ import math
 from dataclasses import dataclass, field
 
 from ..backend import Array, xp
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.radau5 import (MU_COMPLEX, MU_REAL, RADAU_C, RADAU_E, RADAU_T,
                               RADAU_TI)
-from ..telemetry.tracer import NULL_TRACER
-from .batch_dopri5 import _initial_steps, _scaled_error_norms
-from .batch_result import (METHOD_RADAU5, OK, RUNNING, BatchSolveResult,
-                           allocate_result)
+from .batch_dopri5 import _scaled_error_norms
+from .batch_result import METHOD_RADAU5, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import WorkingSet
+from .working_set import Launch, WorkingSet
 
 _EDGE = 1e-12
 _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
@@ -81,6 +79,7 @@ class _Radau5Set(WorkingSet):
     collocation polynomial and controller memory.
     """
 
+    derivative: Array      # f(t, y)
     jacobian: Array
     jac_current: Array     # Jacobian taken at the current state
     inv_real: Array        # inverses of the real and complex Newton
@@ -94,9 +93,9 @@ class _Radau5Set(WorkingSet):
     stacked: BatchedODEProblem = field(init=False)
 
     ROW_FIELDS = WorkingSet.ROW_FIELDS + (
-        "jacobian", "jac_current", "inv_real", "inv_complex", "h_factored",
-        "poly_coeffs", "poly_y_start", "has_poly", "h_previous",
-        "err_previous")
+        "derivative", "jacobian", "jac_current", "inv_real", "inv_complex",
+        "h_factored", "poly_coeffs", "poly_y_start", "has_poly",
+        "h_previous", "err_previous")
 
     def __post_init__(self) -> None:
         self.stacked = _tiled(self.problem)
@@ -121,48 +120,21 @@ class BatchRadau5:
               t_eval: Array | None = None,
               initial_states: Array | None = None) -> BatchSolveResult:
         options = self.options
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        batch = problem.batch_size
-        n = problem.n_species
+        launch = Launch(self, problem, t_span, t_eval, initial_states, 5)
+        t_eval, t1, result = launch.t_eval, launch.t1, launch.result
+        max_step = launch.max_step
+        batch, n = problem.batch_size, problem.n_species
         identity = xp.eye(n)
-        tracer = problem.tracer or NULL_TRACER
-        compile_span = tracer.start("compile", "phase",
-                                    parent=problem.trace_span,
-                                    solver=self.name, rows=batch)
-
         newton_tol = max(10.0 * xp.finfo(float).eps / options.rtol,
                          min(options.newton_tol_factor, options.rtol ** 0.5))
         max_newton = options.newton_max_iterations
-
-        states = (problem.initial_states() if initial_states is None
-                  else xp.array(initial_states, dtype=xp.float64))
-        result = allocate_result(t_eval, batch, n, self.method_code)
-
-        times = xp.full(batch, t0)
-        save_index = xp.zeros(batch, dtype=xp.int64)
-        if t_eval[0] == t0:
-            result.y[:, 0, :] = states
-            save_index[:] = 1
-
-        derivatives = problem.fun(times, states)
-        if options.first_step is not None:
-            steps = xp.full(batch, options.first_step)
-        else:
-            steps = _initial_steps(problem, t0, states, derivatives, 5,
-                                   options, t1 - t0)
-        max_step = min(options.max_step, t1 - t0)
         last_save = t_eval.size - 1
         # A step that reaches this close to a save time lands on it.
         save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
 
-        work = _Radau5Set(
-            rows=xp.arange(batch), problem=problem, t=times, h=steps,
-            y=states, derivative=derivatives, save=save_index,
-            n_accepted=xp.zeros(batch, dtype=xp.int64),
-            # Simulations whose whole grid is already recorded are done.
-            status=xp.where(save_index > last_save, OK, RUNNING),
-            jacobian=problem.jacobian(times, states),
+        work = launch.working_set(
+            _Radau5Set, y=launch.y, derivative=launch.derivative,
+            jacobian=problem.jacobian(launch.t, launch.y),
             jac_current=xp.ones(batch, dtype=bool),
             inv_real=xp.zeros((batch, n, n)),
             inv_complex=xp.zeros((batch, n, n), dtype=xp.complex128),
@@ -170,12 +142,9 @@ class BatchRadau5:
             poly_coeffs=xp.zeros((batch, 3, n)),
             poly_y_start=xp.zeros((batch, n)),
             has_poly=xp.zeros(batch, dtype=bool),
-            h_previous=steps,
+            h_previous=launch.h,
             err_previous=xp.full(batch, -1.0))
-        tracer.end(compile_span)
-        loop_span = tracer.start("step-loop", "phase",
-                                 parent=problem.trace_span,
-                                 solver=self.name)
+        launch.step_loop()
 
         while work.retire(result, options.max_steps):
             t = work.t
@@ -330,13 +299,7 @@ class BatchRadau5:
             work.jac_current = xp.where(accepted, refresh, work.jac_current)
             work.h = xp.where(accepted, h_new, work.h)
 
-        tracer.end(loop_span)
-        # Save points are recorded in-loop (collocation interpolation at
-        # clipped steps); dense output proper does not exist on this
-        # substrate, so the phase only covers the result hand-off.
-        with tracer.span("dense-output", "phase",
-                         parent=problem.trace_span, solver=self.name):
-            return result
+        return launch.finish()
 
     # ------------------------------------------------------------------
 

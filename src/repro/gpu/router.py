@@ -123,12 +123,8 @@ class StiffnessRouter:
     name = "router"
 
     def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 retry_failed_with_radau: bool = True,
-                 use_static_prefilter: bool = True,
                  cost_model=None) -> None:
         self.options = options
-        self.retry_failed_with_radau = retry_failed_with_radau
-        self.use_static_prefilter = use_static_prefilter
         # Optional fitted CalibrationReport (or anything exposing
         # ``preferred_stiff_method(rows, n_species)``): lets measured
         # per-row cost pick the implicit rung instead of the Radau
@@ -150,13 +146,10 @@ class StiffnessRouter:
               initial_states: Array | None = None
               ) -> tuple[BatchSolveResult, RoutingDecision]:
         """Integrate a batch with per-simulation method selection."""
-        static_risk = None
-        if self.use_static_prefilter and self.retry_failed_with_radau:
-            static_risk = stiffness_risk_score(
-                problem.parameters.rate_constants)
-        decision = classify_batch(problem, float(t_span[0]),
-                                  self.options.stiffness_threshold,
-                                  initial_states, static_risk)
+        decision = classify_batch(
+            problem, float(t_span[0]), self.options.stiffness_threshold,
+            initial_states,
+            stiffness_risk_score(problem.parameters.rate_constants))
         states = (problem.initial_states() if initial_states is None
                   else xp.asarray(initial_states, dtype=xp.float64))
 
@@ -174,19 +167,17 @@ class StiffnessRouter:
         decision = replace(decision, stiff_method=stiff_method)
 
         if nonstiff_rows.size:
-            explicit = BatchDopri5(
-                self.options,
-                abort_on_stiffness=self.retry_failed_with_radau).solve(
-                    problem.subset(nonstiff_rows), t_span, t_eval,
-                    states[nonstiff_rows])
+            explicit = BatchDopri5(self.options,
+                                   abort_on_stiffness=True).solve(
+                problem.subset(nonstiff_rows), t_span, t_eval,
+                states[nonstiff_rows])
             self._splice(merged, explicit, nonstiff_rows)
-            if self.retry_failed_with_radau:
-                failed_rows = nonstiff_rows[explicit.status_codes != OK]
-                if failed_rows.size:
-                    retried = implicit_cls(self.options).solve(
-                        problem.subset(failed_rows), t_span, t_eval,
-                        states[failed_rows])
-                    self._splice(merged, retried, failed_rows)
+            failed_rows = nonstiff_rows[explicit.status_codes != OK]
+            if failed_rows.size:
+                retried = implicit_cls(self.options).solve(
+                    problem.subset(failed_rows), t_span, t_eval,
+                    states[failed_rows])
+                self._splice(merged, retried, failed_rows)
         if stiff_rows.size:
             implicit = implicit_cls(self.options).solve(
                 problem.subset(stiff_rows), t_span, t_eval,

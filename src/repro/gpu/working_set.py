@@ -1,7 +1,7 @@
 """Persistent working set of a batched integrator's running simulations.
 
-The batched integrators keep the simulations still running as compact
-per-row arrays that the step loop updates with element-wise selects,
+The batched integrators (DOPRI5, Radau5 and BDF) keep the simulations
+still running as compact per-row arrays that the step loop updates,
 plus the problem bound to exactly those rows, so the right-hand side is
 evaluated without gathering constants. A row leaves the set (finished,
 exhausted, broken, or stopped by the guard or a stiffness test) and the
@@ -10,17 +10,21 @@ batched analogue of retiring finished GPU threads.
 
 :class:`WorkingSet` holds the state every integrator shares and owns
 the one retire mechanism; each integrator subclasses it with its own
-per-row fields and lists them in ``ROW_FIELDS``.
+per-row fields and lists them in ``ROW_FIELDS``. :class:`Launch` is the
+start-up every integrator's ``solve`` shares: the save grid, the
+result, the first derivative and steps, and the solve's phase spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, TypeVar
 
 from ..backend import Array, xp
+from ..solvers.base import SolverOptions, validate_time_grid
+from ..telemetry.tracer import NULL_TRACER
 from .batch_result import (BROKEN, EXHAUSTED, OK, RUNNING,
-                           BatchSolveResult)
+                           BatchSolveResult, allocate_result)
 from .batched_ode import BatchedODEProblem
 
 
@@ -40,7 +44,6 @@ class WorkingSet:
     t: Array
     h: Array               # proposed size of the next step
     y: Array
-    derivative: Array      # f(t, y)
     save: Array            # index of the next save point
     n_accepted: Array
     status: Array
@@ -48,7 +51,7 @@ class WorkingSet:
 
     #: Fields that hold one entry per running simulation.
     ROW_FIELDS: ClassVar[tuple[str, ...]] = (
-        "rows", "t", "h", "y", "derivative", "save", "n_accepted", "status")
+        "rows", "t", "h", "y", "save", "n_accepted", "status")
 
     def retire(self, result: BatchSolveResult, max_steps: int) -> bool:
         """Write back the rows that stopped running and compact the rest.
@@ -105,3 +108,105 @@ class WorkingSet:
         self.save = self.save + hits
         self.status = xp.where(hits & (self.save >= result.y.shape[1]), OK,
                                self.status)
+
+
+SetT = TypeVar("SetT", bound=WorkingSet)
+
+
+def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
+                   derivatives: Array, order: int,
+                   options: SolverOptions, max_step: float) -> Array:
+    """Vectorized Hairer starting-step heuristic (one extra kernel)."""
+    scale = options.atol + xp.abs(states) * options.rtol
+    d0 = xp.sqrt(xp.mean((states / scale) ** 2, axis=1))
+    d1 = xp.sqrt(xp.mean((derivatives / scale) ** 2, axis=1))
+    h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
+    probe = states + h0[:, None] * derivatives
+    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe)
+    d2 = xp.sqrt(xp.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
+    dmax = xp.maximum(d1, d2)
+    h1 = xp.where(dmax <= 1e-15, xp.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / xp.maximum(dmax, 1e-300)) ** (1.0 / (order + 1)))
+    # Pairwise minimum in fixed order: bit-identical to the former
+    # minimum.reduce over the same three operands.
+    cap = xp.full_like(h0, max_step)
+    return xp.minimum(xp.minimum(100.0 * h0, h1), cap)
+
+
+class Launch:
+    """The start-up of one integrator ``solve`` and its phase spans.
+
+    Construction is the ``compile`` phase every integrator shares: it
+    validates the save grid, allocates the result, saves the ``t0``
+    states, evaluates the first derivative and proposes each row's
+    first step (Hairer's heuristic for a method of order ``order``,
+    unless ``options.first_step`` fixes it). ``solver`` is the
+    integrator, read for its ``options``, ``name`` and ``method_code``.
+    The integrator builds its set with :meth:`working_set`, then
+    brackets its step loop with :meth:`step_loop` and :meth:`finish`.
+    """
+
+    def __init__(self, solver, problem: BatchedODEProblem,
+                 t_span: tuple[float, float], t_eval: Array | None,
+                 initial_states: Array | None, order: int) -> None:
+        options = solver.options
+        self.problem = problem
+        self.solver = solver.name
+        self.t_eval = validate_time_grid(t_span, t_eval)
+        t0, self.t1 = float(t_span[0]), float(t_span[1])
+        batch = problem.batch_size
+        self.tracer = problem.tracer or NULL_TRACER
+        self._span = self.tracer.start("compile", "phase",
+                                       parent=problem.trace_span,
+                                       solver=self.solver, rows=batch)
+
+        self.y = (problem.initial_states() if initial_states is None
+                  else xp.array(initial_states, dtype=xp.float64))
+        self.result = allocate_result(self.t_eval, batch, problem.n_species,
+                                      solver.method_code)
+        self.t = xp.full(batch, t0)
+        self.save = xp.zeros(batch, dtype=xp.int64)
+        if self.t_eval[0] == t0:
+            self.result.y[:, 0, :] = self.y
+            self.save[:] = 1
+
+        self.derivative = problem.fun(self.t, self.y)
+        self.max_step = min(options.max_step, self.t1 - t0)
+        if options.first_step is not None:
+            self.h = xp.full(batch, options.first_step)
+        else:
+            self.h = _initial_steps(problem, t0, self.y, self.derivative,
+                                    order, options, self.max_step)
+
+    def working_set(self, kind: type[SetT], **fields) -> SetT:
+        """A ``kind`` set of every launch row, holding the start-up's
+        times, steps and save indexes plus the integrator's ``fields``;
+        rows whose whole grid is already recorded start done.
+        """
+        batch = self.problem.batch_size
+        return kind(rows=xp.arange(batch), problem=self.problem, t=self.t,
+                    h=self.h, save=self.save,
+                    n_accepted=xp.zeros(batch, dtype=xp.int64),
+                    status=xp.where(self.save >= self.t_eval.size, OK,
+                                    RUNNING),
+                    **fields)
+
+    def step_loop(self) -> None:
+        """Close the ``compile`` phase and open the ``step-loop`` one."""
+        self.tracer.end(self._span)
+        self._span = self.tracer.start("step-loop", "phase",
+                                       parent=self.problem.trace_span,
+                                       solver=self.solver)
+
+    def finish(self) -> BatchSolveResult:
+        """Close the step loop and hand the result off.
+
+        Save points are recorded in-loop, on steps clipped to land on
+        them, so the ``dense-output`` phase only covers the hand-off;
+        the span keeps the phase catalog uniform.
+        """
+        self.tracer.end(self._span)
+        with self.tracer.span("dense-output", "phase",
+                              parent=self.problem.trace_span,
+                              solver=self.solver):
+            return self.result

@@ -7,7 +7,8 @@ simulations in a Python ``for`` loop still produces correct numbers —
 tens to hundreds of times slower, which on a parameter sweep is the
 difference between minutes and days. This module is an ``ast``-based
 linter that catches such regressions *statically*, and is self-applied
-to the repo's own ``gpu/batch_*.py`` solvers by a pytest gate and CI.
+to the repo's own ``gpu/batch_*.py`` solvers and the working set their
+step loops share by a pytest gate and CI.
 
 Waivers: a finding is suppressed by a pragma comment on the flagged
 line or the line directly above it::
@@ -377,9 +378,10 @@ def lint_callable(function) -> LintReport:
 
 
 def shipped_kernel_paths() -> list[Path]:
-    """The repo's own batch-kernel modules (``gpu/batch_*.py``)."""
+    """The repo's own batch-kernel modules: ``gpu/batch_*.py`` and the
+    working set their step loops share (``gpu/working_set.py``)."""
     gpu_dir = Path(__file__).resolve().parent.parent / "gpu"
-    return sorted(gpu_dir.glob("batch_*.py"))
+    return sorted([*gpu_dir.glob("batch_*.py"), gpu_dir / "working_set.py"])
 
 
 def lint_kernels(paths: list[str | Path] | None = None) -> LintReport:

@@ -1,16 +1,18 @@
 """Row-isolation checks shared by the batched integrators' tests.
 
 One launch whose rows leave the working set at different iterations, by
-every exit path; each row's result must be byte-identical to the row's
-own width-1 launch and survive a permutation of the launch.
+every exit path, and one launch of a one-species model; each row's
+result must be byte-identical to the row's own width-1 launch, and the
+mixed launch's rows survive a permutation of the launch.
 """
 
 import numpy as np
 
 from repro.gpu import BatchedODEProblem
-from repro.gpu.batch_result import GUARD
+from repro.gpu.batch_result import GUARD, OK
 from repro.guards import GuardConfig, GuardLog, KernelGuard
-from repro.model import ODESystem, ParameterizationBatch, ReactionBasedModel
+from repro.model import (ODESystem, ParameterizationBatch,
+                         ReactionBasedModel, perturbed_batch)
 from repro.resilience import FaultPlan
 from repro.solvers import SolverOptions
 
@@ -57,6 +59,30 @@ def mixed_exit_launch():
     return problem, log
 
 
+def one_species_model():
+    """A logistic model: its one species is the only axis a row's
+    contractions leave, which is where library reductions stop rounding
+    a row the same way at every launch width."""
+    model = ReactionBasedModel("logistic")
+    model.add_species("A", 0.5)
+    model.add("A -> 2 A @ 1.3")
+    model.add("2 A -> A @ 0.2")
+    model.add("-> A @ 0.05")
+    return model
+
+
+def one_species_launch():
+    """Six logistic rows; row 2 starts from ``-0.0``."""
+    model = one_species_model()
+    batch = perturbed_batch(model.nominal_parameterization(), 6,
+                            np.random.default_rng(3))
+    initial = batch.initial_states.copy()
+    initial[2, 0] = -0.0
+    return BatchedODEProblem(
+        ODESystem.from_model(model),
+        ParameterizationBatch(batch.rate_constants, initial))
+
+
 def row_bytes(result, row):
     return (result.y[row].tobytes(), result.status_codes[row].tobytes(),
             result.n_steps[row].tobytes(), result.n_accepted[row].tobytes(),
@@ -86,6 +112,17 @@ class RowIsolationChecks:
             assert row_bytes(alone, 0) == row_bytes(full, row), row
         # The clamps of the mixed launch all recur row by row.
         assert log.n_clamped_steps == 2 * clamps
+
+    def test_one_species_rows_match_their_width_one_launch(self):
+        problem = one_species_launch()
+        solver = self.solver()
+        full = solver.solve(problem, self.SPAN, self.GRID)
+        assert full.status_codes.tolist() == [OK] * problem.batch_size
+        assert np.signbit(full.y[2, 0, 0])
+        for row in range(problem.batch_size):
+            alone = solver.solve(problem.subset(np.array([row])),
+                                 self.SPAN, self.GRID)
+            assert row_bytes(alone, 0) == row_bytes(full, row), row
 
     def test_rows_survive_a_permutation(self):
         problem, _ = mixed_exit_launch()

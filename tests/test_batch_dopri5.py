@@ -5,14 +5,14 @@ import pytest
 
 from repro.gpu import BatchDopri5, BatchedODEProblem, batch_dopri5
 from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK, STIFF
-from repro.model import (ODESystem, ParameterizationBatch, ReactionBasedModel,
-                         perturbed_batch)
+from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, lotka_volterra, robertson
 from repro.solvers import ExplicitRungeKutta, SolverOptions
 from repro.solvers.tableaus import DOPRI5
 from repro.synth import generate_symmetric
 
-from .row_isolation import MIXED_OPTIONS, RowIsolationChecks, mixed_exit_launch
+from .row_isolation import (MIXED_OPTIONS, RowIsolationChecks,
+                            mixed_exit_launch, one_species_model)
 
 
 def make_problem(model, batch_size=8, seed=0, spread=0.25):
@@ -155,15 +155,6 @@ def _scalar_combination(weights, stages):
     return combined
 
 
-def _one_species_model():
-    model = ReactionBasedModel("logistic")
-    model.add_species("A", 0.5)
-    model.add("A -> 2 A @ 1.3")
-    model.add("2 A -> A @ 0.2")
-    model.add("-> A @ 0.05")
-    return model
-
-
 class TestStageCombination:
     """Every element of a stage combination is rounded the same way
     whatever the launch width and species count."""
@@ -191,7 +182,7 @@ class TestStageCombination:
     def _launches():
         """One-species rows, and E1-model rows with -0.0 and +0.0
         initial entries."""
-        model = _one_species_model()
+        model = one_species_model()
         yield (BatchedODEProblem(
                    ODESystem.from_model(model),
                    perturbed_batch(model.nominal_parameterization(), 6,

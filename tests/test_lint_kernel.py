@@ -327,8 +327,8 @@ class TestEntryPoints:
 class TestSelfLint:
     def test_shipped_kernels_discovered(self):
         names = {path.name for path in shipped_kernel_paths()}
-        assert {"batch_bdf.py", "batch_dopri5.py",
-                "batch_radau5.py", "batch_result.py"} <= names
+        assert {"batch_bdf.py", "batch_dopri5.py", "batch_radau5.py",
+                "batch_result.py", "working_set.py"} <= names
 
     def test_self_lint_gate(self):
         """The pytest-enforced vectorization gate from the ISSUE: the

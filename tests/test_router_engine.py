@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.gpu import (BatchSimulator, BatchedODEProblem, StiffnessRouter,
-                       classify_batch)
+from repro.gpu import (BatchDopri5, BatchSimulator, BatchedODEProblem,
+                       StiffnessRouter, classify_batch)
 from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
@@ -74,28 +74,24 @@ class TestStaticPrefilter:
                 problem, (0, 1e3), np.array([0.0, 1e3]))
         assert not decision.probe_skipped
 
-    def test_prefilter_can_be_disabled(self):
-        problem = make_problem(decay_chain(3), 4)
-        _, decision = StiffnessRouter(use_static_prefilter=False).solve(
-            problem, (0, 2), np.linspace(0, 2, 5))
-        assert not decision.probe_skipped
-
-    def test_prefilter_requires_retry_safety_net(self):
-        """Without the Radau retry the skip is not correctness-safe, so
-        the router must keep probing."""
-        problem = make_problem(decay_chain(3), 4)
-        _, decision = StiffnessRouter(
-            retry_failed_with_radau=False).solve(
-                problem, (0, 2), np.linspace(0, 2, 5))
-        assert not decision.probe_skipped
-
     def test_prefilter_results_match_probed_results(self):
+        """The probe the prefilter skips would route every row to DOPRI5
+        too, so the router's bytes are those of a direct DOPRI5 solve
+        with the stiffness abort."""
         problem = make_problem(decay_chain(3), 6)
         grid = np.linspace(0, 2, 5)
-        fast, _ = StiffnessRouter().solve(problem, (0, 2), grid)
-        slow, _ = StiffnessRouter(use_static_prefilter=False).solve(
+        probed = classify_batch(problem, 0.0,
+                                SolverOptions().stiffness_threshold)
+        assert not probed.probe_skipped
+        assert probed.n_stiff == 0
+        routed, decision = StiffnessRouter().solve(problem, (0, 2), grid)
+        assert decision.probe_skipped
+        direct = BatchDopri5(abort_on_stiffness=True).solve(
             problem, (0, 2), grid)
-        assert np.allclose(fast.y, slow.y, rtol=1e-12, atol=1e-15)
+        for name in ("y", "status_codes", "method_codes", "n_steps",
+                     "n_accepted", "n_rejected"):
+            assert getattr(routed, name).tobytes() == \
+                getattr(direct, name).tobytes(), name
 
 
 class TestRouter:
@@ -115,14 +111,6 @@ class TestRouter:
         assert result.all_success
         assert set(result.methods()) == {"dopri5"}
         assert decision.n_stiff == 0
-
-    def test_retry_disabled_leaves_failures(self):
-        problem = make_problem(robertson(), 2)
-        # Undetectable at t=0 (B=C=0), budget too small for explicit.
-        router = StiffnessRouter(SolverOptions(max_steps=300),
-                                 retry_failed_with_radau=False)
-        result, _ = router.solve(problem, (0, 1e3), np.array([0.0, 1e3]))
-        assert not result.all_success
 
 
 class TestEngine:
