@@ -20,7 +20,11 @@ Both arms of the gate run with ``max_batch_per_launch=CHUNK_SIZE``, so
 each runs one launch per chunk and the gate compares supervision cost,
 not launch width. The serial loop's default, which coalesces all
 chunks into one launch, is timed alongside as
-``serial_coalesced_seconds`` and held to the same bytes.
+``serial_coalesced_seconds`` and held to the same bytes, and so is
+``workers=2`` at that default launch cap
+(``sharded_coalesced_seconds``), where the executor runs the loop's
+one coalesced launch group in a worker process. Both are reported
+only; no gate is attached to them.
 
 Higher worker counts are reported for shape only: on the in-process
 NumPy substrate real speedup depends on BLAS thread contention, so no
@@ -93,6 +97,7 @@ def main() -> int:
     # every round so machine drift cancels; the gate compares medians.
     serial_times: list[float] = []
     coalesced_times: list[float] = []
+    sharded_coalesced_times: list[float] = []
     sharded_times: dict[int, list[float]] = {w: [] for w in WORKER_COUNTS}
     for _ in range(REPEATS):
         elapsed, _ = one_run(batch, 0)
@@ -101,6 +106,10 @@ def main() -> int:
         coalesced_times.append(elapsed)
         assert signature(outcome) == serial_signature, \
             "coalesced serial result is not byte-identical to serial"
+        elapsed, outcome = one_run(batch, 2, coalesce=True)
+        sharded_coalesced_times.append(elapsed)
+        assert signature(outcome) == serial_signature, \
+            "coalesced workers=2 result is not byte-identical to serial"
         for workers in WORKER_COUNTS:
             elapsed, outcome = one_run(batch, workers)
             sharded_times[workers].append(elapsed)
@@ -109,6 +118,7 @@ def main() -> int:
 
     serial_median = statistics.median(serial_times)
     coalesced_median = statistics.median(coalesced_times)
+    sharded_coalesced_median = statistics.median(sharded_coalesced_times)
     medians = {w: statistics.median(sharded_times[w])
                for w in WORKER_COUNTS}
     throughput = {w: n_chunks / medians[w] for w in WORKER_COUNTS}
@@ -117,6 +127,8 @@ def main() -> int:
           f"({n_chunks / serial_median:6.1f} chunks/s)")
     print(f"coalesced   : {coalesced_median * 1e3:8.1f} ms  "
           f"({n_chunks / coalesced_median:6.1f} chunks/s)")
+    print(f"coalesced 2w: {sharded_coalesced_median * 1e3:8.1f} ms  "
+          f"({n_chunks / sharded_coalesced_median:6.1f} chunks/s)")
     for workers in WORKER_COUNTS:
         print(f"workers={workers:<4}: {medians[workers] * 1e3:8.1f} ms  "
               f"({throughput[workers]:6.1f} chunks/s)")
@@ -130,6 +142,7 @@ def main() -> int:
                      "t_span": list(T_SPAN), "n_save_points": len(T_EVAL)},
         "serial_seconds": serial_median,
         "serial_coalesced_seconds": coalesced_median,
+        "sharded_coalesced_seconds": sharded_coalesced_median,
         "sharded_seconds": {str(w): medians[w] for w in WORKER_COUNTS},
         "chunks_per_second": {"serial": n_chunks / serial_median,
                               **{str(w): throughput[w]

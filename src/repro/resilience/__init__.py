@@ -21,7 +21,8 @@ thread together:
   kills/hangs) proving every degradation path end-to-end.
 * :func:`run_sharded` / :class:`WorkerFailure` — the supervised
   multiprocess shard executor behind ``CampaignConfig.workers``
-  (:mod:`repro.resilience.executor`) and the quarantine record it
+  (:mod:`repro.resilience.executor`), which runs the campaign loop's
+  own launch groups in worker processes, and the quarantine record it
   files for rows of poison chunks.
 
 ``campaign`` is imported lazily (PEP 562) because it sits *above*
@@ -39,7 +40,7 @@ from .quarantine import (FailureRecord, QuarantineLog, RetryAttempt,
 
 _CAMPAIGN_NAMES = ("CampaignConfig", "CampaignResult", "run_campaign",
                    "campaign_fingerprint")
-_EXECUTOR_NAMES = ("ExecutorOutcome", "ShardSupervisor", "run_sharded")
+_EXECUTOR_NAMES = ("ShardSupervisor", "run_sharded")
 
 __all__ = [
     "FaultPlan",

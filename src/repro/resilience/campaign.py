@@ -14,6 +14,9 @@ so the merged result is the same as with one launch per chunk. A
 wall-clock ``deadline_seconds`` degrades gracefully: execution stops
 between launches (one chunk each under a deadline) and the partial
 result is returned with ``incomplete=True`` instead of raising.
+With ``workers``, the shard executor (:mod:`repro.resilience.executor`)
+runs the same launch groups in worker processes, and every finished
+group, in-process or not, takes the same journal, trace and merge path.
 
 PSA-1D/2D and Sobol SA accept a :class:`CampaignConfig` directly
 (``campaign=`` keyword); parameter estimation journals its multi-start
@@ -63,27 +66,30 @@ class CampaignConfig:
         merely not-started).
     workers:
         Worker processes for the supervised shard executor
-        (:mod:`repro.resilience.executor`); ``0`` keeps the in-process
-        serial loop. The merged result is byte-identical either way.
+        (:mod:`repro.resilience.executor`), which runs the serial
+        loop's launch groups in them; ``0`` runs them in-process. The
+        merged result is byte-identical either way.
     heartbeat_interval:
         Seconds between worker liveness heartbeats.
     heartbeat_timeout:
         Heartbeat silence after which the supervisor declares a worker
-        hung, terminates it and reassigns its chunk.
+        hung, terminates it and reassigns its launch group.
     chunk_timeout:
-        Wall-clock cap per chunk attempt under the executor; ``None``
-        leaves attempts bounded only by the campaign deadline.
+        Wall-clock cap per launch-group attempt under the executor;
+        ``None`` leaves attempts bounded only by the campaign deadline.
     max_chunk_attempts:
-        Attempt budget per chunk (or split piece) before the poison
-        ladder kicks in: wider-than-one pieces split in half, width-one
-        pieces quarantine their rows as ``WorkerFailure`` records.
+        Attempt budget per launch group (or split piece) before the
+        poison ladder kicks in: a group splits at chunk boundaries, a
+        chunk in half, and width-one pieces quarantine their rows as
+        ``WorkerFailure`` records.
     max_worker_restarts:
-        Pool-wide restart budget; once spent, a collapsed pool degrades
-        to in-process execution (``CampaignResult.degraded``).
+        Pool-wide restart budget; once spent, a collapsed pool hands
+        its pending work to the serial loop
+        (``CampaignResult.degraded``).
     restart_backoff / restart_backoff_cap:
         Capped exponential backoff (seconds) between worker restarts.
     slow_chunk_seconds:
-        Chunks taking longer than this are counted in
+        Launch groups taking longer than this are counted in
         ``campaign.executor.slow_chunks``; ``None`` disables the count.
     """
 
@@ -159,8 +165,8 @@ class CampaignResult:
     quarantine: QuarantineLog = field(default_factory=QuarantineLog)
     checkpoint_path: Path | None = None
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: True when the worker pool collapsed and the remaining chunks ran
-    #: on the supervisor's in-process fallback.
+    #: True when the worker pool collapsed and the serial loop ran the
+    #: work it left.
     degraded: bool = False
     #: True when a ``cancel_event`` stopped the campaign between
     #: launches; everything journaled so far resumes exact-once.
@@ -273,6 +279,7 @@ def run_campaign(model, t_span: tuple[float, float],
     """
     from ..core.simulate import _normalize
     from ..solvers.base import DEFAULT_OPTIONS
+    from .worker import WorkerSpec
 
     options = DEFAULT_OPTIONS if options is None else options
     config = CampaignConfig() if config is None else config
@@ -281,7 +288,6 @@ def run_campaign(model, t_span: tuple[float, float],
         t_eval = np.array([float(t_span[0]), float(t_span[1])])
     t_eval = np.asarray(t_eval, dtype=np.float64)
 
-    total_chunks = -(-batch.size // config.chunk_size)
     checkpoint = None
     if config.checkpoint_path is not None:
         from ..io.checkpoint import CampaignCheckpoint
@@ -290,212 +296,25 @@ def run_campaign(model, t_span: tuple[float, float],
             campaign_fingerprint(model, batch.size, config.chunk_size,
                                  t_span, t_eval, engine, options,
                                  retry_policy))
-
-    merged = allocate_result(t_eval, batch.size, model.n_species,
-                             METHOD_DOPRI5)
-    quarantine = QuarantineLog()
-    metrics = MetricsRegistry()
-    completed = resumed = executed = 0
-    deadline_hit = degraded = cancelled = False
-    tracer = as_tracer(telemetry)
-    campaign_span = tracer.start("campaign", "campaign",
-                                 parent=trace_parent, model=model.name,
-                                 batch=int(batch.size),
-                                 chunks=int(total_chunks))
-    started = clock.monotonic()
+    spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,
+                      engine=engine, options=options,
+                      retry_policy=retry_policy, fault_plan=fault_plan,
+                      heartbeat_interval=config.heartbeat_interval,
+                      engine_kwargs=dict(engine_kwargs))
+    runner = _Runner(spec, batch, config, checkpoint, as_tracer(telemetry),
+                     trace_parent, chunk_gate, cancel_event)
 
     # Pass 1 — resume everything the journal already holds (cheap, no
     # integration), leaving a work-list of chunks still to execute.
-    remaining: list[tuple[int, int, int]] = []
-    resumed_launches: set[int] = set()
-    for index in range(total_chunks):
-        start = index * config.chunk_size
-        stop = min(start + config.chunk_size, batch.size)
-        if checkpoint is None or not checkpoint.has_chunk(index):
-            remaining.append((index, start, stop))
-            continue
-        rows = np.arange(start, stop)
-        chunk_result, quarantine_dicts = checkpoint.load_chunk(index)
-        _check_chunk_shape(chunk_result, rows.size, t_eval, index)
-        quarantine.merge(QuarantineLog.from_dicts(quarantine_dicts))
-        # A launch's metrics cover all of its chunks: count them once.
-        launch = checkpoint.launch_of(index)
-        launch_metrics = (None if launch in resumed_launches
-                          else checkpoint.get_payload(f"metrics-{launch}"))
-        resumed_launches.add(launch)
-        if launch_metrics is not None:
-            metrics.merge(MetricsRegistry.from_dict(launch_metrics))
-        merged.merge_rows(chunk_result, rows)
-        completed += 1
-        resumed += 1
-        metrics.count("campaign.chunks.resumed")
-
-    # Pass 2 — execute the work-list: supervised worker pool when
-    # configured, the in-process serial loop otherwise.
+    remaining = runner.resume()
+    # Pass 2 — the serial loop runs the work-list. With workers, the
+    # shard executor runs its launch groups first and hands back only
+    # what a collapsed pool left undone.
     if config.workers > 0 and remaining:
         from .executor import run_sharded
-        from .worker import WorkerSpec
-        spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,
-                          engine=engine, options=options,
-                          retry_policy=retry_policy,
-                          fault_plan=fault_plan,
-                          heartbeat_interval=config.heartbeat_interval,
-                          engine_kwargs=dict(engine_kwargs))
-        outcome = run_sharded(spec, batch, config, fault_plan, remaining,
-                              checkpoint, merged, model.n_species, t_eval,
-                              started, completed, tracer, campaign_span,
-                              chunk_gate=chunk_gate,
-                              cancel_event=cancel_event)
-        for index in sorted(outcome.chunk_quarantines):
-            quarantine.merge(outcome.chunk_quarantines[index],
-                             row_offset=index * config.chunk_size)
-        for index in sorted(outcome.chunk_metrics):
-            chunk_metrics = outcome.chunk_metrics[index]
-            if chunk_metrics is not None:
-                metrics.merge(chunk_metrics)
-        metrics.merge(outcome.metrics)
-        executed = outcome.executed
-        completed += outcome.executed
-        deadline_hit = outcome.deadline_hit
-        degraded = outcome.degraded
-        cancelled = outcome.cancelled
-        if executed:
-            metrics.count("campaign.chunks.executed", executed)
-    else:
-        from ..gpu.engine import MAX_BATCH_PER_LAUNCH
-        # Consecutive pending chunks share one launch of up to the
-        # engine's launch cap. Only the batched engine coalesces, and
-        # a wall-clock deadline keeps one chunk per launch because it
-        # is checked between launches.
-        launch_cap = 0
-        if engine == "batched" and config.deadline_seconds is None:
-            launch_cap = int(engine_kwargs.get("max_batch_per_launch",
-                                               MAX_BATCH_PER_LAUNCH))
-        min_launch_seconds: float | None = None
-        position = 0
-        while position < len(remaining):
-            index, start, stop = remaining[position]
-            now = clock.monotonic()
-            if cancel_event is not None and cancel_event.is_set():
-                cancelled = True
-                break
-            if _deadline_exceeded(config, fault_plan, started, executed,
-                                  now):
-                deadline_hit = True
-                break
-            # Predictive budget check: even with wall-clock budget left,
-            # starting a launch the fastest launch so far could not
-            # finish within would only burn time past the deadline —
-            # skip straight to the incomplete result instead.
-            if config.deadline_seconds is not None and \
-                    min_launch_seconds is not None and \
-                    config.deadline_seconds - (now - started) \
-                    < min_launch_seconds:
-                deadline_hit = True
-                break
-            if fault_plan is not None and \
-                    fault_plan.crashes_before_launch(executed):
-                raise CampaignInterrupted(
-                    f"injected crash before campaign chunk {index}",
-                    checkpoint_path=(None if checkpoint is None
-                                     else checkpoint.path),
-                    completed_chunks=completed)
-
-            if chunk_gate is not None:
-                if not chunk_gate.acquire(stop - start, cancel_event):
-                    cancelled = True
-                    break
-                # The gate may have blocked for a while; restart the
-                # launch timer so the wait is not billed as compute.
-                now = clock.monotonic()
-            # Every chunk of the group holds one gate grant.
-            group = [remaining[position]]
-            while position + len(group) < len(remaining) and _joins_launch(
-                    group, remaining[position + len(group)], launch_cap,
-                    fault_plan, executed + len(group), chunk_gate):
-                group.append(remaining[position + len(group)])
-            group_stop = group[-1][2]
-            launch_plan = (None if fault_plan is None
-                           else fault_plan.for_chunk(index, start,
-                                                     group_stop))
-            chunk_span = tracer.start(f"chunk-{index}", "chunk",
-                                      parent=campaign_span,
-                                      rows=int(stop - start),
-                                      launch=int(index))
-            try:
-                try:
-                    result, launch_quarantine, report = _run_chunk(
-                        model, batch.subset(np.arange(start, group_stop)),
-                        t_span, t_eval, engine, options, retry_policy,
-                        launch_plan, engine_kwargs, tracer, chunk_span)
-                finally:
-                    if chunk_gate is not None:
-                        for _, begin, end in group:
-                            chunk_gate.release(end - begin)
-                tracer.end(chunk_span)
-                entries = _split_launch(result, launch_quarantine, group,
-                                        tracer, campaign_span)
-                if checkpoint is not None:
-                    checkpoint.commit(
-                        [(chunk, chunk_result, chunk_quarantine.to_dicts())
-                         for chunk, chunk_result, chunk_quarantine
-                         in entries],
-                        None if report is None
-                        else report.metrics.to_dict())
-            except KeyboardInterrupt:
-                raise CampaignInterrupted(
-                    f"campaign interrupted during chunk {index}; "
-                    f"{completed} chunk(s) already journaled",
-                    checkpoint_path=(None if checkpoint is None
-                                     else checkpoint.path),
-                    completed_chunks=completed) from None
-            # Flush spans only after the launch is journaled: the trace
-            # file and the journal lose exactly the same chunks on a
-            # crash.
-            tracer.flush()
-            for _, _, chunk_quarantine in entries:
-                quarantine.merge(chunk_quarantine)
-            if report is not None:
-                metrics.merge(report.metrics)
-            merged.merge_rows(result, np.arange(start, group_stop))
-            position += len(group)
-            completed += len(group)
-            executed += len(group)
-            metrics.count("campaign.chunks.executed", len(group))
-            metrics.count("campaign.launches")
-            after = clock.monotonic()
-            duration = after - now
-            if min_launch_seconds is None or duration < min_launch_seconds:
-                min_launch_seconds = duration
-            # Post-launch wall-clock check: a launch that overshot the
-            # deadline mid-flight must mark the result, not wait for
-            # the next pre-launch check that may never come.
-            if config.deadline_seconds is not None and \
-                    after - started > config.deadline_seconds \
-                    and completed < total_chunks:
-                deadline_hit = True
-                break
-
-    # Unstarted rows stay NaN/'running': nothing was integrated, so they
-    # must not masquerade as failures of the dynamics.
-    incomplete = completed < total_chunks
-    merged.elapsed_seconds = clock.monotonic() - started
-    if completed == total_chunks and executed:
-        # The campaign root is written only once, by the run that
-        # finishes the final chunk — a crashed run never flushes its
-        # root, so the resume's root adopts the earlier chunk spans.
-        # A fully-resumed run executed nothing and emits nothing:
-        # re-running a completed campaign leaves the trace unchanged
-        # instead of appending a duplicate root.
-        tracer.end(campaign_span, degraded=bool(degraded),
-                   deadline_hit=bool(deadline_hit),
-                   cancelled=bool(cancelled),
-                   quarantined=len(quarantine))
-        tracer.flush()
-    return CampaignResult(merged, incomplete, deadline_hit, completed,
-                          total_chunks, resumed, quarantine,
-                          None if checkpoint is None else checkpoint.path,
-                          metrics, degraded, cancelled)
+        remaining = run_sharded(runner, remaining)
+    runner.serial(remaining)
+    return runner.outcome()
 
 
 # ----------------------------------------------------------------------
@@ -513,6 +332,287 @@ def _deadline_exceeded(config: CampaignConfig,
             and fault_plan.expires_before_chunk(executed))
 
 
+@dataclass
+class _Partial:
+    """The finished pieces of one chunk, held until they cover it."""
+
+    buffer: BatchSolveResult
+    covered: int = 0
+    quarantine: QuarantineLog = field(default_factory=QuarantineLog)
+    metrics: MetricsRegistry | None = None
+
+
+class _Runner:
+    """One run of a campaign: its work-list, its launch groups, and the
+    one path every finished unit takes into the journal, the trace and
+    the merged result.
+
+    A *unit* is a list of contiguous ``(index, start, stop)`` pieces in
+    campaign rows: whole chunks that :meth:`group` joined into one
+    launch, or a single piece of one chunk that the shard executor
+    split off. The serial loop (:meth:`serial`) and the shard executor
+    (:mod:`repro.resilience.executor`) both form units with
+    :meth:`group` and land them through :meth:`finish`.
+    """
+
+    def __init__(self, spec, batch, config: CampaignConfig, checkpoint,
+                 tracer, trace_parent, chunk_gate, cancel_event) -> None:
+        from ..gpu.engine import MAX_BATCH_PER_LAUNCH
+
+        self.spec = spec
+        self.batch = batch
+        self.config = config
+        self.checkpoint = checkpoint
+        self.tracer = tracer
+        self.chunk_gate = chunk_gate
+        self.cancel_event = cancel_event
+        self.total_chunks = -(-batch.size // config.chunk_size)
+        # Consecutive pending chunks share one launch of up to the
+        # engine's launch cap. Only the batched engine coalesces, and
+        # a wall-clock deadline keeps one chunk per launch because it
+        # is checked between launches.
+        self.launch_cap = 0
+        if spec.engine == "batched" and config.deadline_seconds is None:
+            self.launch_cap = int(spec.engine_kwargs.get(
+                "max_batch_per_launch", MAX_BATCH_PER_LAUNCH))
+        self.merged = allocate_result(spec.t_eval, batch.size,
+                                      spec.model.n_species, METHOD_DOPRI5)
+        self.quarantine = QuarantineLog()
+        self.metrics = MetricsRegistry()
+        self.partial: dict[int, _Partial] = {}
+        self.completed = self.resumed = self.executed = 0
+        self.deadline_hit = self.degraded = self.cancelled = False
+        self.campaign_span = tracer.start(
+            "campaign", "campaign", parent=trace_parent,
+            model=spec.model.name, batch=int(batch.size),
+            chunks=int(self.total_chunks))
+        self.started = clock.monotonic()
+
+    def chunk_range(self, index: int) -> tuple[int, int]:
+        start = index * self.config.chunk_size
+        return start, min(start + self.config.chunk_size, self.batch.size)
+
+    def whole(self, piece) -> bool:
+        index, start, stop = piece
+        return self.chunk_range(index) == (start, stop)
+
+    def span_name(self, piece) -> str:
+        index, start, stop = piece
+        if self.whole(piece):
+            return f"chunk-{index}"
+        offset = self.chunk_range(index)[0]
+        return f"chunk-{index}[{start - offset}:{stop - offset}]"
+
+    def interrupted(self, message: str) -> CampaignInterrupted:
+        return CampaignInterrupted(
+            message, checkpoint_path=(None if self.checkpoint is None
+                                      else self.checkpoint.path),
+            completed_chunks=self.completed)
+
+    def resume(self) -> list[tuple[int, int, int]]:
+        """Merge every journaled chunk; return the rest, in order."""
+        checkpoint = self.checkpoint
+        remaining: list[tuple[int, int, int]] = []
+        resumed_launches: set[int] = set()
+        for index in range(self.total_chunks):
+            start, stop = self.chunk_range(index)
+            if checkpoint is None or not checkpoint.has_chunk(index):
+                remaining.append((index, start, stop))
+                continue
+            rows = np.arange(start, stop)
+            chunk_result, quarantine_dicts = checkpoint.load_chunk(index)
+            _check_chunk_shape(chunk_result, rows.size, self.spec.t_eval,
+                               index)
+            self.quarantine.merge(QuarantineLog.from_dicts(quarantine_dicts))
+            # A launch's metrics cover all of its chunks: count them once.
+            launch = checkpoint.launch_of(index)
+            launch_metrics = (None if launch in resumed_launches
+                              else checkpoint.get_payload(
+                                  f"metrics-{launch}"))
+            resumed_launches.add(launch)
+            if launch_metrics is not None:
+                self.metrics.merge(MetricsRegistry.from_dict(launch_metrics))
+            self.merged.merge_rows(chunk_result, rows)
+            self.completed += 1
+            self.resumed += 1
+            self.metrics.count("campaign.chunks.resumed")
+        return remaining
+
+    def group(self, work, position: int, started: int) -> list:
+        """The unit that starts at ``work[position]``.
+
+        Its first piece already holds its gate grant. Following whole
+        chunks join while :func:`_joins_launch` admits them
+        (``started`` counts the chunks started before the unit); a
+        piece of a chunk runs alone.
+        """
+        unit = [work[position]]
+        if not self.whole(unit[0]):
+            return unit
+        while position + len(unit) < len(work):
+            candidate = work[position + len(unit)]
+            if not self.whole(candidate) or not _joins_launch(
+                    unit, candidate, self.launch_cap, self.spec.fault_plan,
+                    started + len(unit), self.chunk_gate):
+                break
+            unit.append(candidate)
+        return unit
+
+    def serial(self, work) -> None:
+        """Run the work-list in-process, one unit per launch."""
+        config, plan = self.config, self.spec.fault_plan
+        gate, tracer = self.chunk_gate, self.tracer
+        min_launch_seconds: float | None = None
+        position = 0
+        while position < len(work):
+            index, start, stop = work[position]
+            now = clock.monotonic()
+            if self.cancel_event is not None and self.cancel_event.is_set():
+                self.cancelled = True
+                break
+            if _deadline_exceeded(config, plan, self.started, self.executed,
+                                  now):
+                self.deadline_hit = True
+                break
+            # Predictive budget check: even with wall-clock budget left,
+            # starting a launch the fastest launch so far could not
+            # finish within would only burn time past the deadline —
+            # skip straight to the incomplete result instead.
+            if config.deadline_seconds is not None and \
+                    min_launch_seconds is not None and \
+                    config.deadline_seconds - (now - self.started) \
+                    < min_launch_seconds:
+                self.deadline_hit = True
+                break
+            if plan is not None and plan.crashes_before_launch(self.executed):
+                raise self.interrupted(
+                    f"injected crash before campaign chunk {index}")
+
+            if gate is not None:
+                if not gate.acquire(stop - start, self.cancel_event):
+                    self.cancelled = True
+                    break
+                # The gate may have blocked for a while; restart the
+                # launch timer so the wait is not billed as compute.
+                now = clock.monotonic()
+            # Every chunk of the unit holds one gate grant.
+            unit = self.group(work, position, self.executed)
+            chunk_span = tracer.start(self.span_name(unit[0]), "chunk",
+                                      parent=self.campaign_span,
+                                      rows=int(stop - start),
+                                      launch=int(index))
+            try:
+                try:
+                    result, launch_quarantine, report = _run_chunk(
+                        self.spec, self.batch, unit, tracer, chunk_span)
+                finally:
+                    if gate is not None:
+                        for _, begin, end in unit:
+                            gate.release(end - begin)
+                tracer.end(chunk_span)
+                self.finish(unit, result, launch_quarantine,
+                            None if report is None else report.metrics,
+                            self.campaign_span)
+            except KeyboardInterrupt:
+                raise self.interrupted(
+                    f"campaign interrupted during chunk {index}; "
+                    f"{self.completed} chunk(s) already journaled") from None
+            self.metrics.count("campaign.launches")
+            position += len(unit)
+            after = clock.monotonic()
+            duration = after - now
+            if min_launch_seconds is None or duration < min_launch_seconds:
+                min_launch_seconds = duration
+            # Post-launch wall-clock check: a launch that overshot the
+            # deadline mid-flight must mark the result, not wait for
+            # the next pre-launch check that may never come.
+            if config.deadline_seconds is not None and \
+                    after - self.started > config.deadline_seconds \
+                    and self.completed < self.total_chunks:
+                self.deadline_hit = True
+                break
+
+    def finish(self, unit, result: BatchSolveResult,
+               launch_quarantine: QuarantineLog,
+               launch_metrics: MetricsRegistry | None, parent) -> None:
+        """Journal, trace and merge one finished unit.
+
+        ``result`` and ``launch_quarantine`` cover the unit's rows, the
+        quarantine in unit-local rows; chunk spans after the first hang
+        off ``parent``. A unit of whole chunks commits them with its
+        launch's metrics in one journal write. A piece of a chunk is
+        held until the chunk's pieces cover it; the chunk then commits
+        with the metrics of all of them.
+        """
+        entries = _split_launch(result, launch_quarantine, unit,
+                                self.tracer, parent)
+        index, start, stop = unit[0]
+        rows = np.arange(start, unit[-1][2])
+        if not self.whole(unit[0]):
+            offset, end = self.chunk_range(index)
+            piece = self.partial.get(index)
+            if piece is None:
+                piece = self.partial[index] = _Partial(allocate_result(
+                    self.spec.t_eval, end - offset,
+                    self.spec.model.n_species, METHOD_DOPRI5))
+            piece.buffer.merge_rows(result, rows - offset)
+            piece.covered += stop - start
+            piece.quarantine.merge(entries[0][2])
+            if launch_metrics is not None:
+                piece.metrics = piece.metrics or MetricsRegistry()
+                piece.metrics.merge(launch_metrics)
+            if piece.covered < end - offset:
+                return
+            del self.partial[index]
+            entries = [(index, piece.buffer, piece.quarantine)]
+            result, launch_metrics = piece.buffer, piece.metrics
+            rows = np.arange(offset, end)
+        if self.checkpoint is not None:
+            self.checkpoint.commit(
+                [(chunk, chunk_result, chunk_quarantine.to_dicts())
+                 for chunk, chunk_result, chunk_quarantine in entries],
+                None if launch_metrics is None else launch_metrics.to_dict())
+        # Flush spans only after the unit is journaled: the trace file
+        # and the journal lose exactly the same chunks on a crash.
+        self.tracer.flush()
+        for _, _, chunk_quarantine in entries:
+            self.quarantine.merge(chunk_quarantine)
+        if launch_metrics is not None:
+            self.metrics.merge(launch_metrics)
+        self.merged.merge_rows(result, rows)
+        self.completed += len(entries)
+        self.executed += len(entries)
+        self.metrics.count("campaign.chunks.executed", len(entries))
+
+    def outcome(self) -> CampaignResult:
+        # Unstarted rows stay NaN/'running': nothing was integrated, so
+        # they must not masquerade as failures of the dynamics.
+        incomplete = self.completed < self.total_chunks
+        self.merged.elapsed_seconds = clock.monotonic() - self.started
+        if self.config.workers:
+            # Workers finish units in any order; chunk order keeps the
+            # log the same from run to run.
+            self.quarantine.records.sort(
+                key=lambda record: record.row // self.config.chunk_size)
+        if self.completed == self.total_chunks and self.executed:
+            # The campaign root is written only once, by the run that
+            # finishes the final chunk — a crashed run never flushes its
+            # root, so the resume's root adopts the earlier chunk spans.
+            # A fully-resumed run executed nothing and emits nothing:
+            # re-running a completed campaign leaves the trace unchanged
+            # instead of appending a duplicate root.
+            self.tracer.end(self.campaign_span, degraded=self.degraded,
+                            deadline_hit=self.deadline_hit,
+                            cancelled=self.cancelled,
+                            quarantined=len(self.quarantine))
+            self.tracer.flush()
+        return CampaignResult(
+            self.merged, incomplete, self.deadline_hit, self.completed,
+            self.total_chunks, self.resumed, self.quarantine,
+            None if self.checkpoint is None else self.checkpoint.path,
+            self.metrics, self.degraded, self.cancelled)
+
+
 def _joins_launch(group, candidate, launch_cap: int,
                   fault_plan: FaultPlan | None, executed: int,
                   chunk_gate) -> bool:
@@ -521,8 +621,9 @@ def _joins_launch(group, candidate, launch_cap: int,
     It must follow the group's last chunk, fit the launch cap, not be
     the chunk at which an injected crash or deadline fires (``executed``
     counts the chunks run before it) and, last, win a gate grant. A
-    chunk with an injected launch failure or memory pressure runs
-    alone, so no clean chunk's rows share its retry rungs.
+    chunk with an injected launch failure, memory pressure or worker
+    fault runs alone, so no clean chunk's rows share its retry rungs or
+    its worker's fate.
     """
     index, start, stop = candidate
     first = group[0][0]
@@ -531,18 +632,22 @@ def _joins_launch(group, candidate, launch_cap: int,
     if fault_plan is not None and (
             fault_plan.crashes_before_launch(executed)
             or fault_plan.expires_before_chunk(executed)
-            or {first, index} & set(fault_plan.fail_launches
-                                    + fault_plan.oom_launches)):
+            or {first, index} & set(
+                fault_plan.fail_launches + fault_plan.oom_launches
+                + fault_plan.worker_kill_chunks
+                + fault_plan.worker_hang_chunks
+                + fault_plan.worker_slow_chunks)):
         return False
     return chunk_gate is None or chunk_gate.try_acquire(stop - start)
 
 
 def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
-                  group, tracer, campaign_span) -> list:
-    """Per-chunk ``(index, result, quarantine)`` slices of a launch.
+                  group, tracer, parent) -> list:
+    """Per-piece ``(index, result, quarantine)`` slices of a launch.
 
     Quarantine rows move to campaign space. Every chunk after the first
-    gets its own (empty) ``chunk-<i>`` span naming the launch it shared.
+    gets its own (empty) ``chunk-<i>`` span under ``parent``, naming
+    the launch it shared.
     """
     first, offset, _ = group[0]
     shifted = QuarantineLog()
@@ -551,7 +656,7 @@ def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
     for index, start, stop in group:
         if index != first:
             tracer.end(tracer.start(f"chunk-{index}", "chunk",
-                                    parent=campaign_span,
+                                    parent=parent,
                                     rows=int(stop - start),
                                     launch=int(first)))
         records = [record for record in shifted
@@ -563,20 +668,26 @@ def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
     return entries
 
 
-def _run_chunk(model, sub_batch, t_span, t_eval, engine, options,
-               retry_policy, chunk_plan, engine_kwargs, tracer=None,
-               chunk_span=None):
+def _run_chunk(spec, batch, unit, tracer=None, parent=None):
+    """Run one unit's rows: the launch body of the serial loop and of
+    every worker process. Returns ``(result, quarantine, report)``
+    with the quarantine in unit-local rows."""
     from ..core.simulate import simulate
 
-    kwargs = dict(engine_kwargs)
-    if engine == "batched":
-        kwargs["retry_policy"] = retry_policy
-        kwargs["fault_plan"] = chunk_plan
+    index, start, _ = unit[0]
+    stop = unit[-1][2]
+    kwargs = dict(spec.engine_kwargs)
+    if spec.engine == "batched":
+        kwargs["retry_policy"] = spec.retry_policy
+        kwargs["fault_plan"] = (None if spec.fault_plan is None
+                                else spec.fault_plan.for_chunk(index, start,
+                                                               stop))
         if tracer is not None:
             kwargs["tracer"] = tracer
-            kwargs["trace_parent"] = chunk_span
-    result = simulate(model, t_span, t_eval, sub_batch, engine, options,
-                      **kwargs)
+            kwargs["trace_parent"] = parent
+    result = simulate(spec.model, spec.t_span, spec.t_eval,
+                      batch.subset(np.arange(start, stop)), spec.engine,
+                      spec.options, **kwargs)
     report = result.engine_report
     chunk_quarantine = (report.quarantine if report is not None
                         else QuarantineLog())

@@ -1,39 +1,44 @@
-"""Supervised multiprocess shard executor for campaign chunks.
+"""Supervised multiprocess shard executor for campaign launch groups.
 
-:func:`run_sharded` fans the non-journaled chunks of one campaign out
-to a pool of ``CampaignConfig.workers`` worker processes
-(:mod:`repro.resilience.worker`) and merges what comes back through
-the exact ``merge_rows``/checkpoint path the serial loop uses, so the
-merged :class:`~repro.gpu.batch_result.BatchSolveResult` is
-byte-identical to an in-process run. The supervision ladder, per
-failed attempt of a chunk:
+:func:`run_sharded` runs the serial campaign loop's work in a pool of
+``CampaignConfig.workers`` worker processes
+(:mod:`repro.resilience.worker`). Its units are the loop's own: launch
+groups of whole chunks formed by the same rules, or split pieces of
+one chunk. Every finished unit lands through the loop's own finish
+path (journal commit, span flush, merge), so the merged
+:class:`~repro.gpu.batch_result.BatchSolveResult` is byte-identical to
+an in-process run. The supervision ladder, per failed attempt of a
+unit:
 
 1. **detect** — a dead worker by exit code, a hung one by heartbeat
-   gap (``heartbeat_timeout``), a livelocked one by the per-chunk
+   gap (``heartbeat_timeout``), a livelocked one by the per-unit
    timeout (``chunk_timeout`` and the remaining campaign deadline);
 2. **restart** — the slot respawns under capped exponential backoff,
    drawing on the pool-wide ``max_worker_restarts`` budget;
-3. **reassign** — the in-flight chunk returns to the front of the
-   queue while its per-chunk attempt budget (``max_chunk_attempts``)
-   lasts;
-4. **split** — a chunk that exhausts its attempts is halved (the
-   memory-governor pattern): a poison *row* keeps killing workers, but
-   each split narrows the blast radius bit-identically;
-5. **quarantine** — at minimum width the surviving rows are recorded
-   as :class:`~repro.resilience.quarantine.WorkerFailure` entries and
+3. **reassign** — the unit returns to the front of the queue while its
+   attempt budget (``max_chunk_attempts``) lasts;
+4. **split** — a unit that exhausts its attempts is halved: a group at
+   chunk boundaries, then a single chunk's rows (the memory-governor
+   pattern). A poison *row* keeps killing workers, but each split
+   narrows the blast radius bit-identically;
+5. **quarantine** — at width one the row is recorded as a
+   :class:`~repro.resilience.quarantine.WorkerFailure` entry and
    marked ``failed`` instead of sinking the campaign.
 
-If the pool collapses outright — no live worker and no restart budget
-— execution degrades to the in-process serial path
-(:func:`~repro.resilience.worker.execute_chunk`, the same code the
-workers run) and the campaign finishes with
-``CampaignResult.degraded=True``.
+The campaign's own predicates gate every start: no new launch group
+starts at or past the chunk where an injected crash or deadline fires,
+and the crash, the deadline and a cancel are checked on every tick. If
+the pool collapses outright — no live worker and no restart budget —
+the pending units go back to the serial loop, which finishes them
+in-process under its own checks, and the campaign ends with
+``CampaignResult.degraded=True``. Rows a split already quarantined
+stay quarantined.
 
 Journal writes are serialized here: workers stream results over a
 queue and only the supervisor touches the
 :class:`~repro.io.checkpoint.CampaignCheckpoint`, so out-of-order
-chunk completion is safe and a supervisor crash loses at most the
-chunks not yet journaled — exactly the serial loop's contract.
+completion is safe and a supervisor crash loses at most the chunks not
+yet journaled — exactly the serial loop's contract.
 
 Result queues are **per worker generation**, not shared: a process
 that dies (or is terminated) while its queue feeder holds the write
@@ -50,70 +55,23 @@ import multiprocessing
 import queue as queue_module
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..errors import CampaignInterrupted
-from ..gpu.batch_result import (BROKEN, METHOD_DOPRI5, BatchSolveResult,
-                                allocate_result)
+from ..gpu.batch_result import BROKEN, METHOD_DOPRI5, allocate_result
 from ..telemetry import clock
 from ..telemetry.metrics import MetricsRegistry
+from .campaign import _deadline_exceeded
 from .quarantine import QuarantineLog, WorkerFailure
 from .worker import (MSG_DONE, MSG_FAILED, MSG_HEARTBEAT, MSG_READY,
-                     WorkerSpec, execute_chunk, worker_main)
-
-
-@dataclass(frozen=True, order=True)
-class _Task:
-    """One executable unit: a chunk, or a split piece of one.
-
-    ``start``/``stop`` are *global* campaign row indices. The dataclass
-    ordering (chunk first, then row range) is the deterministic
-    execution order of the degraded serial fallback.
-    """
-
-    chunk_index: int
-    start: int
-    stop: int
-
-    @property
-    def width(self) -> int:
-        return self.stop - self.start
-
-    def message(self, attempt: int) -> tuple:
-        return (self.chunk_index, self.start, self.stop, attempt)
-
-
-class _ChunkState:
-    """Accumulates the pieces of one chunk until every row is covered."""
-
-    __slots__ = ("start", "stop", "buffer", "covered", "quarantine",
-                 "metrics", "has_metrics")
-
-    def __init__(self, start: int, stop: int, t_eval: np.ndarray,
-                 n_species: int) -> None:
-        self.start = start
-        self.stop = stop
-        self.buffer = allocate_result(t_eval, stop - start, n_species,
-                                      METHOD_DOPRI5)
-        self.covered = 0
-        self.quarantine = QuarantineLog()
-        self.metrics = MetricsRegistry()
-        self.has_metrics = False
-
-    @property
-    def complete(self) -> bool:
-        return self.covered >= self.stop - self.start
+                     worker_main)
 
 
 class _Slot:
-    """One worker lane: the process currently occupying it, its task,
+    """One worker lane: the process currently occupying it, its unit,
     and its liveness bookkeeping. A restarted lane keeps its identity
     (and its telemetry span) while the process and generation change."""
 
     __slots__ = ("index", "generation", "process", "queue", "results",
-                 "task", "attempt", "assigned_at", "deadline_at",
+                 "task", "attempt", "span", "assigned_at", "deadline_at",
                  "last_heartbeat", "restart_at", "restarts", "chunks_done",
                  "lane_span")
 
@@ -125,6 +83,7 @@ class _Slot:
         self.results = None
         self.task = None
         self.attempt = 0
+        self.span = None
         self.assigned_at = 0.0
         self.deadline_at = None
         self.last_heartbeat = 0.0
@@ -142,24 +101,6 @@ class _Slot:
         return self.alive and self.task is None
 
 
-@dataclass
-class ExecutorOutcome:
-    """What the sharded run produced, for the campaign loop to merge."""
-
-    executed: int = 0
-    deadline_hit: bool = False
-    degraded: bool = False
-    #: True when a cooperative ``cancel_event`` stopped the run; the
-    #: journal keeps everything finalized before the stop.
-    cancelled: bool = False
-    #: chunk index -> quarantine log in chunk-local row space.
-    chunk_quarantines: dict = field(default_factory=dict)
-    #: chunk index -> per-chunk engine metrics (None: engine had none).
-    chunk_metrics: dict = field(default_factory=dict)
-    #: supervisor-side counters (restarts, reassignments, splits, ...).
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-
 def _fork_context():
     """Fork when the platform offers it (cheap spawn, no re-import);
     the default start method otherwise."""
@@ -170,80 +111,78 @@ def _fork_context():
 
 
 class ShardSupervisor:
-    """Drives one campaign's chunk fan-out over a worker pool."""
+    """Runs one campaign's launch groups over a worker pool.
 
-    def __init__(self, spec: WorkerSpec, batch, config, fault_plan,
-                 chunk_indices, checkpoint, merged: BatchSolveResult,
-                 n_species: int, t_eval: np.ndarray, started: float,
-                 completed_before: int, tracer, campaign_span,
-                 chunk_gate=None, cancel_event=None) -> None:
-        self.spec = spec
-        self.batch = batch
-        self.config = config
-        self.fault_plan = fault_plan
-        self.checkpoint = checkpoint
-        self.merged = merged
-        self.n_species = n_species
-        self.t_eval = t_eval
-        self.started = started
-        self.completed_before = completed_before
-        self.tracer = tracer
-        self.campaign_span = campaign_span
-        self.chunk_gate = chunk_gate
-        self.cancel_event = cancel_event
+    ``campaign`` is the run's ``_Runner``
+    (:mod:`repro.resilience.campaign`); ``work`` is its ordered
+    work-list of pending chunks.
+    """
 
-        self.outcome = ExecutorOutcome()
-        self.outcome.metrics.gauge("campaign.executor.workers",
-                                   config.workers)
-        self.pending: deque[_Task] = deque()
+    def __init__(self, campaign, work) -> None:
+        self.campaign = campaign
+        self.config = campaign.config
+        self.work = work
+        #: Chunks of ``work`` some unit has started: the next new launch
+        #: group begins at ``work[position]``.
+        self.position = 0
+        #: Started units waiting to run again (reassigned or split).
+        self.retry: deque[tuple] = deque()
         self.attempts: dict[tuple, int] = {}
-        self.chunk_states: dict[int, _ChunkState] = {}
-        self.chunk_ranges: dict[int, tuple[int, int]] = {}
-        for index, start, stop in chunk_indices:
-            self.chunk_ranges[index] = (start, stop)
-            self.pending.append(_Task(index, start, stop))
-        self.slots = [_Slot(i) for i in range(config.workers)]
+        self.slots = [_Slot(i) for i in range(self.config.workers)]
         self.restarts_used = 0
         self._context = _fork_context()
-        self._tick = max(0.005, min(0.05, config.heartbeat_interval / 2.0))
+        self._tick = max(0.005,
+                         min(0.05, self.config.heartbeat_interval / 2.0))
         self._block_index = 0
-        self._lanes_ended = False
-        self._open_spans: dict[tuple, object] = {}
-        self._gate_held: dict[tuple, int] = {}
+        campaign.metrics.gauge("campaign.executor.workers",
+                               self.config.workers)
 
     # -- lifecycle -------------------------------------------------------
 
-    def run(self) -> ExecutorOutcome:
+    def run(self) -> list:
+        """Supervise until the work is done or a cancel, deadline or
+        crash stops it. Returns the pending pieces, in row order, if
+        the pool collapsed first; an empty list otherwise."""
+        campaign = self.campaign
         for slot in self.slots:
-            slot.lane_span = self.tracer.start(
-                f"worker-{slot.index}", "worker", parent=self.campaign_span)
+            slot.lane_span = campaign.tracer.start(
+                f"worker-{slot.index}", "worker",
+                parent=campaign.campaign_span)
             self._spawn(slot)
         try:
             try:
                 self._supervise()
-                if self._work_remaining() and not self.outcome.deadline_hit \
-                        and not self.outcome.cancelled:
-                    self._degrade()
             except KeyboardInterrupt:
-                raise CampaignInterrupted(
+                raise campaign.interrupted(
                     "sharded campaign interrupted; "
-                    f"{self._completed()} chunk(s) already journaled",
-                    checkpoint_path=(None if self.checkpoint is None
-                                     else self.checkpoint.path),
-                    completed_chunks=self._completed()) from None
+                    f"{campaign.completed} chunk(s) already journaled"
+                ) from None
         finally:
             self._shutdown()
-        return self.outcome
+        if not self._work_remaining() or campaign.deadline_hit \
+                or campaign.cancelled:
+            return []
+        campaign.degraded = True
+        campaign.metrics.count("campaign.executor.degradations")
+        return sorted([piece for unit in self.retry for piece in unit]
+                      + self.work[self.position:])
 
     def _supervise(self) -> None:
+        campaign = self.campaign
+        plan = campaign.spec.fault_plan
         while self._work_remaining():
-            if self.cancel_event is not None \
-                    and self.cancel_event.is_set():
-                self.outcome.cancelled = True
+            if campaign.cancel_event is not None \
+                    and campaign.cancel_event.is_set():
+                campaign.cancelled = True
                 return
-            self._check_crash()
-            if self._deadline_exceeded():
-                self.outcome.deadline_hit = True
+            if plan is not None \
+                    and plan.crashes_before_launch(campaign.executed):
+                raise campaign.interrupted(
+                    f"injected crash after {campaign.executed} sharded "
+                    f"chunk(s)")
+            if _deadline_exceeded(self.config, plan, campaign.started,
+                                  campaign.executed):
+                campaign.deadline_hit = True
                 return
             self._drain_messages()
             self._check_workers()
@@ -253,32 +192,8 @@ class ShardSupervisor:
                 return
 
     def _work_remaining(self) -> bool:
-        return bool(self.pending) \
+        return bool(self.retry) or self.position < len(self.work) \
             or any(slot.task is not None for slot in self.slots)
-
-    def _completed(self) -> int:
-        return self.completed_before + self.outcome.executed
-
-    def _check_crash(self) -> None:
-        plan = self.fault_plan
-        if plan is not None and plan.crash_after_launches is not None \
-                and self.outcome.executed >= plan.crash_after_launches:
-            raise CampaignInterrupted(
-                f"injected crash after {self.outcome.executed} sharded "
-                f"chunk(s)",
-                checkpoint_path=(None if self.checkpoint is None
-                                 else self.checkpoint.path),
-                completed_chunks=self._completed())
-
-    def _deadline_exceeded(self) -> bool:
-        config = self.config
-        if config.deadline_seconds is not None and \
-                clock.monotonic() - self.started > config.deadline_seconds:
-            return True
-        plan = self.fault_plan
-        return (plan is not None
-                and plan.deadline_after_chunks is not None
-                and self.outcome.executed >= plan.deadline_after_chunks)
 
     def _pool_collapsed(self) -> bool:
         if any(slot.alive for slot in self.slots):
@@ -296,7 +211,8 @@ class ShardSupervisor:
         token = (slot.index, slot.generation)
         process = self._context.Process(
             target=worker_main,
-            args=(token, self.spec, self.batch, slot.queue, slot.results),
+            args=(token, self.campaign.spec, self.campaign.batch,
+                  slot.queue, slot.results),
             daemon=True)
         try:
             process.start()
@@ -325,7 +241,7 @@ class ShardSupervisor:
                 continue
             self.restarts_used += 1
             slot.restarts += 1
-            self.outcome.metrics.count("campaign.executor.restarts")
+            self.campaign.metrics.count("campaign.executor.restarts")
             self._retire_queue(slot)
             self._spawn(slot)
 
@@ -344,14 +260,14 @@ class ShardSupervisor:
 
     def _check_workers(self) -> None:
         now = clock.monotonic()
+        metrics = self.campaign.metrics
         for slot in self.slots:
             if slot.process is None:
                 continue
             if slot.process.exitcode is not None:
-                # Died: mid-chunk death fails the attempt; either way
+                # Died: mid-unit death fails the attempt; either way
                 # the lane queues for a restart.
-                self.outcome.metrics.count(
-                    "campaign.executor.worker_deaths")
+                metrics.count("campaign.executor.worker_deaths")
                 if slot.task is not None:
                     self._attempt_failed(slot, "worker-killed")
                 slot.process = None
@@ -359,14 +275,13 @@ class ShardSupervisor:
             elif slot.task is not None:
                 if now - slot.last_heartbeat \
                         > self.config.heartbeat_timeout:
-                    self.outcome.metrics.count("campaign.executor.hangs")
+                    metrics.count("campaign.executor.hangs")
                     self._terminate(slot)
                     self._attempt_failed(slot, "worker-hung")
                     self._schedule_restart(slot)
                 elif slot.deadline_at is not None \
                         and now > slot.deadline_at:
-                    self.outcome.metrics.count(
-                        "campaign.executor.chunk_timeouts")
+                    metrics.count("campaign.executor.chunk_timeouts")
                     self._terminate(slot)
                     self._attempt_failed(slot, "chunk-timeout")
                     self._schedule_restart(slot)
@@ -382,99 +297,121 @@ class ShardSupervisor:
             process.kill()
             process.join(timeout=1.0)
 
-    # -- task flow -------------------------------------------------------
+    # -- unit flow -------------------------------------------------------
 
     def _assign_tasks(self) -> None:
-        if not self.pending:
-            return
         now = clock.monotonic()
         remaining = None
         if self.config.deadline_seconds is not None:
             remaining = self.config.deadline_seconds \
-                - (now - self.started)
+                - (now - self.campaign.started)
         for slot in self.slots:
-            if not self.pending:
-                return
             if not slot.idle:
                 continue
-            task = self.pending[0]
-            key = (task.chunk_index, task.start, task.stop)
-            if self.chunk_gate is not None \
-                    and not self.chunk_gate.try_acquire(task.width):
-                # Non-blocking on purpose: a blocked acquire here would
-                # starve heartbeat processing; the next supervise tick
-                # retries once the scheduler frees a grant.
+            unit = self._next_unit()
+            if unit is None:
                 return
-            self.pending.popleft()
-            self._gate_held[key] = task.width
-            attempt = self.attempts.get(key, 0) + 1
-            self.attempts[key] = attempt
-            slot.task = task
+            attempt = self.attempts.get(unit, 0) + 1
+            self.attempts[unit] = attempt
+            slot.task = unit
             slot.attempt = attempt
             slot.assigned_at = slot.last_heartbeat = now
             bounds = [b for b in (self.config.chunk_timeout, remaining)
                       if b is not None]
             slot.deadline_at = now + min(bounds) if bounds else None
-            slot.queue.put(task.message(attempt))
-            chunk_span = self.tracer.start(
-                self._task_span_name(task), "chunk",
-                parent=slot.lane_span, rows=task.width, attempt=attempt)
-            self._open_spans[key] = chunk_span
+            slot.queue.put((unit, attempt))
+            index, start, stop = unit[0]
+            slot.span = self.campaign.tracer.start(
+                self.campaign.span_name(unit[0]), "chunk",
+                parent=slot.lane_span, rows=int(stop - start),
+                launch=int(index), attempt=attempt)
 
-    def _task_span_name(self, task: _Task) -> str:
-        start, stop = self.chunk_ranges[task.chunk_index]
-        if task.start == start and task.stop == stop:
-            return f"chunk-{task.chunk_index}"
-        return (f"chunk-{task.chunk_index}"
-                f"[{task.start - start}:{task.stop - start}]")
+    def _next_unit(self) -> tuple | None:
+        """A started unit to run again, else the next launch group.
 
-    def _gate_release(self, key: tuple) -> None:
-        width = self._gate_held.pop(key, None)
-        if width is not None and self.chunk_gate is not None:
-            self.chunk_gate.release(width)
+        ``None`` when the chunk gate grants nothing, or when the
+        campaign's crash or deadline predicate fires at the next
+        group's first chunk. Grants are tried, never waited for: a
+        blocked acquire here would starve heartbeat processing, and the
+        next tick tries again.
+        """
+        campaign = self.campaign
+        gate = campaign.chunk_gate
+        if self.retry:
+            unit = self.retry[0]
+            for held, (_, start, stop) in enumerate(unit):
+                if gate is not None and not gate.try_acquire(stop - start):
+                    for _, begin, end in unit[:held]:
+                        gate.release(end - begin)
+                    return None
+            return self.retry.popleft()
+        plan = campaign.spec.fault_plan
+        if self.position == len(self.work) or (
+                plan is not None
+                and plan.crashes_before_launch(self.position)) \
+                or _deadline_exceeded(self.config, plan, campaign.started,
+                                      self.position):
+            return None
+        _, start, stop = self.work[self.position]
+        if gate is not None and not gate.try_acquire(stop - start):
+            return None
+        unit = tuple(campaign.group(self.work, self.position,
+                                    self.position))
+        self.position += len(unit)
+        return unit
 
-    def _attempt_failed(self, slot: _Slot, reason: str) -> None:
-        task, attempt = slot.task, slot.attempt
+    def _free(self, slot: _Slot, outcome: str) -> tuple:
+        """Take the unit off ``slot``: end its span, return its grants."""
+        unit = slot.task
         slot.task = None
         slot.deadline_at = None
-        key = (task.chunk_index, task.start, task.stop)
-        self._gate_release(key)
-        span = self._open_spans.pop(key, None)
-        if span is not None:
-            self.tracer.end(span, outcome=reason)
-        if attempt >= self.config.max_chunk_attempts:
-            if task.width > 1:
-                self._split(task)
-            else:
-                self._quarantine(task, reason, attempt)
+        self.campaign.tracer.end(slot.span, outcome=outcome)
+        if self.campaign.chunk_gate is not None:
+            for _, start, stop in unit:
+                self.campaign.chunk_gate.release(stop - start)
+        return unit
+
+    def _attempt_failed(self, slot: _Slot, reason: str) -> None:
+        attempt = slot.attempt
+        unit = self._free(slot, reason)
+        if attempt < self.config.max_chunk_attempts:
+            self.campaign.metrics.count("campaign.executor.reassignments")
+            self.retry.appendleft(unit)
+        elif unit[-1][2] - unit[0][1] > 1:
+            self._split(unit)
         else:
-            self.outcome.metrics.count("campaign.executor.reassignments")
-            self.pending.appendleft(task)
+            self._quarantine(unit, reason, attempt)
 
-    def _split(self, task: _Task) -> None:
-        # The memory-governor halving pattern: a poison row keeps
-        # killing workers, but every split narrows the blast radius
-        # until quarantine isolates it at minimum width.
-        self.outcome.metrics.count("campaign.executor.splits")
-        middle = task.start + task.width // 2
-        self.pending.appendleft(_Task(task.chunk_index, middle, task.stop))
-        self.pending.appendleft(_Task(task.chunk_index, task.start, middle))
+    def _split(self, unit: tuple) -> None:
+        # A group halves at chunk boundaries, a single chunk at its
+        # middle row; every half gets a fresh attempt budget.
+        self.campaign.metrics.count("campaign.executor.splits")
+        if len(unit) > 1:
+            middle = len(unit) // 2
+            halves = [unit[:middle], unit[middle:]]
+        else:
+            (index, start, stop), = unit
+            middle = start + (stop - start) // 2
+            halves = [((index, start, middle),), ((index, middle, stop),)]
+        self.retry.extendleft(reversed(halves))
 
-    def _quarantine(self, task: _Task, reason: str, attempts: int) -> None:
-        state = self._chunk_state(task.chunk_index)
-        local = np.arange(task.start - state.start, task.stop - state.start)
-        for offset, row in enumerate(range(task.start, task.stop)):
-            state.quarantine.add(WorkerFailure(
-                row=int(local[offset]),
-                rate_constants=self.batch.rate_constants[row].copy(),
-                initial_state=self.batch.initial_states[row].copy(),
-                reason=reason, worker_attempts=attempts))
-        state.buffer.status_codes[local] = BROKEN
-        state.covered += task.width
-        self.outcome.metrics.count("campaign.executor.quarantined_rows",
-                                   task.width)
-        if state.complete:
-            self._finalize_chunk(task.chunk_index)
+    def _quarantine(self, unit: tuple, reason: str, attempts: int) -> None:
+        campaign = self.campaign
+        batch = campaign.batch
+        (_, start, stop), = unit
+        result = allocate_result(campaign.spec.t_eval, stop - start,
+                                 campaign.spec.model.n_species,
+                                 METHOD_DOPRI5)
+        result.status_codes[:] = BROKEN
+        log = QuarantineLog([WorkerFailure(
+            row=row - start,
+            rate_constants=batch.rate_constants[row].copy(),
+            initial_state=batch.initial_states[row].copy(),
+            reason=reason, worker_attempts=attempts)
+            for row in range(start, stop)])
+        campaign.metrics.count("campaign.executor.quarantined_rows",
+                               stop - start)
+        campaign.finish(unit, result, log, None, campaign.campaign_span)
 
     # -- messages --------------------------------------------------------
 
@@ -497,7 +434,7 @@ class ShardSupervisor:
             return
         # Nothing pending anywhere: instead of sleeping a fixed tick
         # (which turns into dead hand-off latency for every finished
-        # chunk), block briefly on one live queue so its messages wake
+        # unit), block briefly on one live queue so its messages wake
         # the supervisor the moment they arrive. The blocked-on slot
         # rotates so no worker's messages wait more than one tick
         # behind another's.
@@ -524,122 +461,38 @@ class ShardSupervisor:
         if kind == MSG_READY:
             slot.last_heartbeat = now
             return
-        current = None if slot.task is None \
-            else slot.task.message(slot.attempt)
+        current = None if slot.task is None else (slot.task, slot.attempt)
         if task_message != current:
-            return  # stale: the task was already reassigned
+            return  # stale: the unit was already reassigned
+        campaign = self.campaign
         if kind == MSG_HEARTBEAT:
             slot.last_heartbeat = now
         elif kind == MSG_DONE:
-            task, attempt = slot.task, slot.attempt
-            slot.task = None
-            slot.deadline_at = None
+            threshold = self.config.slow_chunk_seconds
+            if threshold is not None and now - slot.assigned_at > threshold:
+                campaign.metrics.count("campaign.executor.slow_chunks")
+            unit = self._free(slot, "done")
             slot.chunks_done += 1
-            self._note_slowness(slot, task, now)
-            key = (task.chunk_index, task.start, task.stop)
-            self._gate_release(key)
-            span = self._open_spans.pop(key, None)
-            if span is not None:
-                self.tracer.end(span, outcome="done")
-            self._absorb_piece(task, payload)
+            result, quarantine_dicts, metrics_dict = payload
+            campaign.finish(unit, result,
+                            QuarantineLog.from_dicts(quarantine_dicts),
+                            None if metrics_dict is None
+                            else MetricsRegistry.from_dict(metrics_dict),
+                            slot.lane_span)
+            campaign.metrics.count("campaign.launches")
         elif kind == MSG_FAILED:
-            self.outcome.metrics.count("campaign.executor.worker_errors")
+            campaign.metrics.count("campaign.executor.worker_errors")
             self._attempt_failed(slot, f"worker-error: {payload}")
-
-    def _note_slowness(self, slot: _Slot, task: _Task, now: float) -> None:
-        threshold = self.config.slow_chunk_seconds
-        if threshold is not None and now - slot.assigned_at > threshold:
-            self.outcome.metrics.count("campaign.executor.slow_chunks")
-
-    # -- chunk assembly --------------------------------------------------
-
-    def _chunk_state(self, index: int) -> _ChunkState:
-        state = self.chunk_states.get(index)
-        if state is None:
-            start, stop = self.chunk_ranges[index]
-            state = self.chunk_states[index] = _ChunkState(
-                start, stop, self.t_eval, self.n_species)
-        return state
-
-    def _absorb_piece(self, task: _Task, payload) -> None:
-        result, quarantine_dicts, metrics_dict = payload
-        state = self._chunk_state(task.chunk_index)
-        local = np.arange(task.start - state.start,
-                          task.stop - state.start)
-        state.buffer.merge_rows(result, local)
-        state.covered += task.width
-        if quarantine_dicts:
-            state.quarantine.merge(
-                QuarantineLog.from_dicts(quarantine_dicts),
-                row_offset=task.start - state.start)
-        if metrics_dict is not None:
-            state.metrics.merge(MetricsRegistry.from_dict(metrics_dict))
-            state.has_metrics = True
-        if state.complete:
-            self._finalize_chunk(task.chunk_index)
-
-    def _finalize_chunk(self, index: int) -> None:
-        state = self.chunk_states.pop(index)
-        if self.checkpoint is not None:
-            shifted = QuarantineLog()
-            shifted.merge(state.quarantine, row_offset=state.start)
-            self.checkpoint.commit(
-                [(index, state.buffer, shifted.to_dicts())],
-                state.metrics.to_dict() if state.has_metrics else None)
-        # Same transactional alignment as the serial loop: spans flush
-        # only once their chunk is journaled.
-        self.tracer.flush()
-        rows = np.arange(state.start, state.stop)
-        self.merged.merge_rows(state.buffer, rows)
-        self.outcome.chunk_quarantines[index] = state.quarantine
-        self.outcome.chunk_metrics[index] = (state.metrics
-                                             if state.has_metrics else None)
-        self.outcome.executed += 1
-
-    # -- degraded serial fallback ----------------------------------------
-
-    def _degrade(self) -> None:
-        """The pool is gone: finish the remaining pieces in-process.
-
-        Runs the identical chunk-execution code the workers run
-        (:func:`~repro.resilience.worker.execute_chunk`), in
-        deterministic ``(chunk, row-range)`` order, under the same
-        crash/deadline checks as the serial campaign loop.
-        """
-        self.outcome.degraded = True
-        self.outcome.metrics.count("campaign.executor.degradations")
-        self.pending = deque(sorted(self.pending))
-        while self.pending:
-            if self.cancel_event is not None \
-                    and self.cancel_event.is_set():
-                self.outcome.cancelled = True
-                return
-            self._check_crash()
-            if self._deadline_exceeded():
-                self.outcome.deadline_hit = True
-                return
-            task = self.pending.popleft()
-            if self.chunk_gate is not None and not self.chunk_gate.acquire(
-                    task.width, self.cancel_event):
-                self.outcome.cancelled = True
-                return
-            span = self.tracer.start(self._task_span_name(task), "chunk",
-                                     parent=self.campaign_span,
-                                     rows=task.width, degraded=True)
-            try:
-                payload = execute_chunk(self.spec, self.batch,
-                                        task.chunk_index, task.start,
-                                        task.stop)
-            finally:
-                if self.chunk_gate is not None:
-                    self.chunk_gate.release(task.width)
-            self.tracer.end(span, outcome="done")
-            self._absorb_piece(task, payload)
 
     # -- teardown --------------------------------------------------------
 
     def _shutdown(self) -> None:
         for slot in self.slots:
+            if slot.task is not None:
+                # Abandoned in flight (deadline, cancel or crash): the
+                # grants go back to the scheduler, or other campaigns
+                # starve on our teardown.
+                self._free(slot, "abandoned")
             if slot.alive:
                 try:
                     slot.queue.put(None)
@@ -657,33 +510,14 @@ class ShardSupervisor:
             slot.process = None
         for slot in self.slots:
             self._retire_queue(slot)
-        if not self._lanes_ended:
-            self._lanes_ended = True
-            for slot in self.slots:
-                if slot.lane_span is not None:
-                    self.tracer.end(slot.lane_span, restarts=slot.restarts,
-                                    chunks=slot.chunks_done)
-        for key, span in list(self._open_spans.items()):
-            # Abandoned in-flight spans (deadline/crash teardown).
-            self.tracer.end(span, outcome="abandoned")
-            del self._open_spans[key]
-        for key in list(self._gate_held):
-            # Grants of abandoned in-flight tasks go back to the
-            # scheduler, or other campaigns starve on our teardown.
-            self._gate_release(key)
+            if slot.lane_span is not None:
+                self.campaign.tracer.end(slot.lane_span,
+                                         restarts=slot.restarts,
+                                         chunks=slot.chunks_done)
 
 
-def run_sharded(spec: WorkerSpec, batch, config, fault_plan,
-                chunk_indices, checkpoint, merged: BatchSolveResult,
-                n_species: int, t_eval: np.ndarray, started: float,
-                completed_before: int, tracer, campaign_span,
-                chunk_gate=None, cancel_event=None) -> ExecutorOutcome:
-    """Execute the given ``(index, start, stop)`` chunks on a
-    supervised worker pool; see the module docstring for the ladder."""
-    supervisor = ShardSupervisor(spec, batch, config, fault_plan,
-                                 chunk_indices, checkpoint, merged,
-                                 n_species, t_eval, started,
-                                 completed_before, tracer, campaign_span,
-                                 chunk_gate=chunk_gate,
-                                 cancel_event=cancel_event)
-    return supervisor.run()
+def run_sharded(campaign, work) -> list:
+    """Run a campaign's ``(index, start, stop)`` work-list on a
+    supervised worker pool; see the module docstring for the ladder.
+    Returns what a collapsed pool left for the serial loop."""
+    return ShardSupervisor(campaign, work).run()

@@ -36,9 +36,9 @@ campaign runner honor:
 * ``worker_kill_chunks`` / ``worker_hang_chunks`` /
   ``worker_slow_chunks`` — process-level faults honored by the shard
   executor's worker entry point (:mod:`repro.resilience.worker`): a
-  worker assigned a listed chunk dies (``os._exit``), hangs (stops
-  heartbeating), or runs slow (``worker_slow_seconds`` of extra
-  latency, heartbeats intact). Each fault fires on the first
+  listed chunk runs in a launch of its own, and the worker assigned it
+  dies (``os._exit``), hangs (stops heartbeating), or runs slow
+  (``worker_slow_seconds`` of extra latency, heartbeats intact). Each fault fires on the first
   ``worker_fault_attempts`` attempts of the chunk, so the default of 1
   is a *transient* fault the supervisor recovers from by restarting
   the worker and reassigning the chunk, while a large value makes the

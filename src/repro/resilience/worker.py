@@ -1,36 +1,38 @@
 """Worker entry point of the supervised shard executor.
 
-One worker process executes one campaign chunk (or split piece) at a
-time, exactly the way the serial campaign loop would —
-:func:`repro.resilience.campaign._run_chunk` on the chunk's row
-subset — so the bytes it produces are indistinguishable from an
-in-process run. What the worker adds is *liveness*: a daemon heartbeat
-thread streams :data:`MSG_HEARTBEAT` messages over the shared result
-queue while the chunk integrates, so the supervisor
-(:mod:`repro.resilience.executor`) can tell a slow worker from a hung
-one and a hung one from a dead one.
+One worker process runs one unit of a campaign at a time — a launch
+group of whole chunks, or a split piece of one chunk — through the
+serial campaign loop's own launch body,
+:func:`repro.resilience.campaign._run_chunk`, so the bytes it produces
+are indistinguishable from an in-process run. What the worker adds is
+*liveness*: a daemon heartbeat thread streams :data:`MSG_HEARTBEAT`
+messages over the shared result queue while the unit integrates, so
+the supervisor (:mod:`repro.resilience.executor`) can tell a slow
+worker from a hung one and a hung one from a dead one.
 
 Message protocol (every message is ``(kind, token, task, payload)``
 where ``token`` is the supervisor-issued ``(slot, generation)`` pair
-and ``task`` is the ``(chunk_index, start, stop, attempt)`` tuple):
+and ``task`` is the ``(unit, attempt)`` pair, the unit a tuple of
+``(chunk_index, start, stop)`` pieces in campaign rows):
 
 * :data:`MSG_READY` — the worker process is up and waiting for work.
 * :data:`MSG_HEARTBEAT` — the current task is still making progress.
 * :data:`MSG_DONE` — payload carries ``(BatchSolveResult,
-  quarantine_dicts, metrics_dict)`` for the finished task.
-* :data:`MSG_FAILED` — the chunk raised inside the worker; payload is
+  quarantine_dicts, metrics_dict)`` for the finished task, the
+  quarantine rows local to the unit.
+* :data:`MSG_FAILED` — the unit raised inside the worker; payload is
   the formatted error. The supervisor treats this like any other
   attempt failure (retry budget, then split/quarantine).
 
 Fault injection: a :class:`~repro.resilience.FaultPlan` with
 ``worker_kill_chunks`` / ``worker_hang_chunks`` / ``worker_slow_chunks``
-is honored *here*, at the process level — a kill is a hard
+is honored *here*, at the process level, for the unit's first chunk
+(the campaign runs a listed chunk alone) — a kill is a hard
 ``os._exit`` (no message, no cleanup, exactly like the OOM killer), a
 hang stops heartbeating while the process stays alive, and a slow
 worker sleeps ``worker_slow_seconds`` before executing, heartbeats
-intact. Engine-level faults are re-based with
-:meth:`~repro.resilience.FaultPlan.for_chunk` and forwarded into the
-chunk execution, identical to the serial path.
+intact. Engine-level faults are re-based by ``_run_chunk`` exactly as
+on the serial path.
 """
 
 from __future__ import annotations
@@ -59,13 +61,14 @@ _HANG_SLEEP_SECONDS = 3600.0
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to execute any chunk of one campaign.
+    """Everything needed to launch any unit of one campaign.
 
-    Shipped once per worker process at spawn time; individual task
-    messages then only carry ``(chunk_index, start, stop, attempt)``.
-    ``engine_kwargs`` must be picklable — the supervisor strips the
-    tracer before building the spec (workers run untraced; the
-    supervisor records per-worker spans from its own clock).
+    The serial loop builds one per campaign run; with workers it is
+    also shipped once per worker process at spawn time, so individual
+    task messages only carry ``(unit, attempt)``. ``engine_kwargs``
+    must be picklable. The campaign's tracer is not part of the spec:
+    workers run untraced, and the supervisor records per-worker spans
+    from its own clock.
     """
 
     model: object
@@ -85,33 +88,12 @@ def _heartbeat_loop(result_queue, token, task, interval: float,
         result_queue.put((MSG_HEARTBEAT, token, task, None))
 
 
-def execute_chunk(spec: WorkerSpec, batch, chunk_index: int, start: int,
-                  stop: int):
-    """Run one chunk's row range exactly like the serial campaign loop.
-
-    Returns ``(BatchSolveResult, quarantine_dicts, metrics_dict)``
-    with the quarantine rows local to the piece and the metrics
-    already serialized. Shared by the worker process and the
-    supervisor's degraded in-process fallback, which is what keeps the
-    two paths bit-identical by construction.
-    """
-    from .campaign import _run_chunk
-
-    rows = np.arange(start, stop)
-    plan = spec.fault_plan
-    chunk_plan = (None if plan is None
-                  else plan.for_chunk(chunk_index, start, stop))
-    result, quarantine, report = _run_chunk(
-        spec.model, batch.subset(rows), spec.t_span, spec.t_eval,
-        spec.engine, spec.options, spec.retry_policy, chunk_plan,
-        spec.engine_kwargs)
-    metrics = None if report is None else report.metrics.to_dict()
-    return result, quarantine.to_dicts(), metrics
-
-
 def _execute_task(spec: WorkerSpec, batch, token, task,
                   result_queue) -> None:
-    chunk_index, start, stop, attempt = task
+    from .campaign import _run_chunk
+
+    unit, attempt = task
+    chunk_index = unit[0][0]
     plan = spec.fault_plan
 
     if plan is not None and plan.kills_worker(chunk_index, attempt):
@@ -134,7 +116,7 @@ def _execute_task(spec: WorkerSpec, batch, token, task,
     try:
         if plan is not None and plan.slows_worker(chunk_index, attempt):
             time.sleep(plan.worker_slow_seconds)
-        payload = execute_chunk(spec, batch, chunk_index, start, stop)
+        result, quarantine, report = _run_chunk(spec, batch, unit)
     except Exception as error:  # noqa: BLE001 — forwarded, not dropped
         stop_event.set()
         beat.join()
@@ -143,7 +125,9 @@ def _execute_task(spec: WorkerSpec, batch, token, task,
     else:
         stop_event.set()
         beat.join()
-        result_queue.put((MSG_DONE, token, task, payload))
+        result_queue.put((MSG_DONE, token, task, (
+            result, quarantine.to_dicts(),
+            None if report is None else report.metrics.to_dict())))
 
 
 def worker_main(token, spec: WorkerSpec, batch, task_queue,

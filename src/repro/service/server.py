@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 from pathlib import Path
 
@@ -87,11 +88,21 @@ class _ServerState:
 
 
 def _request_from_payload(state: _ServerState, payload: dict) -> JobRequest:
-    # Reject an unknown engine before any model is loaded from disk.
+    # Reject an unknown engine, or a chunking or worker pool the
+    # campaign cannot run, before any model is loaded from disk.
     engine = payload.get("engine")
     if engine is not None and engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{ENGINES}")
+    if payload.get("chunk_size") is not None \
+            and int(payload["chunk_size"]) < 1:
+        raise ValueError(
+            f"chunk_size must be >= 1, got {payload['chunk_size']}")
+    max_workers = os.cpu_count() or 1
+    if payload.get("workers") is not None \
+            and not 0 <= int(payload["workers"]) <= max_workers:
+        raise ValueError(f"workers must be in 0..{max_workers}, got "
+                         f"{payload['workers']}")
     model = state.model(str(payload["model"]))
     t_span = payload.get("t_span", [0.0, 1.0])
     request = JobRequest(model=model,

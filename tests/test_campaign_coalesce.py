@@ -96,9 +96,10 @@ class TestMergeIsLaunchWidthIndependent:
            cap=st.integers(1, 12),
            nan_rows=st.sets(st.integers(0, 12), max_size=2),
            drift_rows=st.sets(st.integers(0, 12), max_size=2),
-           guarded=st.booleans())
+           guarded=st.booleans(), workers=st.sampled_from([0, 1]))
     def test_matches_one_launch_per_chunk(self, size, chunk_size, cap,
-                                          nan_rows, drift_rows, guarded):
+                                          nan_rows, drift_rows, guarded,
+                                          workers):
         model = dimerization()
         batch = batch_of(model, size)
         kwargs = dict(retry_policy=default_retry_policy(),
@@ -108,9 +109,11 @@ class TestMergeIsLaunchWidthIndependent:
                                            drift_rate=0.5),
                       guard_config=GuardConfig() if guarded else None)
         config = CampaignConfig(chunk_size=chunk_size)
+        # One worker process runs the same launch groups as the loop.
         coalesced = run_campaign(model, T_SPAN, T_EVAL, batch,
-                                 config=config, max_batch_per_launch=cap,
-                                 **kwargs)
+                                 config=CampaignConfig(chunk_size=chunk_size,
+                                                       workers=workers),
+                                 max_batch_per_launch=cap, **kwargs)
         per_chunk = run_campaign(model, T_SPAN, T_EVAL, batch,
                                  config=config,
                                  max_batch_per_launch=chunk_size, **kwargs)

@@ -540,3 +540,78 @@ class TestCorruptChunkArchive:
         assert healed.resumed_chunks == 3
         assert healed.metrics.counters["campaign.chunks.executed"] == 1
         assert_bit_identical(healed, serial)
+
+
+def assert_rows_identical(outcome, serial, rows):
+    for name in ("y", "status_codes", "method_codes", "n_steps",
+                 "n_accepted", "n_rejected"):
+        assert getattr(outcome.result, name)[rows].tobytes() \
+            == getattr(serial.result, name)[rows].tobytes()
+
+
+class TestCoalescedUnits:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clean_run_launches_like_the_serial_loop(self, lv_model,
+                                                     lv_batch, serial,
+                                                     workers):
+        outcome = run_campaign(
+            lv_model, T_SPAN, T_EVAL, lv_batch,
+            config=CampaignConfig(workers=workers, **FAST))
+        assert serial.metrics.counters["campaign.launches"] == 1
+        assert outcome.metrics.counters["campaign.launches"] == 1
+        assert outcome.metrics.counters["campaign.chunks.executed"] == 4
+        assert_bit_identical(outcome, serial)
+
+    def test_worker_fault_chunk_runs_alone(self, lv_model, lv_batch,
+                                           serial):
+        outcome = run_campaign(
+            lv_model, T_SPAN, T_EVAL, lv_batch,
+            config=CampaignConfig(workers=2, **FAST),
+            fault_plan=FaultPlan(worker_kill_chunks=(1,)))
+        # [0], then [1] alone (killed once, then reassigned), then [2, 3]
+        assert outcome.metrics.counters["campaign.launches"] == 3
+        assert_bit_identical(outcome, serial)
+
+
+class TestDegradedFallback:
+    #: Every chunk kills its worker on every attempt, one attempt per
+    #: unit: chunk 0 splits row by row, each death spends a restart.
+    POISON = FaultPlan(worker_kill_chunks=(0, 1, 2, 3),
+                       worker_fault_attempts=1000)
+
+    def test_keeps_quarantined_rows(self, lv_model, lv_batch, serial):
+        # Deaths on [0:3], [0:1], [1:3], [1:2], [2:3] quarantine chunk
+        # 0's rows; the fifth death finds no restart left, and the
+        # serial loop runs chunks 1-3.
+        outcome = run_campaign(
+            lv_model, T_SPAN, T_EVAL, lv_batch,
+            config=CampaignConfig(workers=1, max_chunk_attempts=1,
+                                  max_worker_restarts=4, **FAST),
+            fault_plan=self.POISON)
+        assert outcome.degraded and not outcome.incomplete
+        assert outcome.quarantine.rows().tolist() == [0, 1, 2]
+        assert all(isinstance(record, WorkerFailure)
+                   for record in outcome.quarantine)
+        assert_rows_identical(outcome, serial, np.arange(3, 10))
+
+    def test_finishes_a_half_split_chunk(self, lv_model, lv_batch, serial,
+                                         tmp_path):
+        # The third death, on [1:3], leaves its halves pending: the
+        # serial loop runs them as pieces, and chunk 0 is journaled
+        # once its pieces cover it, row 0 still quarantined.
+        journal = tmp_path / "campaign.json"
+        outcome = run_campaign(
+            lv_model, T_SPAN, T_EVAL, lv_batch,
+            config=CampaignConfig(workers=1, max_chunk_attempts=1,
+                                  max_worker_restarts=2,
+                                  checkpoint_path=journal, **FAST),
+            fault_plan=self.POISON)
+        assert outcome.degraded and not outcome.incomplete
+        assert outcome.quarantine.rows().tolist() == [0]
+        assert_rows_identical(outcome, serial, np.arange(1, 10))
+        resumed = run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch,
+                               config=CampaignConfig(
+                                   chunk_size=3, checkpoint_path=journal))
+        assert resumed.resumed_chunks == 4
+        assert resumed.quarantine.rows().tolist() == [0]
+        assert resumed.result.y.tobytes() == outcome.result.y.tobytes()

@@ -726,6 +726,51 @@ class TestServer:
         assert stats["states"] == {}
         assert "service.jobs.submitted" not in stats["metrics"]["counters"]
 
+    @pytest.mark.parametrize("field, value", [("chunk_size", 0),
+                                              ("chunk_size", -1),
+                                              ("workers", -1)])
+    def test_unrunnable_chunking_is_a_bad_request(self, server_port,
+                                                  model_folder, field,
+                                                  value):
+        """A chunking or worker count the campaign cannot run is
+        refused at the boundary: never admitted, never counted as a
+        submission, and no supervisor crash."""
+        import json
+        line = json.dumps({"op": "submit", "model": str(model_folder),
+                           "t_span": [0.0, 2.0], field: value}).encode()
+        self._assert_bad_request_in_step(server_port, line + b"\n", field)
+        with Client(port=server_port) as client:
+            stats = client.stats()
+        assert stats["states"] == {}
+        counters = stats["metrics"]["counters"]
+        assert "service.jobs.submitted" not in counters
+        assert "service.supervisor.crashes" not in counters
+
+    def test_worker_count_is_bounded_by_the_cpus(self, lv_model):
+        """Checked without a server: an accepted count would fork one
+        process per worker."""
+        import os
+
+        from repro.service.server import _request_from_payload
+
+        class Models:
+            def __init__(self):
+                self.loaded = []
+
+            def model(self, path):
+                self.loaded.append(path)
+                return lv_model
+
+        cpus = os.cpu_count() or 1
+        state = Models()
+        with pytest.raises(ValueError, match="workers"):
+            _request_from_payload(state, {"model": "lv",
+                                          "workers": cpus + 1})
+        assert state.loaded == []
+        request = _request_from_payload(state, {"model": "lv",
+                                                "workers": cpus})
+        assert request.workers == cpus
+
     def test_admission_errors_cross_the_wire(self, model_folder):
         ports = queue.Queue()
         config = ServiceConfig(
