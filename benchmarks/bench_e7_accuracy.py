@@ -15,6 +15,8 @@ A secondary series times the PI step controller against the elementary
 one (a design-choice ablation called out in DESIGN.md).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.models import decay_chain, robertson
 from repro.solvers import (DOPRI5, ExplicitRungeKutta, Radau5,
                            SolverOptions)
 
-from common import write_report
+from common import write_bench_json, write_report
 
 OPTIONS = SolverOptions(rtol=1e-6, atol=1e-12, max_steps=200_000)
 REFERENCE_OPTIONS = SolverOptions(rtol=1e-11, atol=1e-14,
@@ -134,6 +136,17 @@ def test_report(benchmark):
 
     text = benchmark.pedantic(render, rounds=1, iterations=1)
     write_report("e7_accuracy", text)
+    # A failed engine's NaN is written as null (strict JSON).
+    write_bench_json("e7_accuracy", {
+        "tolerances": {"rtol": OPTIONS.rtol, "atol": OPTIONS.atol},
+        "max_relative_error": {
+            problem: {engine: None if math.isnan(error) else float(error)
+                      for (name, engine), error in state["errors"].items()
+                      if name == problem}
+            for problem in ("bateman", "robertson")},
+        "controller_steps": {"pi": state["controller_steps"][True],
+                             "elementary": state["controller_steps"][False]},
+    })
     # Parity assertion: batched error within 10x of scalar counterparts.
     batched = state["errors"][("robertson", "batched")]
     scalar = state["errors"][("robertson", "radau5")]

@@ -12,9 +12,14 @@ Two assertions gate the run (executed as a plain script by the CI
     PYTHONPATH=src python benchmarks/bench_executor.py
 
 * every sharded result is *byte-identical* to the serial reference;
-* the paired-median overhead of ``workers=1`` vs serial stays within
-  5% — the supervision machinery (heartbeats, polling tick, queue
-  transfer) must be cheap when nothing fails.
+* the overhead of ``workers=1`` vs serial stays within 5% — the
+  supervision machinery (heartbeats, polling tick, queue transfer)
+  must be cheap when nothing fails. The overhead is the median over
+  rounds of each round's ratio of the ``workers=1`` time to the serial
+  time, the two run back to back in alternating order, so drift of a
+  shared machine between rounds cancels. The ratio of the two arms' unpaired medians is
+  reported beside it (``workers_1_overhead_of_medians``) but not gated:
+  on a shared 2-vCPU machine it swings more than the budget.
 
 Both arms of the gate run with ``max_batch_per_launch=CHUNK_SIZE``, so
 each runs one launch per chunk and the gate compares supervision cost,
@@ -94,14 +99,24 @@ def main() -> int:
     serial_signature = signature(reference)
 
     # Paired measurements: serial and each worker count interleaved in
-    # every round so machine drift cancels; the gate compares medians.
+    # every round. The gate's two arms, serial and workers=1, run back
+    # to back, in alternating order (the second run of a pair tends to
+    # be the slower one), and the gate takes the median of the
+    # per-round ratios.
     serial_times: list[float] = []
     coalesced_times: list[float] = []
     sharded_coalesced_times: list[float] = []
     sharded_times: dict[int, list[float]] = {w: [] for w in WORKER_COUNTS}
-    for _ in range(REPEATS):
-        elapsed, _ = one_run(batch, 0)
-        serial_times.append(elapsed)
+    for round_index in range(REPEATS):
+        gate_arms = [0, 1] if round_index % 2 == 0 else [1, 0]
+        for workers in gate_arms + WORKER_COUNTS[1:]:
+            elapsed, outcome = one_run(batch, workers)
+            if workers == 0:
+                serial_times.append(elapsed)
+                continue
+            sharded_times[workers].append(elapsed)
+            assert signature(outcome) == serial_signature, \
+                f"workers={workers} result is not byte-identical to serial"
         elapsed, outcome = one_run(batch, 0, coalesce=True)
         coalesced_times.append(elapsed)
         assert signature(outcome) == serial_signature, \
@@ -110,11 +125,6 @@ def main() -> int:
         sharded_coalesced_times.append(elapsed)
         assert signature(outcome) == serial_signature, \
             "coalesced workers=2 result is not byte-identical to serial"
-        for workers in WORKER_COUNTS:
-            elapsed, outcome = one_run(batch, workers)
-            sharded_times[workers].append(elapsed)
-            assert signature(outcome) == serial_signature, \
-                f"workers={workers} result is not byte-identical to serial"
 
     serial_median = statistics.median(serial_times)
     coalesced_median = statistics.median(coalesced_times)
@@ -132,9 +142,13 @@ def main() -> int:
     for workers in WORKER_COUNTS:
         print(f"workers={workers:<4}: {medians[workers] * 1e3:8.1f} ms  "
               f"({throughput[workers]:6.1f} chunks/s)")
-    overhead = medians[1] / serial_median - 1.0
-    print(f"workers=1 overhead: {overhead * 100:+6.2f}%  "
-          f"(budget {MAX_OVERHEAD * 100:.0f}%)")
+    overhead = statistics.median(
+        sharded / serial
+        for sharded, serial in zip(sharded_times[1], serial_times)) - 1.0
+    overhead_of_medians = medians[1] / serial_median - 1.0
+    print(f"workers=1 overhead: {overhead * 100:+6.2f}% paired  "
+          f"(budget {MAX_OVERHEAD * 100:.0f}%), "
+          f"{overhead_of_medians * 100:+6.2f}% of medians")
 
     write_bench_json("executor", {
         "workload": {"model": MODEL.name, "batch_size": BATCH_SIZE,
@@ -148,6 +162,7 @@ def main() -> int:
                               **{str(w): throughput[w]
                                  for w in WORKER_COUNTS}},
         "workers_1_overhead": overhead,
+        "workers_1_overhead_of_medians": overhead_of_medians,
         "bit_identical": True,
     })
 

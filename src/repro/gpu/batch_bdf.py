@@ -19,6 +19,11 @@ accept), so rows leave only through the set's retire mechanism.
 Step-size rescalings of the difference table are per-simulation (the
 R(factor) matrices are tiny and factor-specific), which mirrors the
 original's per-thread sequential bookkeeping.
+
+Steps are clipped only at the end of the span: the save points a step
+crosses are interpolated from the accepted step's difference table, as
+SciPy's ``BdfDenseOutput`` does. The scalar
+:class:`~repro.solvers.bdf.BDF` still clips its steps onto them.
 """
 
 from __future__ import annotations
@@ -32,9 +37,26 @@ from ..solvers.bdf import (ALPHA, ERROR_CONST, GAMMA, MAX_ORDER,
 from .batch_dopri5 import _scaled_error_norms
 from .batch_result import METHOD_BDF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import Launch, WorkingSet
+from .working_set import Interpolant, Launch, WorkingSet
 
-_EDGE = 1e-12
+
+def _difference_output(work: "_BdfSet", order: int) -> Interpolant:
+    """The interpolating polynomial of the set's difference tables at
+    ``order``, read after an accepted step's table update (SciPy's
+    ``BdfDenseOutput``): ``D[0] + sum_j D[j + 1] prod_(i <= j)
+    (t - t_new + i h) / ((i + 1) h)``, element-wise per row.
+    """
+    def interpolate(index: Array, times: Array) -> Array:
+        h = work.h[index]
+        offset = times - work.t[index]
+        table = work.differences[index]
+        value = table[:, 0, :]
+        product = xp.ones(index.size)
+        for j in range(order):
+            product = product * ((offset + j * h) / ((j + 1) * h))
+            value = value + table[:, j + 1, :] * product[:, None]
+        return value
+    return interpolate
 
 
 @dataclass
@@ -82,12 +104,11 @@ class BatchBDF:
               initial_states: Array | None = None) -> BatchSolveResult:
         options = self.options
         launch = Launch(self, problem, t_span, t_eval, initial_states, 1)
-        t_eval, t1, result = launch.t_eval, launch.t1, launch.result
+        t1, result = launch.t1, launch.result
         batch, n = problem.batch_size, problem.n_species
         identity = xp.eye(n)
         newton_tol = max(10 * xp.finfo(float).eps / options.rtol,
                          min(0.03, options.rtol ** 0.5))
-        last_save = t_eval.size - 1
 
         differences = xp.zeros((batch, MAX_ORDER + 3, n))
         differences[:, 0, :] = launch.y
@@ -103,29 +124,14 @@ class BatchBDF:
         launch.step_loop()
 
         while work.retire(result, options.max_steps):
-            # Catch-up guard: a row that drifted past its next save
-            # point by floating-point accident records the current
-            # state there (the drift is below the solver tolerance).
-            t = work.t
-            behind = t_eval[xp.minimum(work.save, last_save)] \
-                < t - _EDGE * xp.maximum(1.0, xp.abs(t))
-            if behind.any():
-                work.record(behind, result)
-                if not work.retire(result, options.max_steps):
-                    break
-                t = work.t
-
-            # Clip to the horizon and the next save point (per-sim D
-            # rescale for real step changes). Each row clips by a
-            # different factor and the difference-table rescale is
+            # Clip to the span's end (per-sim D rescale). Each row clips
+            # by a different factor and the difference-table rescale is
             # order-local, so this stays per-row.
-            target = xp.minimum(t1, t_eval[xp.minimum(work.save,
-                                                      last_save)]) - t
+            t = work.t
+            target = t1 - t
             # lint: skip=KRN001 -- per-row D rescale, scalar by design
-            for row in xp.flatnonzero(work.h > target * (1.0 + 1e-12)):
+            for row in xp.flatnonzero(work.h > target):
                 factor = target[row] / work.h[row]
-                if factor <= 0.0:
-                    continue
                 # lint: skip=KRN002 -- mixed per-row orders, scalar by design
                 row_order = int(work.orders[row])
                 change_difference_array(work.differences[row], row_order,
@@ -161,7 +167,7 @@ class BatchBDF:
         """One attempt of every set row in ``rows``, all at ``order``."""
         options = self.options
         h = work.h[rows]
-        t_new = work.t[rows] + h
+        t_new = launch.step_ends(work.t[rows], h)
         d_group = work.differences[rows]
         y_predict = d_group[:, :order + 1, :].sum(axis=1)
         psi = xp.einsum("bon,o->bn", d_group[:, 1:order + 1, :],
@@ -202,7 +208,6 @@ class BatchBDF:
         conv_rows = rows[converged]
         y_new = y_new[converged]
         correction = correction[converged]
-        h_conv = h[converged]
         n_iter = n_iter[converged]
         y_old = work.y[conv_rows]
         error = ERROR_CONST[order] * correction
@@ -233,7 +238,7 @@ class BatchBDF:
             return
         acc_rows = conv_rows[accepted]
         work.n_accepted[acc_rows] += 1
-        work.t[acc_rows] += h_conv[accepted]
+        work.t[acc_rows] = t_new[converged][accepted]
         work.jac_current[acc_rows] = False
         work.steps_at_order[acc_rows] += 1
 
@@ -254,14 +259,9 @@ class BatchBDF:
                                work.t[acc_rows], work.status)
 
         # Save before the order change: its table rescale recomputes the
-        # zeroth slice, which need not keep its bytes (-0.0 turns +0.0).
-        t_acc = work.t[acc_rows]
-        next_save = launch.t_eval[xp.minimum(work.save[acc_rows],
-                                             launch.t_eval.size - 1)]
-        landed = xp.zeros(work.rows.size, dtype=bool)
-        landed[acc_rows] = xp.abs(t_acc - next_save) \
-            <= 1e-9 * xp.maximum(1.0, xp.abs(t_acc))
-        work.record(landed, launch.result)
+        # zeroth slice, which need not keep its bytes (-0.0 turns +0.0),
+        # and changes the step the table is spaced by.
+        work.record(_difference_output(work, order), launch.result)
 
         # Order/step adaptation for rows that completed order+1 steps.
         adapt = acc_rows[work.steps_at_order[acc_rows] >= order + 1]

@@ -13,9 +13,11 @@ those rows. A row leaves the set (finished, exhausted, broken, stiff or
 stopped by the guard) and the set is compacted only on the iterations
 where that happens — the batched analogue of retiring finished threads.
 
-Save times are shared across the batch and hit exactly by per-sim step
-clipping, which is how the coarse-grained GPU simulators of this paper
-family record dynamics without dense output.
+Save times are shared across the batch. Steps are clipped only at the
+end of the span; a step that crosses save points records them from
+Hairer's quartic continuous extension, built from the stages the step
+already has (no extra right-hand-side launch), as LSODA interpolates
+instead of stepping onto its output times.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from dataclasses import dataclass
 
 from ..backend import Array, xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
-from ..solvers.tableaus import DOPRI5
+from ..solvers.tableaus import DOPRI5, DOPRI5_DENSE_D
 from .batch_result import METHOD_DOPRI5, RUNNING, STIFF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import Launch, WorkingSet
+from .working_set import Interpolant, Launch, WorkingSet
 
-_EDGE = 1e-12  # relative tolerance when matching save times
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
 _STIFFNESS_BOUNDARY = 3.25
 #: Consecutive violations before a simulation is declared stiff.
@@ -77,6 +78,31 @@ def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
     valid = (denominator > 0.0) & xp.isfinite(denominator)
     return valid & (h * xp.sqrt(numerator / denominator)
                     > _STIFFNESS_BOUNDARY)
+
+
+def _quartic_output(t: Array, h: Array, y_start: Array, y_end: Array,
+                  stage_k: Array) -> Interpolant:
+    """Hairer's quartic continuous extension of the step of size ``h``
+    from ``(t, y_start)`` to ``y_end`` with stages ``stage_k``.
+
+    The ``rcont1..5`` form of the scalar
+    :class:`~repro.solvers.explicit.Dopri5Interpolant`, evaluated
+    element-wise and only for the rows asked for, so each row rounds as
+    in its own launch.
+    """
+    def interpolate(index: Array, times: Array) -> Array:
+        step = h[index][:, None]
+        theta = (times - t[index])[:, None] / step
+        start = y_start[index]
+        stages = stage_k[:, index]
+        ydiff = y_end[index] - start
+        bspl = step * stages[0] - ydiff
+        rcont4 = ydiff - step * stages[-1] - bspl
+        rcont5 = step * _combine_stages(DOPRI5_DENSE_D, stages)
+        one_minus = 1.0 - theta
+        return start + theta * (ydiff + one_minus * (
+            bspl + theta * (rcont4 + one_minus * rcont5)))
+    return interpolate
 
 
 @dataclass
@@ -130,13 +156,10 @@ class BatchDopri5:
         tableau = DOPRI5
         launch = Launch(self, problem, t_span, t_eval, initial_states,
                         tableau.order)
-        t_eval, t1, result = launch.t_eval, launch.t1, launch.result
+        t1, result = launch.t1, launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
         error_exponent = -1.0 / (tableau.error_order + 1)
-        last_save = t_eval.size - 1
-        # A step that reaches this close to a save time lands on it.
-        save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
         guard = problem.guard
         n_stages = tableau.n_stages
         stage_weights = [tableau.a[i, :i] for i in range(n_stages)]
@@ -151,9 +174,6 @@ class BatchDopri5:
         while work.retire(result, options.max_steps):
             t = work.t
             h = xp.minimum(work.h, t1 - t)
-            next_save = xp.minimum(work.save, last_save)
-            hit = t + h >= save_reach[next_save]
-            h = xp.where(hit, t_eval[next_save] - t, h)
 
             # Non-finite steps (a NaN RHS poisoned the step heuristic or
             # controller) can never recover — break those rows at once.
@@ -164,7 +184,7 @@ class BatchDopri5:
                     break
                 # Every other row was running, so exactly these stay.
                 keep = ~broken
-                t, h, hit = work.t, h[keep], hit[keep]
+                t, h = work.t, h[keep]
 
             work.n_steps += 1
             y = work.y
@@ -217,7 +237,7 @@ class BatchDopri5:
             work.n_accepted += accepted
             work.previous_error = xp.where(accepted, err_accepted,
                                            work.previous_error)
-            t_new = t + h
+            t_new = launch.step_ends(t, h)
             if accepted.all():  # the selects would copy these unchanged
                 work.t, work.y, work.derivative = t_new, y_new, stage_k[-1]
             else:
@@ -234,8 +254,9 @@ class BatchDopri5:
             if violated is not None:
                 work.count_stiffness(accepted, violated)
 
-            # Save from the (possibly guard-clamped) working state, and
-            # only for rows the guard and the stiffness test left running.
-            work.record(accepted & hit, result)
+            # The extension ends at the (possibly guard-clamped) working
+            # state; only rows the guard and the stiffness test left
+            # running are saved.
+            work.record(_quartic_output(t, h, y, work.y, stage_k), result)
 
         return launch.finish()

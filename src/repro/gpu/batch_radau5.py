@@ -9,8 +9,10 @@ updates become batched matrix-vector products.
 
 Each simulation keeps its own step size, Jacobian freshness flag,
 factorization cache, collocation polynomial (used to predict the next
-step's stage values) and predictive step controller, exactly like the
-scalar :class:`~repro.solvers.radau5.Radau5` it is validated against.
+step's stage values and to interpolate the save points a step crosses)
+and predictive step controller, like the scalar
+:class:`~repro.solvers.radau5.Radau5` it is validated against (which
+still clips its steps onto the save points).
 
 That state lives in the persistent working set all three batched
 integrators share (:mod:`repro.gpu.working_set`): compact per-row
@@ -34,9 +36,8 @@ from ..solvers.radau5 import (MU_COMPLEX, MU_REAL, RADAU_C, RADAU_E, RADAU_T,
 from .batch_dopri5 import _scaled_error_norms
 from .batch_result import METHOD_RADAU5, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import Launch, WorkingSet
+from .working_set import Interpolant, Launch, WorkingSet
 
-_EDGE = 1e-12
 _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
 
 #: Inverse of the collocation Vandermonde basis (theta^(j+1) at the
@@ -71,6 +72,21 @@ def _tiled(problem: BatchedODEProblem) -> BatchedODEProblem:
     """
     rows = xp.arange(problem.batch_size)
     return problem.subset(xp.concatenate([rows, rows, rows]))
+
+
+def _collocation_output(t: Array, h: Array, y_start: Array,
+                        coeffs: Array) -> Interpolant:
+    """The collocation polynomial of the step of size ``h`` from
+    ``(t, y_start)``: ``y_start + sum_j theta^(j+1) coeffs[:, j]``, the
+    polynomial :meth:`BatchRadau5._predict_stages` extrapolates,
+    evaluated element-wise (Horner) for the rows asked for.
+    """
+    def interpolate(index: Array, times: Array) -> Array:
+        theta = ((times - t[index]) / h[index])[:, None]
+        c = coeffs[index]
+        return y_start[index] + theta * (c[:, 0] + theta * (
+            c[:, 1] + theta * c[:, 2]))
+    return interpolate
 
 
 @dataclass
@@ -121,16 +137,13 @@ class BatchRadau5:
               initial_states: Array | None = None) -> BatchSolveResult:
         options = self.options
         launch = Launch(self, problem, t_span, t_eval, initial_states, 5)
-        t_eval, t1, result = launch.t_eval, launch.t1, launch.result
+        t1, result = launch.t1, launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
         identity = xp.eye(n)
         newton_tol = max(10.0 * xp.finfo(float).eps / options.rtol,
                          min(options.newton_tol_factor, options.rtol ** 0.5))
         max_newton = options.newton_max_iterations
-        last_save = t_eval.size - 1
-        # A step that reaches this close to a save time lands on it.
-        save_reach = t_eval - _EDGE * xp.maximum(1.0, xp.abs(t_eval))
 
         work = launch.working_set(
             _Radau5Set, y=launch.y, derivative=launch.derivative,
@@ -149,9 +162,6 @@ class BatchRadau5:
         while work.retire(result, options.max_steps):
             t = work.t
             h = xp.minimum(work.h, t1 - t)
-            next_save = xp.minimum(work.save, last_save)
-            hit = t + h >= save_reach[next_save]
-            h = xp.where(hit, t_eval[next_save] - t, h)
             underflow = (h <= xp.abs(t) * 1e-15) | (h < 1e-300) | \
                 ~xp.isfinite(h)
             if underflow.any():
@@ -160,7 +170,7 @@ class BatchRadau5:
                     break
                 # Every other row was running, so exactly these stay.
                 keep = ~underflow
-                t, h, hit = work.t, h[keep], hit[keep]
+                t, h = work.t, h[keep]
             work.n_steps += 1
             work.h = h
 
@@ -255,7 +265,7 @@ class BatchRadau5:
             # --- Accepted rows advance.
             acc = None if accepted.all() else xp.flatnonzero(accepted)
             y_old = work.y
-            t_new = t + h
+            t_new = launch.step_ends(t, h)
             work.n_accepted += accepted
             if acc is None:  # the selects would copy these unchanged
                 work.t, work.y, work.poly_y_start = t_new, y_new, y_old
@@ -283,7 +293,8 @@ class BatchRadau5:
                 work.poly_coeffs, acc,
                 xp.einsum("ij,bjn->bin", _VANDERMONDE_INV,
                           _pick(increments, acc)))
-            work.record(accepted & hit, result)
+            work.record(_collocation_output(t, h, work.poly_y_start,
+                                            work.poly_coeffs), result)
 
             if self.reuse_jacobian:
                 refresh = accepted & (n_iter > 2) & (rates > 1e-3)

@@ -9,16 +9,22 @@ set is compacted only on the iterations where that happens — the
 batched analogue of retiring finished GPU threads.
 
 :class:`WorkingSet` holds the state every integrator shares and owns
-the one retire mechanism; each integrator subclasses it with its own
-per-row fields and lists them in ``ROW_FIELDS``. :class:`Launch` is the
-start-up every integrator's ``solve`` shares: the save grid, the
-result, the first derivative and steps, and the solve's phase spans.
+the one retire mechanism and the one save path; each integrator
+subclasses it with its own per-row fields and lists them in
+``ROW_FIELDS``. :class:`Launch` is the start-up every integrator's
+``solve`` shares: the save grid, the result, the first derivative and
+steps, and the solve's phase spans.
+
+Steps are clipped only at the end of the span, never onto save points:
+after an accepted step, :meth:`WorkingSet.record` saves every save point
+the step crossed from the integrator's continuous extension of that
+step (its *interpolant*), as LSODA does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, TypeVar
+from typing import Callable, ClassVar, TypeVar
 
 from ..backend import Array, xp
 from ..solvers.base import SolverOptions, validate_time_grid
@@ -26,6 +32,10 @@ from ..telemetry.tracer import NULL_TRACER
 from .batch_result import (BROKEN, EXHAUSTED, OK, RUNNING,
                            BatchSolveResult, allocate_result)
 from .batched_ode import BatchedODEProblem
+
+#: ``interpolant(index, times)``: the last step's continuous extension
+#: of set rows ``index``, evaluated at ``times`` inside the step.
+Interpolant = Callable[[Array, Array], Array]
 
 
 @dataclass
@@ -47,6 +57,7 @@ class WorkingSet:
     save: Array            # index of the next save point
     n_accepted: Array
     status: Array
+    grid: Array            # save times, clipped into the span
     n_steps: int = field(default=0, init=False)  # attempts of every row
 
     #: Fields that hold one entry per running simulation.
@@ -93,21 +104,38 @@ class WorkingSet:
             guard.on_step_break(dead, self.problem.row_ids[dead], t[dead],
                                 h[dead], self.status)
 
-    def record(self, landed: Array, result: BatchSolveResult) -> None:
-        """Save the current state of the running rows that ``landed`` on
-        their next save time; rows past the last one are done.
+    def record(self, interpolant: Interpolant,
+               result: BatchSolveResult) -> None:
+        """Save every save point the running rows' last step crossed.
 
-        Rows the guard (or a stiffness test) stopped on this step are
-        not recorded.
+        A running row's next save time lies ahead of it until a step
+        crosses it, so the rows to save are those whose next save time
+        is now at or behind them. A save time at the step's end records
+        the (guard-repaired) working state itself, byte for byte; one
+        inside the step records ``interpolant`` there. A step may cross
+        several save points, one per pass; rows past the last one are
+        done. Rows the guard (or a stiffness test) stopped on this step
+        are not recorded.
         """
-        hits = landed & (self.status == RUNNING)
-        if not hits.any():
-            return
-        saved = xp.flatnonzero(hits)
-        result.y[self.rows[saved], self.save[saved], :] = self.y[saved]
-        self.save = self.save + hits
-        self.status = xp.where(hits & (self.save >= result.y.shape[1]), OK,
-                               self.status)
+        last = self.grid.size - 1
+        while True:
+            times = self.grid[xp.minimum(self.save, last)]
+            crossed = (times <= self.t) & (self.status == RUNNING)
+            if not crossed.any():
+                return
+            index = xp.flatnonzero(crossed)
+            times = times[index]
+            values = self.y[index]
+            inside = times < self.t[index]
+            if inside.any():
+                # Diverging rows may overflow the extension's terms.
+                with xp.errstate(over="ignore", invalid="ignore"):
+                    values[inside] = interpolant(index[inside],
+                                                 times[inside])
+            result.y[self.rows[index], self.save[index], :] = values
+            self.save = self.save + crossed
+            self.status = xp.where(crossed & (self.save > last), OK,
+                                   self.status)
 
 
 SetT = TypeVar("SetT", bound=WorkingSet)
@@ -154,6 +182,10 @@ class Launch:
         self.solver = solver.name
         self.t_eval = validate_time_grid(t_span, t_eval)
         t0, self.t1 = float(t_span[0]), float(t_span[1])
+        # The save times the steps cross: the grid may overhang the span
+        # by a rounding error, and a save at either end of the span is
+        # then recorded from the state there.
+        self.grid = xp.clip(self.t_eval, t0, self.t1)
         batch = problem.batch_size
         self.tracer = problem.tracer or NULL_TRACER
         self._span = self.tracer.start("compile", "phase",
@@ -166,7 +198,7 @@ class Launch:
                                       solver.method_code)
         self.t = xp.full(batch, t0)
         self.save = xp.zeros(batch, dtype=xp.int64)
-        if self.t_eval[0] == t0:
+        if self.grid[0] == t0:
             self.result.y[:, 0, :] = self.y
             self.save[:] = 1
 
@@ -189,7 +221,14 @@ class Launch:
                     n_accepted=xp.zeros(batch, dtype=xp.int64),
                     status=xp.where(self.save >= self.t_eval.size, OK,
                                     RUNNING),
-                    **fields)
+                    grid=self.grid, **fields)
+
+    def step_ends(self, t: Array, h: Array) -> Array:
+        """Where steps of size ``h`` from ``t`` end. A step clipped to
+        the span's end lands on ``t1`` exactly, so no row is left a
+        sliver step short of it.
+        """
+        return xp.where(h < self.t1 - t, t + h, self.t1)
 
     def step_loop(self) -> None:
         """Close the ``compile`` phase and open the ``step-loop`` one."""
@@ -201,9 +240,10 @@ class Launch:
     def finish(self) -> BatchSolveResult:
         """Close the step loop and hand the result off.
 
-        Save points are recorded in-loop, on steps clipped to land on
-        them, so the ``dense-output`` phase only covers the hand-off;
-        the span keeps the phase catalog uniform.
+        Save points are interpolated in-loop, right after the step that
+        crosses them (:meth:`WorkingSet.record`), so the
+        ``dense-output`` phase only covers the hand-off; the span keeps
+        the phase catalog uniform.
         """
         self.tracer.end(self._span)
         with self.tracer.span("dense-output", "phase",

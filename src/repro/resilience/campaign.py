@@ -192,19 +192,28 @@ class CampaignResult:
                 + (", degraded to serial" if self.degraded else ""))
 
 
+#: Version of the integrators' numerics, bumped whenever a change moves
+#: the numbers a chunk produces from the same inputs. Version 2: save
+#: points are interpolated from each step's continuous extension instead
+#: of clipping steps onto them.
+NUMERICS_VERSION = 2
+
+
 def _numerics_digest(options, retry_policy) -> str:
     """Digest of everything that shapes the journaled *numbers*.
 
-    Solver options (tolerances, step caps, controller constants) and
-    the retry-policy ladder both change the trajectories a chunk
-    produces; resuming a journal written under different numerics would
-    silently splice mismatched results, so their digest is part of the
-    campaign fingerprint. ``None`` (engine-default) policies hash as a
-    sentinel distinct from any explicit ladder.
+    Solver options (tolerances, step caps, controller constants), the
+    retry-policy ladder and the integrators' :data:`NUMERICS_VERSION`
+    all change the trajectories a chunk produces; resuming a journal
+    written under different numerics would silently splice mismatched
+    results, so their digest is part of the campaign fingerprint.
+    ``None`` (engine-default) policies hash as a sentinel distinct from
+    any explicit ladder.
     """
     payload = {
         "options": None if options is None else asdict(options),
         "retry": None if retry_policy is None else asdict(retry_policy),
+        "numerics": NUMERICS_VERSION,
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]

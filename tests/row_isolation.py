@@ -2,8 +2,11 @@
 
 One launch whose rows leave the working set at different iterations, by
 every exit path, and one launch of a one-species model; each row's
-result must be byte-identical to the row's own width-1 launch, and the
-mixed launch's rows survive a permutation of the launch.
+result must be byte-identical to the row's own width-1 launch, also on
+a save grid dense enough that single steps cross several save points,
+and the mixed launch's rows survive a permutation of the launch. The
+save grid does not move a row's steps: the same launch on a fine grid
+and on the span's ends takes the same steps to the same final state.
 """
 
 import numpy as np
@@ -38,7 +41,7 @@ def mixed_exit_launch():
     model.add("Q -> @ 1.0")
     model.add("A -> B @ 1.0")
     oscillator_scale = np.array([1.0, 2.0, 0.5, 12.0, 1.0, 1.0, 1.0, 1.0])
-    decay_rate = np.array([1.0, 1.0, 1.0, 1.0, 1e5, 1.0, 1.0, 20.0])
+    decay_rate = np.array([1.0, 1.0, 1.0, 1.0, 1e5, 1.0, 1.0, 15.0])
     constants = np.column_stack([oscillator_scale * 1.0,
                                  oscillator_scale * 0.1,
                                  oscillator_scale * 1.0, decay_rate])
@@ -97,6 +100,8 @@ class RowIsolationChecks:
 
     SPAN = (0.0, 10.0)
     GRID = np.linspace(0.0, 10.0, 6)
+    #: So fine that single steps cross several save points.
+    DENSE_GRID = np.linspace(0.0, 10.0, 201)
 
     def solver(self):
         raise NotImplementedError
@@ -132,3 +137,27 @@ class RowIsolationChecks:
         permuted = solver.solve(problem.subset(order), self.SPAN, self.GRID)
         for position, row in enumerate(order):
             assert row_bytes(permuted, position) == row_bytes(full, row)
+
+    def test_steps_do_not_depend_on_the_save_grid(self):
+        problem, _ = mixed_exit_launch()
+        solver = self.solver()
+        fine = solver.solve(problem, self.SPAN, np.linspace(0.0, 10.0, 11))
+        ends = solver.solve(problem, self.SPAN, np.array(self.SPAN))
+        for name in ("status_codes", "n_steps", "n_accepted", "n_rejected"):
+            assert getattr(fine, name).tobytes() == \
+                getattr(ends, name).tobytes(), name
+        assert fine.y[:, -1].tobytes() == ends.y[:, -1].tobytes()
+
+    def test_dense_grid_rows_match_their_width_one_launch(self):
+        problem, _ = mixed_exit_launch()
+        solver = self.solver()
+        full = solver.solve(problem, self.SPAN, self.DENSE_GRID)
+        finished = full.status_codes == OK
+        assert finished.any()
+        # Fewer accepted steps than save intervals: some steps crossed
+        # several save points.
+        assert (full.n_accepted[finished] < self.DENSE_GRID.size - 1).all()
+        for row in range(problem.batch_size):
+            alone = solver.solve(problem.subset(np.array([row])),
+                                 self.SPAN, self.DENSE_GRID)
+            assert row_bytes(alone, 0) == row_bytes(full, row), row

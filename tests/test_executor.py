@@ -8,6 +8,10 @@ in-process run, no matter what the supervision ladder had to do to get
 there.
 """
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -502,6 +506,27 @@ class TestFingerprintNumerics:
         with pytest.raises(ResilienceError, match="different campaign"):
             run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
                          retry_policy=default_retry_policy(1))
+
+    def test_journal_of_clipped_save_steps_does_not_resume(
+            self, lv_model, lv_batch, tmp_path):
+        """A journal whose numerics digest predates the numerics version
+        (written while steps were clipped onto save points) is refused
+        rather than spliced into interpolated results."""
+        journal = tmp_path / "campaign.json"
+        config = CampaignConfig(chunk_size=3, checkpoint_path=journal)
+        options = SolverOptions(rtol=1e-6)
+        run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
+                     options=options)
+        document = json.loads(journal.read_text())
+        unversioned = {"options": dataclasses.asdict(options),
+                       "retry": None}
+        document["fingerprint"]["numerics_sha"] = hashlib.sha256(
+            json.dumps(unversioned, sort_keys=True).encode()
+        ).hexdigest()[:16]
+        journal.write_text(json.dumps(document))
+        with pytest.raises(ResilienceError, match="different campaign"):
+            run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
+                         options=options)
 
     def test_same_numerics_resume_fine(self, lv_model, lv_batch,
                                        tmp_path):
