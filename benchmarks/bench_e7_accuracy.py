@@ -9,7 +9,9 @@ Robertson problem.
 
 Expected shape: every engine stays within its tolerance band of the
 reference; the batched engine's error is indistinguishable from its
-scalar counterpart's (same math, vectorized execution).
+scalar counterpart's (same math, vectorized execution). The
+``batched-bdf`` rows run the batched engine with every row on its BDF
+integrator, next to the scalar ``bdf`` engine.
 
 A secondary series times the PI step controller against the elementary
 one (a design-choice ablation called out in DESIGN.md).
@@ -58,14 +60,23 @@ def stiff():
     return model, reference.y[0]
 
 
-@pytest.mark.parametrize("engine", ["batched", "dopri5", "radau5", "bdf",
-                                    "lsoda", "vode"])
+def run_engine(model, t_span, grid, engine):
+    """``engine`` is a ``simulate`` engine, or ``"batched-bdf"``: the
+    batched engine with every row on its BDF integrator (the scalar
+    ``"bdf"`` engine is this package's sequential BDF)."""
+    if engine == "batched-bdf":
+        return simulate(model, t_span, grid, None, "batched", OPTIONS,
+                        method="bdf")
+    return simulate(model, t_span, grid, None, engine, OPTIONS)
+
+
+@pytest.mark.parametrize("engine", ["batched", "batched-bdf", "dopri5",
+                                    "radau5", "bdf", "lsoda", "vode"])
 def test_nonstiff_accuracy(benchmark, nonstiff, engine):
     model, reference = nonstiff
 
     def run():
-        result = simulate(model, (0.0, 4.0), NONSTIFF_GRID, None, engine,
-                          OPTIONS)
+        result = run_engine(model, (0.0, 4.0), NONSTIFF_GRID, engine)
         error = np.max(np.abs(result.y[0] - reference)
                        / (np.abs(reference) + 1e-10))
         state["errors"][("bateman", engine)] = error
@@ -75,14 +86,13 @@ def test_nonstiff_accuracy(benchmark, nonstiff, engine):
     assert error < 1e-3
 
 
-@pytest.mark.parametrize("engine", ["batched", "radau5", "bdf", "lsoda",
-                                    "vode"])
+@pytest.mark.parametrize("engine", ["batched", "batched-bdf", "radau5",
+                                    "bdf", "lsoda", "vode"])
 def test_stiff_accuracy(benchmark, stiff, engine):
     model, reference = stiff
 
     def run():
-        result = simulate(model, (0.0, 1e4), STIFF_GRID, None, engine,
-                          OPTIONS)
+        result = run_engine(model, (0.0, 1e4), STIFF_GRID, engine)
         if not result.all_success:
             state["errors"][("robertson", engine)] = float("nan")
             return None
@@ -126,7 +136,7 @@ def test_report(benchmark):
     def render():
         lines = ["max relative error vs high-precision reference:", ""]
         for (problem, engine), error in sorted(state["errors"].items()):
-            lines.append(f"  {problem:10s} {engine:8s} {error:.3e}")
+            lines.append(f"  {problem:10s} {engine:11s} {error:.3e}")
         steps = state["controller_steps"]
         lines.append("")
         lines.append(f"step-controller ablation (DOPRI5, 50 time units): "

@@ -4,26 +4,23 @@ The original coarse-grained GPU simulator (cupSODA) runs one
 LSODA-style multistep integration per device thread. This module is
 its NumPy analog built on our from-scratch scalar
 :class:`~repro.solvers.bdf.BDF`: every simulation carries its own
-backward-difference table, step size, *order* and Newton state, and the
-per-step math executes as batched kernels over groups of simulations
-that share the same current order (orders 1-5, so at most five groups
-per sweep).
+backward-difference table, step size, *order* and Newton state, and
+each sweep makes one attempt (a Newton failure, a rejection or an
+accept) for every running simulation, whatever its order.
 
-The running simulations live in the persistent working set all three
-batched integrators share (:mod:`repro.gpu.working_set`): BDF's set adds
-each row's difference table, order, Jacobian and Newton inverse, and
-its state is the table's zeroth slice. Every running row makes exactly
-one attempt per sweep (a Newton failure, an error rejection or an
-accept), so rows leave only through the set's retire mechanism.
+Rows at different orders share one instruction stream, as the threads
+of a SIMD unit do. The kernels run over the table's slots up to order
+5, gather per-row coefficients by order and mask the slots past a row's
+order with ``where``, never by multiplying with zero, so a row keeps
+its own order's bytes: a ``-0.0`` survives, and an unused slot is never
+read. Sums run element-wise in slot order, and every step-size change
+goes through one batched rescale of the tables.
 
-Step-size rescalings of the difference table are per-simulation (the
-R(factor) matrices are tiny and factor-specific), which mirrors the
-original's per-thread sequential bookkeeping.
-
-Steps are clipped only at the end of the span: the save points a step
-crosses are interpolated from the accepted step's difference table, as
-SciPy's ``BdfDenseOutput`` does. The scalar
-:class:`~repro.solvers.bdf.BDF` still clips its steps onto them.
+The simulations live in the working set all three batched integrators
+share (:mod:`repro.gpu.working_set`); BDF's state is the table's zeroth
+slice. Steps are clipped only at the end of the span: the save points a
+step crosses are interpolated from the accepted step's table, as
+SciPy's ``BdfDenseOutput`` does.
 """
 
 from __future__ import annotations
@@ -32,30 +29,135 @@ from dataclasses import dataclass, field
 
 from ..backend import Array, xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
-from ..solvers.bdf import (ALPHA, ERROR_CONST, GAMMA, MAX_ORDER,
-                           NEWTON_MAXITER, change_difference_array)
+from ..solvers.bdf import ALPHA, ERROR_CONST, GAMMA, MAX_ORDER, NEWTON_MAXITER
 from .batch_dopri5 import _scaled_error_norms
 from .batch_result import METHOD_BDF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
 from .working_set import Interpolant, Launch, WorkingSet
 
+#: Slots 0..MAX_ORDER of a difference table, the ones an order reads.
+_SLOTS = xp.arange(MAX_ORDER + 1)
 
-def _difference_output(work: "_BdfSet", order: int) -> Interpolant:
-    """The interpolating polynomial of the set's difference tables at
-    ``order``, read after an accepted step's table update (SciPy's
+
+def _r_tables(factors: Array) -> Array:
+    """Each row's ``R(factor)`` at order 5, multiplied out in order: row
+    0 ones, column 0 zero below it, ``R[i, j] = prod_(l <= i) (l - 1 -
+    factor j) / l``. Its leading block is ``R(factor)`` at lower orders.
+    """
+    steps = (_SLOTS[1:, None] - 1 - factors[:, None, None] * _SLOTS[1:]) \
+        / _SLOTS[1:, None]
+    tables = xp.zeros((factors.size, MAX_ORDER + 1, MAX_ORDER + 1))
+    tables[:, 0] = 1.0
+    for i in range(1, MAX_ORDER + 1):
+        tables[:, i, 1:] = tables[:, i - 1, 1:] * steps[:, i - 1]
+    return tables
+
+
+#: ``R(1)``, the ``U`` of the rescale; upper triangular.
+_U = _r_tables(xp.ones(1))[0]
+
+
+def _live(differences: Array, orders: Array) -> tuple[Array, Array]:
+    """Which slots each row's order reads, and the tables' slots with
+    the others zeroed, so no masked-out lane computes on a parked value."""
+    live = orders[:, None] >= _SLOTS
+    return live, xp.where(live[:, :, None],
+                          differences[:, :MAX_ORDER + 1], 0.0)
+
+
+def _slot_sum(term, on: Array, first: int = 0) -> Array:
+    """``term(first) + term(first + 1) + ...`` in slot order, adding
+    ``term(s)`` only where ``on[:, s]``."""
+    total = term(first)
+    for slot in range(first + 1, MAX_ORDER + 1):
+        total = xp.where(on[:, slot], total + term(slot), total)
+    return total
+
+
+def _predict(differences: Array, orders: Array) -> tuple[Array, Array]:
+    """The predicted states ``D[0] + ... + D[k]`` and the Newton
+    constants ``(GAMMA[1] D[1] + ... + GAMMA[k] D[k]) / ALPHA[k]``."""
+    live, table = _live(differences, orders)
+    on = live[:, :, None]
+    psi = _slot_sum(lambda s: GAMMA[s] * table[:, s], on, 1)
+    return (_slot_sum(lambda s: table[:, s], on),
+            psi / ALPHA[orders][:, None])
+
+
+def _rescale(differences: Array, orders: Array, factors: Array) -> Array:
+    """The tables rescaled for steps ``factors`` times the old ones,
+    ``D[:k + 1] <- (R(factor) U)^T D[:k + 1]``; later slots keep theirs.
+    """
+    live, table = _live(differences, orders)
+    on = live[:, :, None, None]
+    r = _r_tables(factors)
+    rescale = _slot_sum(lambda s: r[:, :, s, None] * _U[s], on)
+    total = _slot_sum(lambda s: rescale[:, s, :, None] * table[:, None, s],
+                      on)
+    rescaled = differences.copy()
+    rescaled[:, :MAX_ORDER + 1] = xp.where(live[:, :, None], total,
+                                           differences[:, :MAX_ORDER + 1])
+    return rescaled
+
+
+def _accept(differences: Array, orders: Array, correction: Array) -> Array:
+    """The tables after accepted steps: ``D[k + 2] = correction - D[k +
+    1]``, ``D[k + 1] = correction``, then ``D[i] += D[i + 1]``, i = k..0.
+    """
+    index = xp.arange(orders.size)
+    updated = differences.copy()
+    updated[index, orders + 2] = correction - differences[index, orders + 1]
+    updated[index, orders + 1] = correction
+    total = correction
+    for slot in range(MAX_ORDER, -1, -1):
+        on = (orders >= slot)[:, None]
+        total = xp.where(on, updated[:, slot] + total, total)
+        updated[:, slot] = xp.where(on, total, updated[:, slot])
+    return updated
+
+
+def _order_change(differences: Array, orders: Array, err: Array,
+                  options: SolverOptions) -> tuple[Array, Array]:
+    """``(orders, factors)`` of rows due an order change: the order among
+    ``k - 1``, ``k``, ``k + 1`` (the lowest on a tie) whose error norm
+    allows the longest next step, and that step's factor. ``err`` is
+    the accepted step's error norm at ``k``.
+    """
+    index = xp.arange(orders.size)
+    scale = options.atol + options.rtol * xp.abs(differences[:, 0])
+
+    def norm(order: Array) -> Array:  # of order's error, from slot + 1
+        error = ERROR_CONST[xp.minimum(order, MAX_ORDER)][:, None] \
+            * differences[index, order + 1] / scale
+        return xp.sqrt(xp.sum(error ** 2, axis=1) / scale.shape[1])
+
+    candidates = orders[:, None] + xp.arange(-1, 2)
+    norms = xp.stack([norm(orders - 1), err, norm(orders + 1)], axis=1)
+    factors = xp.where((candidates >= 1) & (candidates <= MAX_ORDER),
+                       xp.maximum(norms, 1e-10) ** (-1.0 / (candidates + 1)),
+                       -xp.inf)
+    best = xp.argmax(factors, axis=1)
+    return candidates[index, best], xp.clip(
+        0.9 * factors[index, best], options.min_step_factor,
+        options.max_step_factor)
+
+
+def _difference_output(work: "_BdfSet") -> Interpolant:
+    """The interpolating polynomial of the set's difference tables,
+    read after an accepted step's table update (SciPy's
     ``BdfDenseOutput``): ``D[0] + sum_j D[j + 1] prod_(i <= j)
     (t - t_new + i h) / ((i + 1) h)``, element-wise per row.
     """
     def interpolate(index: Array, times: Array) -> Array:
         h = work.h[index]
         offset = times - work.t[index]
-        table = work.differences[index]
-        value = table[:, 0, :]
-        product = xp.ones(index.size)
-        for j in range(order):
-            product = product * ((offset + j * h) / ((j + 1) * h))
-            value = value + table[:, j + 1, :] * product[:, None]
-        return value
+        live, table = _live(work.differences[index], work.orders[index])
+        products = [xp.ones(index.size)]
+        for j in range(MAX_ORDER):
+            products.append(products[-1] * ((offset + j * h)
+                                            / ((j + 1) * h)))
+        return _slot_sum(lambda s: table[:, s] * products[s][:, None],
+                         live[:, :, None])
     return interpolate
 
 
@@ -89,6 +191,16 @@ class _BdfSet(WorkingSet):
         super().compact(keep)
         self.y = self.differences[:, 0, :]
 
+    def resize(self, resized: Array, h: Array, factors: Array) -> None:
+        """Move rows ``resized`` to steps ``h`` (``factors`` times the
+        old ones) at their orders, rescaling their tables in place."""
+        index = xp.flatnonzero(resized)
+        self.differences[index] = _rescale(
+            self.differences[index], self.orders[index], factors[index])
+        self.h = xp.where(resized, h, self.h)
+        self.steps_at_order = xp.where(resized, 0, self.steps_at_order)
+        self.c_factored = xp.where(resized, -1.0, self.c_factored)
+
 
 class BatchBDF:
     """Adaptive-order batched BDF for coarse-grained stiff batches."""
@@ -100,11 +212,10 @@ class BatchBDF:
         self.options = options
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None) -> BatchSolveResult:
+              t_eval: Array | None = None) -> BatchSolveResult:
         options = self.options
-        launch = Launch(self, problem, t_span, t_eval, initial_states, 1)
-        t1, result = launch.t1, launch.result
+        launch = Launch(self, problem, t_span, t_eval, 1)
+        result = launch.result
         batch, n = problem.batch_size, problem.n_species
         identity = xp.eye(n)
         newton_tol = max(10 * xp.finfo(float).eps / options.rtol,
@@ -124,163 +235,114 @@ class BatchBDF:
         launch.step_loop()
 
         while work.retire(result, options.max_steps):
-            # Clip to the span's end (per-sim D rescale). Each row clips
-            # by a different factor and the difference-table rescale is
-            # order-local, so this stays per-row.
             t = work.t
-            target = t1 - t
-            # lint: skip=KRN001 -- per-row D rescale, scalar by design
-            for row in xp.flatnonzero(work.h > target):
-                factor = target[row] / work.h[row]
-                # lint: skip=KRN002 -- mixed per-row orders, scalar by design
-                row_order = int(work.orders[row])
-                change_difference_array(work.differences[row], row_order,
-                                        factor)
-                work.h[row] = target[row]
-                work.steps_at_order[row] = 0
-            h = work.h
+            h = launch.clip(t, work.h)
             underflow = (h <= xp.abs(t) * 1e-15) | (h < 1e-300) | \
                 ~xp.isfinite(h)
             if underflow.any():
                 work.break_rows(underflow, t, h)
                 if not work.retire(result, options.max_steps):
                     break
+                # Every other row was running, so exactly these stay.
+                h = h[~underflow]
+            clipped = h != work.h
+            if clipped.any():
+                work.resize(clipped, h, h / work.h)
             work.n_steps += 1
-
-            # Group on a snapshot: a row that raises its order inside
-            # this sweep must not be stepped again by the higher-order
-            # group of the same sweep.
-            orders = work.orders.copy()
-            for order in range(1, MAX_ORDER + 1):
-                group = xp.flatnonzero(orders == order)
-                if group.size:
-                    self._step_group(work, group, order, identity,
-                                     newton_tol, launch)
+            self._attempt(work, identity, newton_tol, launch)
 
         return launch.finish()
 
     # ------------------------------------------------------------------
 
-    def _step_group(self, work: _BdfSet, rows: Array, order: int,
-                    identity: Array, newton_tol: float,
-                    launch: Launch) -> None:
-        """One attempt of every set row in ``rows``, all at ``order``."""
+    def _attempt(self, work: _BdfSet, identity: Array, newton_tol: float,
+                 launch: Launch) -> None:
+        """One attempt of every row of the set, each at its own order."""
         options = self.options
-        h = work.h[rows]
-        t_new = launch.step_ends(work.t[rows], h)
-        d_group = work.differences[rows]
-        y_predict = d_group[:, :order + 1, :].sum(axis=1)
-        psi = xp.einsum("bon,o->bn", d_group[:, 1:order + 1, :],
-                        GAMMA[1:order + 1]) / ALPHA[order]
-        c = h / ALPHA[order]
+        t, h, orders = work.t, work.h, work.orders
+        t_new = launch.step_ends(t, h)
+        y_predict, psi = _predict(work.differences, orders)
+        c = h / ALPHA[orders]
 
-        refactor = work.c_factored[rows] != c
-        if xp.any(refactor):
-            ref_rows = rows[refactor]
-            matrices = identity[None] - c[refactor, None, None] \
-                * work.jacobian[ref_rows]
-            work.inverse[ref_rows] = xp.batched_inv(matrices)
-            work.c_factored[ref_rows] = c[refactor]
-            work.problem.counters.factorizations += ref_rows.size
+        refactor = work.c_factored != c
+        if refactor.any():
+            index = xp.flatnonzero(refactor)
+            work.inverse[index] = xp.batched_inv(
+                identity[None] - c[index, None, None] * work.jacobian[index])
+            work.c_factored = xp.where(refactor, c, work.c_factored)
+            work.problem.counters.factorizations += index.size
 
         converged, n_iter, y_new, correction = self._newton(
-            work, rows, t_new, y_predict, c, psi, newton_tol)
+            work, t_new, y_predict, c, psi, newton_tol)
 
-        failed = ~converged
-        if xp.any(failed):
-            failed_rows = rows[failed]
-            stale = failed_rows[~work.jac_current[failed_rows]]
-            if stale.size:
-                work.jacobian[stale] = work.problem.jacobian(
-                    work.t[stale], work.y[stale], stale)
-                work.jac_current[stale] = True
-                work.c_factored[stale] = -1.0
-            fresh = xp.setdiff1d(failed_rows, stale, assume_unique=True)
-            # lint: skip=KRN001 -- Newton-failure fallback on a small subset
-            for row in fresh:
-                change_difference_array(work.differences[row], order, 0.5)
-                work.h[row] *= 0.5
-                work.steps_at_order[row] = 0
-                work.c_factored[row] = -1.0
-        if not xp.any(converged):
-            return
+        # A Newton failure refreshes a stale Jacobian and retries, or
+        # halves the step when the Jacobian was already current.
+        halved = ~converged & work.jac_current
+        stale = ~converged & ~work.jac_current
+        if stale.any():
+            index = xp.flatnonzero(stale)
+            work.jacobian[index] = work.problem.jacobian(
+                t[index], work.y[index], index)
+            work.jac_current = work.jac_current | stale
+            work.c_factored = xp.where(stale, -1.0, work.c_factored)
+        factors = xp.where(halved, 0.5, 1.0)
 
-        conv_rows = rows[converged]
-        y_new = y_new[converged]
-        correction = correction[converged]
-        n_iter = n_iter[converged]
-        y_old = work.y[conv_rows]
-        error = ERROR_CONST[order] * correction
-        err = _scaled_error_norms(error, y_old, y_new, options)
-        finite = xp.all(xp.isfinite(y_new), axis=1)
-        err = xp.where(finite, err, xp.inf)
-        safety = 0.9 * (2 * NEWTON_MAXITER + 1) / \
-            (2 * NEWTON_MAXITER + n_iter)
+        err = xp.full(h.size, xp.inf)
+        index = xp.flatnonzero(converged)
+        if index.size:
+            error = ERROR_CONST[orders[index]][:, None] * correction[index]
+            y_index = y_new[index]
+            err[index] = xp.where(
+                xp.all(xp.isfinite(y_index), axis=1),
+                _scaled_error_norms(error, work.y[index], y_index, options),
+                xp.inf)
+        rejected = converged & (err >= 1.0)
+        if rejected.any():
+            index = xp.flatnonzero(rejected)
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / \
+                (2 * NEWTON_MAXITER + n_iter[index])
+            factors[index] = xp.maximum(
+                options.min_step_factor,
+                safety * err[index] ** (-1.0 / (orders[index] + 1)))
+        h_new = h * factors
+        resized = halved | rejected
 
-        rejected = err >= 1.0
-        if xp.any(rejected):
-            rej_rows = conv_rows[rejected]
-            # lint: skip=KRN001 -- rejected rows shrink by per-row factors
-            for local, row in zip(xp.flatnonzero(rejected), rej_rows):
-                factor = options.min_step_factor
-                if xp.isfinite(err[local]) and err[local] > 0:
-                    factor = max(options.min_step_factor,
-                                 safety[local]
-                                 * err[local] ** (-1.0 / (order + 1)))
-                change_difference_array(work.differences[row], order,
-                                        factor)
-                work.h[row] *= factor
-                work.steps_at_order[row] = 0
-                work.c_factored[row] = -1.0
+        accepted = converged & ~rejected
+        if accepted.any():
+            index = xp.flatnonzero(accepted)
+            work.n_accepted = work.n_accepted + accepted
+            work.t = xp.where(accepted, t_new, t)
+            work.jac_current = work.jac_current & ~accepted
+            work.steps_at_order = work.steps_at_order + accepted
+            work.differences[index] = _accept(
+                work.differences[index], orders[index], correction[index])
+            guard = work.problem.guard
+            if guard is not None:
+                # Clamps land in the difference table through ``work.y``.
+                guard.after_accept(work.y, index,
+                                   work.problem.row_ids[index],
+                                   work.t[index], work.status)
+            # Save before the order change, which rescales the table.
+            work.record(_difference_output(work), launch.result)
 
-        accepted = ~rejected
-        if not xp.any(accepted):
-            return
-        acc_rows = conv_rows[accepted]
-        work.n_accepted[acc_rows] += 1
-        work.t[acc_rows] = t_new[converged][accepted]
-        work.jac_current[acc_rows] = False
-        work.steps_at_order[acc_rows] += 1
+            due = accepted & (work.steps_at_order >= orders + 1)
+            if due.any():
+                index = xp.flatnonzero(due)
+                work.orders = orders.copy()
+                work.orders[index], factors[index] = _order_change(
+                    work.differences[index], orders[index], err[index],
+                    options)
+                h_new[index] = xp.minimum(h[index] * factors[index],
+                                          launch.max_step)
+                factors[index] = h_new[index] / h[index]
+                resized = resized | due
+        if resized.any():
+            work.resize(resized, h_new, factors)
 
-        # Difference-table update (vectorized over the accepted group).
-        differences = work.differences
-        corr = correction[accepted]
-        differences[acc_rows, order + 2, :] = \
-            corr - differences[acc_rows, order + 1, :]
-        differences[acc_rows, order + 1, :] = corr
-        for i in reversed(range(order + 1)):
-            differences[acc_rows, i, :] += differences[acc_rows, i + 1, :]
-
-        guard = work.problem.guard
-        if guard is not None:
-            # Clamps land in the difference table through ``work.y``.
-            guard.after_accept(work.y, acc_rows,
-                               work.problem.row_ids[acc_rows],
-                               work.t[acc_rows], work.status)
-
-        # Save before the order change: its table rescale recomputes the
-        # zeroth slice, which need not keep its bytes (-0.0 turns +0.0),
-        # and changes the step the table is spaced by.
-        work.record(_difference_output(work, order), launch.result)
-
-        # Order/step adaptation for rows that completed order+1 steps.
-        adapt = acc_rows[work.steps_at_order[acc_rows] >= order + 1]
-        # lint: skip=KRN002 -- scalar map feeding the per-row order change
-        err_by_row = {int(row): float(err[local])
-                      for local, row in zip(xp.flatnonzero(accepted),
-                                            acc_rows)}
-        # Order adaptation is per-row by construction: rows sit at
-        # different BDF orders, so their difference tables have
-        # different shapes and cannot be updated as one kernel.
-        # lint: skip=KRN001 -- mixed per-row orders, scalar by design
-        for row in adapt:
-            self._adapt_order(work, row, order, err_by_row[int(row)],
-                              launch.max_step)
-
-    def _newton(self, work: _BdfSet, rows: Array, t_new: Array,
-                y_predict: Array, c: Array, psi: Array, tol: float):
+    def _newton(self, work: _BdfSet, t_new: Array, y_predict: Array,
+                c: Array, psi: Array, tol: float):
         options = self.options
-        b = rows.size
+        b = t_new.size
         y = y_predict.copy()
         correction = xp.zeros_like(y)
         scale = options.atol + options.rtol * xp.abs(y_predict)
@@ -294,16 +356,12 @@ class BatchBDF:
                 break
             n_iterations[live] += 1
             work.problem.counters.newton_iterations += live.size
-            f = work.problem.fun(t_new[live], y[live], rows[live])
-            bad = ~xp.all(xp.isfinite(f), axis=1)
-            if xp.any(bad):
-                failed[live[bad]] = True
-                live = live[~bad]
-                if live.size == 0:
-                    continue
-                f = f[~bad]
+            f = work.problem.fun(t_new[live], y[live], live)
+            finite = xp.all(xp.isfinite(f), axis=1)
+            failed[live[~finite]] = True
+            live, f = live[finite], f[finite]
             residual = c[live, None] * f - psi[live] - correction[live]
-            delta = xp.batched_matvec(work.inverse[rows[live]], residual)
+            delta = xp.batched_matvec(work.inverse[live], residual)
             norms = xp.sqrt(xp.mean((delta / scale[live]) ** 2, axis=1))
             have_prev = previous[live] > 0
             with xp.errstate(divide="ignore", invalid="ignore",
@@ -315,60 +373,12 @@ class BatchBDF:
                                         | (rate / (1 - rate) * norms > tol))
             failed[live[hopeless]] = True
             keep = ~hopeless
-            live = live[keep]
-            if live.size == 0:
-                continue
-            delta = delta[keep]
-            norms = norms[keep]
+            live, delta, norms, rate = (live[keep], delta[keep], norms[keep],
+                                        rate[keep])
             y[live] += delta
             correction[live] += delta
-            with xp.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                done = (norms == 0.0) | (
-                    (previous[live] > 0)
-                    & ((norms / xp.maximum(previous[live], 1e-300))
-                       / (1 - xp.minimum(norms / xp.maximum(previous[live],
-                                                            1e-300),
-                                         0.999)) * norms < tol))
+            done = (norms == 0.0) | (have_prev[keep] & (
+                rate / (1 - xp.minimum(rate, 0.999)) * norms < tol))
             converged[live[done]] = True
             previous[live] = norms
         return converged, n_iterations, y, correction
-
-    def _adapt_order(self, work: _BdfSet, row: int, order: int,
-                     current_err: float, max_step: float) -> None:
-        options = self.options
-        differences = work.differences
-        scale = options.atol + options.rtol * \
-            xp.abs(differences[row, 0, :])
-
-        def norm_of(vector):
-            return float(xp.sqrt(xp.mean((vector / scale) ** 2)))
-
-        candidates = [order]
-        norms = [max(current_err, 1e-10)]
-        if order > 1:
-            candidates.insert(0, order - 1)
-            norms.insert(0, max(norm_of(ERROR_CONST[order - 1]
-                                        * differences[row, order, :]),
-                                1e-10))
-        if order < MAX_ORDER:
-            candidates.append(order + 1)
-            norms.append(max(norm_of(ERROR_CONST[order + 1]
-                                     * differences[row, order + 2, :]),
-                             1e-10))
-        factors = [norms[i] ** (-1.0 / (candidates[i] + 1))
-                   for i in range(len(candidates))]
-        best = int(xp.argmax(factors))
-        new_order = candidates[best]
-        factor = float(xp.clip(0.9 * factors[best],
-                               options.min_step_factor,
-                               options.max_step_factor))
-        work.orders[row] = new_order
-        new_h = min(work.h[row] * factor, max_step)
-        factor = new_h / work.h[row]
-        if factor > 0:
-            change_difference_array(differences[row], int(new_order),
-                                    factor)
-            work.h[row] = new_h
-        work.steps_at_order[row] = 0
-        work.c_factored[row] = -1.0

@@ -150,13 +150,11 @@ class BatchDopri5:
         self.abort_on_stiffness = abort_on_stiffness
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None) -> BatchSolveResult:
+              t_eval: Array | None = None) -> BatchSolveResult:
         options = self.options
         tableau = DOPRI5
-        launch = Launch(self, problem, t_span, t_eval, initial_states,
-                        tableau.order)
-        t1, result = launch.t1, launch.result
+        launch = Launch(self, problem, t_span, t_eval, tableau.order)
+        result = launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
         error_exponent = -1.0 / (tableau.error_order + 1)
@@ -173,7 +171,7 @@ class BatchDopri5:
 
         while work.retire(result, options.max_steps):
             t = work.t
-            h = xp.minimum(work.h, t1 - t)
+            h = launch.clip(t, work.h)
 
             # Non-finite steps (a NaN RHS poisoned the step heuristic or
             # controller) can never recover — break those rows at once.

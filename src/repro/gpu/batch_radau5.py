@@ -133,11 +133,10 @@ class BatchRadau5:
         self.reuse_jacobian = reuse_jacobian
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None) -> BatchSolveResult:
+              t_eval: Array | None = None) -> BatchSolveResult:
         options = self.options
-        launch = Launch(self, problem, t_span, t_eval, initial_states, 5)
-        t1, result = launch.t1, launch.result
+        launch = Launch(self, problem, t_span, t_eval, 5)
+        result = launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
         identity = xp.eye(n)
@@ -161,7 +160,7 @@ class BatchRadau5:
 
         while work.retire(result, options.max_steps):
             t = work.t
-            h = xp.minimum(work.h, t1 - t)
+            h = launch.clip(t, work.h)
             underflow = (h <= xp.abs(t) * 1e-15) | (h < 1e-300) | \
                 ~xp.isfinite(h)
             if underflow.any():

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..backend import Array, xp
-from ..lint.model_rules import STIFFNESS_SAFE_DECADES, stiffness_risk_score
+from ..lint.model_rules import (STIFFNESS_SAFE_DECADES,
+                                row_stiffness_risk_scores)
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.stiffness import power_iteration_matvec
 from .batch_bdf import BatchBDF
@@ -45,8 +46,8 @@ class RoutingDecision:
     probe_skipped:
         True when the static stiffness-risk prefilter (see
         :func:`repro.lint.model_rules.stiffness_risk_score`) classified
-        the whole batch as safely non-stiff, so the power-iteration
-        probe never ran.
+        every row as safely non-stiff, so the power-iteration probe
+        never ran.
     stiff_method:
         Implicit solver the stiff rows (and failed-row re-executions)
         were sent to — ``"radau5"`` by default, ``"bdf"`` when a
@@ -81,30 +82,37 @@ class RoutingDecision:
 
 def classify_batch(problem: BatchedODEProblem, t0: float,
                    threshold: float,
-                   initial_states: Array | None = None,
-                   static_risk: float | None = None) -> RoutingDecision:
+                   static_risk: Array | float | None = None
+                   ) -> RoutingDecision:
     """Stiffness classification of every simulation in a batch.
 
     Uses a matrix-free power iteration on the Jacobian action
     (finite-difference directional derivatives of the batched RHS), so
     the probe costs a handful of RHS kernel launches instead of a full
-    (B, N, N) Jacobian assembly.
+    (B, N, N) Jacobian assembly. Each row's estimate depends on that row
+    alone, so a row is routed the same way in any launch.
 
-    ``static_risk`` is the linter's static stiffness-risk score for the
-    batch (decades spanned by the rate constants). When it is below
-    :data:`~repro.lint.model_rules.STIFFNESS_SAFE_DECADES` the whole
-    batch is classified non-stiff without running the probe; this is
-    safe because DOPRI5 detects stiffness at run time and the router
-    re-executes any failed simulation with Radau IIA.
+    ``static_risk`` is the linter's static stiffness-risk score (decades
+    spanned by the rate constants), of the whole batch or of each row.
+    Rows scored below
+    :data:`~repro.lint.model_rules.STIFFNESS_SAFE_DECADES` are classified
+    non-stiff without the probe, and when every row is, the probe never
+    runs; this is safe because DOPRI5 detects stiffness at run time and
+    the router re-executes any failed simulation with Radau IIA.
     """
-    if static_risk is not None and static_risk < STIFFNESS_SAFE_DECADES:
-        batch = problem.batch_size
-        return RoutingDecision(xp.zeros(batch, dtype=bool),
-                               xp.zeros(batch), threshold,
-                               probe_skipped=True)
-    states = (problem.initial_states() if initial_states is None
-              else xp.asarray(initial_states, dtype=xp.float64))
-    times = xp.full(problem.batch_size, t0)
+    batch = problem.batch_size
+    safe = xp.zeros(batch, dtype=bool)
+    if static_risk is not None:
+        safe = safe | (xp.asarray(static_risk) < STIFFNESS_SAFE_DECADES)
+    radii = xp.zeros(batch)
+    if safe.all():
+        return RoutingDecision(xp.zeros(batch, dtype=bool), radii,
+                               threshold, probe_skipped=True)
+    probed = xp.flatnonzero(~safe)
+    if probed.size < batch:
+        problem = problem.subset(probed)
+    states = problem.initial_states()
+    times = xp.full(probed.size, t0)
     base = problem.fun(times, states)
     scale = 1e-7 * (xp.norm(states, axis=1, keepdims=True) + 1.0)
 
@@ -112,9 +120,9 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
         probes = states + scale * directions
         return (problem.fun(times, probes) - base) / scale
 
-    estimate = power_iteration_matvec(jacobian_action, states)
-    return RoutingDecision(estimate.spectral_radius > threshold,
-                           estimate.spectral_radius, threshold)
+    radii[probed] = power_iteration_matvec(jacobian_action,
+                                           states).spectral_radius
+    return RoutingDecision(radii > threshold, radii, threshold)
 
 
 class StiffnessRouter:
@@ -142,16 +150,12 @@ class StiffnessRouter:
         return INTEGRATORS[method], method
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None
+              t_eval: Array | None = None
               ) -> tuple[BatchSolveResult, RoutingDecision]:
         """Integrate a batch with per-simulation method selection."""
         decision = classify_batch(
             problem, float(t_span[0]), self.options.stiffness_threshold,
-            initial_states,
-            stiffness_risk_score(problem.parameters.rate_constants))
-        states = (problem.initial_states() if initial_states is None
-                  else xp.asarray(initial_states, dtype=xp.float64))
+            row_stiffness_risk_scores(problem.parameters.rate_constants))
 
         batch = problem.batch_size
         if t_eval is None:
@@ -169,19 +173,16 @@ class StiffnessRouter:
         if nonstiff_rows.size:
             explicit = BatchDopri5(self.options,
                                    abort_on_stiffness=True).solve(
-                problem.subset(nonstiff_rows), t_span, t_eval,
-                states[nonstiff_rows])
+                problem.subset(nonstiff_rows), t_span, t_eval)
             self._splice(merged, explicit, nonstiff_rows)
             failed_rows = nonstiff_rows[explicit.status_codes != OK]
             if failed_rows.size:
                 retried = implicit_cls(self.options).solve(
-                    problem.subset(failed_rows), t_span, t_eval,
-                    states[failed_rows])
+                    problem.subset(failed_rows), t_span, t_eval)
                 self._splice(merged, retried, failed_rows)
         if stiff_rows.size:
             implicit = implicit_cls(self.options).solve(
-                problem.subset(stiff_rows), t_span, t_eval,
-                states[stiff_rows])
+                problem.subset(stiff_rows), t_span, t_eval)
             self._splice(merged, implicit, stiff_rows)
         return merged, decision
 

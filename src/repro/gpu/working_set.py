@@ -57,7 +57,7 @@ class WorkingSet:
     save: Array            # index of the next save point
     n_accepted: Array
     status: Array
-    grid: Array            # save times, clipped into the span
+    grid: Array            # save times
     n_steps: int = field(default=0, init=False)  # attempts of every row
 
     #: Fields that hold one entry per running simulation.
@@ -176,29 +176,24 @@ class Launch:
 
     def __init__(self, solver, problem: BatchedODEProblem,
                  t_span: tuple[float, float], t_eval: Array | None,
-                 initial_states: Array | None, order: int) -> None:
+                 order: int) -> None:
         options = solver.options
         self.problem = problem
         self.solver = solver.name
         self.t_eval = validate_time_grid(t_span, t_eval)
         t0, self.t1 = float(t_span[0]), float(t_span[1])
-        # The save times the steps cross: the grid may overhang the span
-        # by a rounding error, and a save at either end of the span is
-        # then recorded from the state there.
-        self.grid = xp.clip(self.t_eval, t0, self.t1)
         batch = problem.batch_size
         self.tracer = problem.tracer or NULL_TRACER
         self._span = self.tracer.start("compile", "phase",
                                        parent=problem.trace_span,
                                        solver=self.solver, rows=batch)
 
-        self.y = (problem.initial_states() if initial_states is None
-                  else xp.array(initial_states, dtype=xp.float64))
+        self.y = problem.initial_states()
         self.result = allocate_result(self.t_eval, batch, problem.n_species,
                                       solver.method_code)
         self.t = xp.full(batch, t0)
         self.save = xp.zeros(batch, dtype=xp.int64)
-        if self.grid[0] == t0:
+        if self.t_eval[0] == t0:
             self.result.y[:, 0, :] = self.y
             self.save[:] = 1
 
@@ -221,12 +216,21 @@ class Launch:
                     n_accepted=xp.zeros(batch, dtype=xp.int64),
                     status=xp.where(self.save >= self.t_eval.size, OK,
                                     RUNNING),
-                    grid=self.grid, **fields)
+                    grid=self.t_eval, **fields)
+
+    def clip(self, t: Array, h: Array) -> Array:
+        """Steps of proposed size ``h`` from ``t``, clipped at the span's
+        end: a step that would stop past ``t1``, or short of it by no
+        more than ``|t1| * 1e-15``, is cut to end on ``t1``. A row is
+        never left a step of rounding size short of the end, which the
+        step-size breakdown test would take for a collapse.
+        """
+        remaining = self.t1 - t
+        return xp.where(h >= remaining - abs(self.t1) * 1e-15, remaining, h)
 
     def step_ends(self, t: Array, h: Array) -> Array:
         """Where steps of size ``h`` from ``t`` end. A step clipped to
-        the span's end lands on ``t1`` exactly, so no row is left a
-        sliver step short of it.
+        the span's end lands on ``t1`` exactly.
         """
         return xp.where(h < self.t1 - t, t + h, self.t1)
 

@@ -64,11 +64,20 @@ def stiffness_risk_score(rate_constants: np.ndarray) -> float:
     spread of dynamical timescales: 0 means all reactions run at one
     speed, ~9 is Robertson territory.
     """
-    k = np.asarray(rate_constants, dtype=np.float64).ravel()
-    k = k[np.isfinite(k) & (k > 0.0)]
-    if k.size < 2:
-        return 0.0
-    return float(np.log10(k.max() / k.min()))
+    flat = np.asarray(rate_constants, dtype=np.float64).reshape(1, -1)
+    return float(row_stiffness_risk_scores(flat)[0])
+
+
+def row_stiffness_risk_scores(rate_constants: np.ndarray) -> np.ndarray:
+    """:func:`stiffness_risk_score` of each row of a ``(B, M)`` batch of
+    rate constants, each from that row's constants alone.
+    """
+    k = np.asarray(rate_constants, dtype=np.float64)
+    positive = np.isfinite(k) & (k > 0.0)
+    spread = np.count_nonzero(positive, axis=1) >= 2
+    high = np.max(k, axis=1, where=positive, initial=-np.inf)
+    low = np.min(k, axis=1, where=positive, initial=np.inf)
+    return np.log10(np.where(spread, high, 1.0) / np.where(spread, low, 1.0))
 
 
 def _law_species(reaction) -> set[str]:

@@ -195,8 +195,10 @@ class CampaignResult:
 #: Version of the integrators' numerics, bumped whenever a change moves
 #: the numbers a chunk produces from the same inputs. Version 2: save
 #: points are interpolated from each step's continuous extension instead
-#: of clipping steps onto them.
-NUMERICS_VERSION = 2
+#: of clipping steps onto them. Version 3: the batched BDF's sums run
+#: element-wise in slot order at each row's order, and a last step short
+#: of the span's end by a rounding error ends on it.
+NUMERICS_VERSION = 3
 
 
 def _numerics_digest(options, retry_policy) -> str:

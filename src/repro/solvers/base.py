@@ -138,7 +138,12 @@ def error_norm(error: np.ndarray, reference: np.ndarray,
 
 def validate_time_grid(t_span: tuple[float, float],
                        t_eval: np.ndarray | None) -> np.ndarray:
-    """Check and normalize the save grid against the integration span."""
+    """Check and normalize the save grid against the integration span.
+
+    A grid may overhang the span by a rounding error at either end; the
+    returned save times are clipped into the span, so every engine saves
+    the state at ``t0`` or ``t1`` there.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0):
         raise SolverError(f"t_span must be increasing, got {t_span}")
@@ -153,7 +158,7 @@ def validate_time_grid(t_span: tuple[float, float],
         raise SolverError(
             f"t_eval range [{t_eval[0]}, {t_eval[-1]}] exceeds "
             f"t_span {t_span}")
-    return t_eval
+    return np.clip(t_eval, t0, t1)
 
 
 def initial_step_size(fun, t0: float, y0: np.ndarray, f0: np.ndarray,

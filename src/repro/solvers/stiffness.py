@@ -82,12 +82,18 @@ def power_iteration_matvec(matvec, states: np.ndarray,
     (f(x + eps v) - f(x)) / eps, so the probe never materializes the
     (B, N, N) Jacobians. This is the router's production probe; the
     dense :func:`power_iteration` remains as the reference.
+
+    Each simulation's estimate depends on its own Jacobian alone: every
+    row starts from the same vector, and a row's estimate and vector
+    freeze at its own convergence while slower rows iterate on, so a row
+    gets the estimate of its own width-1 probe in any batch.
     """
     del epsilon  # the caller's matvec owns the differencing step
     batch, n = states.shape
     rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((batch, n))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True) + 1e-300
+    start = rng.standard_normal((1, n))
+    start /= np.linalg.norm(start, axis=1, keepdims=True) + 1e-300
+    vectors = np.repeat(start, batch, axis=0)
     estimate = np.zeros(batch)
     converged = np.zeros(batch, dtype=bool)
     iterations = 0
@@ -95,10 +101,11 @@ def power_iteration_matvec(matvec, states: np.ndarray,
         products = matvec(vectors)
         norms = np.linalg.norm(products, axis=1)
         done = np.abs(norms - estimate) <= tol * np.maximum(norms, 1e-30)
+        active = ~converged
         converged |= done
-        estimate = norms
-        safe = norms > 1e-300
-        vectors = np.where(safe[:, None],
+        estimate = np.where(active, norms, estimate)
+        moving = active & (norms > 1e-300)
+        vectors = np.where(moving[:, None],
                            products / (norms[:, None] + 1e-300), vectors)
         if np.all(converged):
             break

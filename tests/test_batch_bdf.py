@@ -1,12 +1,17 @@
 """Tests for the batched variable-order BDF (cupSODA-analog) engine."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.gpu import BatchBDF, BatchSimulator, BatchedODEProblem
+from repro.gpu.batch_bdf import (_accept, _difference_output, _order_change,
+                                 _predict, _rescale)
 from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, dimerization, robertson
 from repro.solvers import BDF, SolverOptions
+from repro.solvers.bdf import MAX_ORDER
 
 from .row_isolation import MIXED_OPTIONS, RowIsolationChecks
 
@@ -122,3 +127,91 @@ class TestRowIsolation(RowIsolationChecks):
 
     def solver(self):
         return BatchBDF(MIXED_OPTIONS)
+
+
+class TestOrderMasking:
+    """Every kernel of a sweep gives a row at order k the bytes of a call
+    whose rows are all at order k. Species 0 is ``-0.0`` in every slot,
+    and the slots past k + 2, which no order-k kernel reads, hold
+    non-finite values; the calls raise no floating-point exception."""
+
+    ORDERS = np.array([1, 2, 3, 4, 5, 1, 3, 5, 2, 4])
+
+    def tables(self):
+        rng = np.random.default_rng(4)
+        tables = rng.standard_normal((self.ORDERS.size, MAX_ORDER + 3, 3))
+        tables[:, :, 0] = -0.0
+        for row, order in enumerate(self.ORDERS):
+            parked = tables[row, order + 3:]
+            parked[:] = np.resize([np.inf, -np.inf, np.nan], parked.shape)
+        return tables
+
+    def assert_rows_match_uniform_calls(self, kernel, *per_row):
+        """``kernel(orders, *per_row)`` on the mixed rows, against the
+        same kernel on the rows of each order alone."""
+        with np.errstate(all="raise"):
+            mixed = kernel(self.ORDERS, *per_row)
+            for order in range(1, MAX_ORDER + 1):
+                rows = np.flatnonzero(self.ORDERS == order)
+                alone = kernel(self.ORDERS[rows],
+                               *(values[rows] for values in per_row))
+                for got, want in zip(mixed, alone):
+                    for position, row in enumerate(rows):
+                        assert got[row].tobytes() == \
+                            want[position].tobytes(), (order, row)
+
+    def test_predictor_and_psi(self):
+        tables = self.tables()
+        self.assert_rows_match_uniform_calls(
+            lambda orders, d: _predict(d, orders), tables)
+        y, psi = _predict(tables, self.ORDERS)
+        assert np.signbit(y[:, 0]).all() and np.signbit(psi[:, 0]).all()
+
+    def test_rescale(self):
+        tables = self.tables()
+        factors = np.linspace(0.3, 1.7, self.ORDERS.size)
+        self.assert_rows_match_uniform_calls(
+            lambda orders, d, f: (_rescale(d, orders, f),), tables, factors)
+        rescaled = _rescale(tables, self.ORDERS, factors)
+        for row, order in enumerate(self.ORDERS):
+            assert rescaled[row, order + 1:].tobytes() == \
+                tables[row, order + 1:].tobytes()
+
+    def test_rescale_by_one_is_the_identity_up_to_rounding(self):
+        tables = self.tables()
+        rescaled = _rescale(tables, self.ORDERS, np.ones(self.ORDERS.size))
+        for row, order in enumerate(self.ORDERS):
+            assert np.allclose(rescaled[row, :order + 1],
+                               tables[row, :order + 1], rtol=1e-12,
+                               atol=1e-12)
+
+    def test_accept_update(self):
+        tables = self.tables()
+        correction = np.random.default_rng(5).standard_normal(
+            (self.ORDERS.size, 3))
+        correction[:, 0] = -0.0
+        self.assert_rows_match_uniform_calls(
+            lambda orders, d, c: (_accept(d, orders, c),), tables,
+            correction)
+
+    def test_order_change(self):
+        tables = self.tables()
+        err = np.linspace(0.05, 0.9, self.ORDERS.size)
+        self.assert_rows_match_uniform_calls(
+            lambda orders, d, e: _order_change(d, orders, e, OPTIONS),
+            tables, err)
+
+    def test_interpolant(self):
+        tables = self.tables()
+        h = np.linspace(0.1, 0.5, self.ORDERS.size)
+        t = np.full(self.ORDERS.size, 2.0)
+        times = t - 0.3 * h
+
+        def interpolate(orders, d, step, end, at):
+            work = SimpleNamespace(h=step, t=end, differences=d,
+                                   orders=orders)
+            index = np.arange(orders.size)
+            return (_difference_output(work)(index, at),)
+
+        self.assert_rows_match_uniform_calls(interpolate, tables, h, t,
+                                             times)

@@ -86,9 +86,12 @@ class TestBatchSemantics:
         model = decay_chain(2)
         problem, batch = make_problem(model, 3)
         custom = batch.initial_states * 2.0
+        problem = BatchedODEProblem(
+            problem.system, ParameterizationBatch(batch.rate_constants,
+                                                  custom))
         result = BatchDopri5().solve(problem, (0, 1),
-                                     np.array([0.0, 1.0]), custom)
-        assert np.allclose(result.y[:, 0, :], custom)
+                                     np.array([0.0, 1.0]))
+        assert np.array_equal(result.y[:, 0, :], custom)
 
     def test_counters_accumulate(self):
         model = decay_chain(2)

@@ -111,3 +111,22 @@ def test_grid_overhanging_the_span_by_rounding(solver):
     assert result.y[:, 0].tolist() == [[1.0, 0.0]] * 3
     exact = np.exp(-rates[:, None] * np.array([0.0, 1.0, 2.0]))
     assert np.abs(result.y[:, :, 0] - exact).max() < 1e-5
+
+
+@pytest.mark.parametrize("solver", [BatchDopri5, BatchRadau5, BatchBDF])
+def test_last_step_short_of_the_end_by_rounding_lands_on_it(solver):
+    """Ten steps of 0.1 from 0 reach 0.9999999999999999. The tenth ends
+    on ``t1`` instead of leaving a 1.1e-16 step, which the step-size
+    breakdown test would take for a collapse."""
+    model = ReactionBasedModel("slow-decay")
+    model.add_species("A", 1.0)
+    model.add_species("B", 0.0)
+    model.add("A -> B @ 1.0")
+    problem = BatchedODEProblem(
+        ODESystem.from_model(model),
+        ParameterizationBatch(np.array([[1e-9]]), np.array([[1.0, 0.0]])))
+    result = solver(SolverOptions(first_step=0.1, max_step=0.1)).solve(
+        problem, (0.0, 1.0))
+    assert result.all_success
+    assert result.n_steps.tolist() == [10]
+    assert np.allclose(result.y[0, -1], [1.0, 0.0], atol=1e-8)

@@ -338,10 +338,10 @@ class TestSelfLint:
         assert not offending, report.render_text()
 
     def test_self_lint_waivers_are_bounded(self):
-        # batch_bdf's per-row fallbacks are waived with justifications;
-        # a jump in this count means a new scalar loop crept in.
+        # The shipped kernels carry no waiver: a waiver now means a new
+        # scalar loop crept in.
         report = lint_kernels()
-        assert report.metadata["waived"] <= 7
+        assert report.metadata["waived"] == 0
 
     def test_rule_registry_is_consistent(self):
         for rule_id, (severity, description) in KERNEL_RULES.items():

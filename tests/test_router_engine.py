@@ -9,6 +9,7 @@ from repro.gpu import (BatchDopri5, BatchSimulator, BatchedODEProblem,
 from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
+from repro.solvers.stiffness import power_iteration_matvec
 
 
 def make_problem(model, batch_size=4, seed=0):
@@ -191,3 +192,58 @@ class TestEngine:
         reference = BatchSimulator(model, policy="hybrid").simulate(
             (0, 2), grid, batch)
         assert np.allclose(result.y, reference.y, rtol=1e-12, atol=1e-15)
+
+
+class TestWidthIndependentRouting:
+    """A row's routing depends on that row alone, so its result does not
+    depend on its launch neighbours."""
+
+    def test_cascade_rows_match_across_launch_widths(self):
+        """The stiff_cascade call shape: 16 perturbed cascade rows, row 0
+        at half rates. Once, start vectors by launch position, estimates
+        overwritten until the slowest row converged and a launch-wide
+        risk score moved rows between DOPRI5-first and Radau5."""
+        from repro.rules.library import multisite_cascade
+
+        from .row_isolation import row_bytes
+        model = multisite_cascade(5, kinase_rate=1e3).expand()
+        sampled = perturbed_batch(model.nominal_parameterization(), 16,
+                                  np.random.default_rng(1))
+        constants = sampled.rate_constants
+        constants[0] *= 0.5
+        batch = ParameterizationBatch(constants, sampled.initial_states)
+        options = SolverOptions(rtol=1e-6, atol=1e-12)
+        grid = np.linspace(0.0, 1.0, 6)
+        whole = BatchSimulator(model, options).simulate((0.0, 1.0), grid,
+                                                        batch)
+        split = BatchSimulator(model, options,
+                               max_batch_per_launch=4).simulate(
+            (0.0, 1.0), grid, batch)
+        assert split.method_codes.tobytes() == whole.method_codes.tobytes()
+        for row in range(batch.size):
+            assert row_bytes(split, row) == row_bytes(whole, row), row
+
+    def test_probe_estimates_are_those_of_width_one_probes(self):
+        scales = np.array([1.0, 40.0, 3.0, 900.0])
+        spectra = np.array([[1.0, -0.9, 0.2], [2.0, 1.9, 1.0],
+                            [0.5, 0.3, -0.45], [1.0, 0.2, 0.1]])
+        matrices = scales[:, None] * spectra
+
+        def probe(rows):
+            return power_iteration_matvec(
+                lambda vectors: matrices[rows] * vectors,
+                np.ones((rows.size, 3)))
+
+        whole = probe(np.arange(4))
+        for row in range(4):
+            alone = probe(np.array([row]))
+            assert alone.spectral_radius[0] == whole.spectral_radius[row]
+            assert alone.converged[0] == whole.converged[row]
+
+    def test_static_prefilter_scores_each_row(self):
+        problem = make_problem(decay_chain(3), 2)
+        decision = classify_batch(problem, 0.0, threshold=1e-9,
+                                  static_risk=np.array([0.5, 8.0]))
+        assert not decision.probe_skipped
+        assert decision.spectral_radii[0] == 0.0
+        assert decision.stiff_mask.tolist() == [False, True]

@@ -56,6 +56,18 @@ class TestSequentialEngines:
         assert result.raw.methods()[0] == engine
 
 
+@pytest.mark.parametrize("engine", SEQUENTIAL_ENGINES + ("batched",))
+def test_grid_starting_below_the_span_by_rounding(engine):
+    """A save grid may start below ``t0`` by a rounding error; every
+    engine saves the initial state there and finishes the row."""
+    model = decay_chain(3)
+    result = simulate(model, (0.0, 1.0), np.array([-1e-16, 0.5, 1.0]),
+                      None, engine)
+    assert result.all_success
+    assert np.isfinite(result.y).all()
+    assert np.array_equal(result.y[0, 0], model.initial_state())
+
+
 class TestTimeBudget:
     def test_budget_cuts_off_batch(self):
         model = robertson()
