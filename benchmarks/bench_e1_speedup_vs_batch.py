@@ -3,9 +3,14 @@
 Regenerates the paper family's central claim: the batched GPU-style
 engine amortizes its overhead over the batch, so its advantage over the
 per-simulation CPU loop (SciPy LSODA) grows with the number of parallel
-simulations. The report table lists, per batch size, the batched
-wall-clock, the (budgeted, extrapolated) LSODA wall-clock, and the
-speedup.
+simulations. The report table lists, per batch size, the median batched
+wall-clock, the median (budgeted, extrapolated) LSODA wall-clock, and
+the speedup.
+
+Each batch size runs ``ROUNDS`` paired rounds: one batched run and one
+LSODA run back to back, alternating which goes first, so a slow spell
+on the host hits both sides of a pair. The speedup is the median of the
+per-round ratios, reported with its interquartile range.
 
 Expected shape: speedup < 1 (or ~1) for a single simulation, growing
 monotonically with the batch size.
@@ -19,68 +24,87 @@ from repro.core.comparison import time_engine
 from repro.solvers import SolverOptions
 from repro.synth import generate_symmetric
 
-from common import timed, write_bench_json, write_report
+from common import write_bench_json, write_report
 
 BATCH_SIZES = [1, 4, 16, 64, 256]
+ROUNDS = 7
 MODEL = generate_symmetric(32, seed=11)
 T_SPAN = (0.0, 2.0)
 T_EVAL = np.linspace(0.0, 2.0, 11)
 OPTIONS = SolverOptions(max_steps=50_000)
 
-batched_seconds: dict[int, float] = {}
-lsoda_seconds: dict[int, float] = {}
+#: Per batch size, one ``(batched_seconds, lsoda_seconds)`` per round.
+rounds: dict[int, list[tuple[float, float]]] = {}
+
+
+def _batched(batch_size: int) -> float:
+    return time_engine(MODEL, "batched-hybrid", batch_size, T_SPAN,
+                       T_EVAL, OPTIONS, seed=0)[0]
+
+
+def _lsoda(batch_size: int) -> float:
+    return time_engine(MODEL, "lsoda", batch_size, T_SPAN, T_EVAL,
+                       OPTIONS, seed=0, time_budget_seconds=5.0)[0]
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_batched_engine(benchmark, batch_size):
+def test_paired_rounds(benchmark, batch_size):
+    pairs = rounds.setdefault(batch_size, [])
+
     def run():
-        seconds, _ = time_engine(MODEL, "batched-hybrid", batch_size,
-                                 T_SPAN, T_EVAL, OPTIONS, seed=0)
-        batched_seconds[batch_size] = seconds
+        if len(pairs) % 2 == 0:
+            batched = _batched(batch_size)
+            lsoda = _lsoda(batch_size)
+        else:
+            lsoda = _lsoda(batch_size)
+            batched = _batched(batch_size)
+        pairs.append((batched, lsoda))
 
-    benchmark.pedantic(run, rounds=2, iterations=1)
+    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_lsoda_loop(benchmark, batch_size):
-    def run():
-        seconds, _ = time_engine(MODEL, "lsoda", batch_size, T_SPAN,
-                                 T_EVAL, OPTIONS, seed=0,
-                                 time_budget_seconds=5.0)
-        lsoda_seconds[batch_size] = seconds
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def _summary(batch_size: int) -> dict:
+    batched, lsoda = np.array(rounds[batch_size]).T
+    q1, median, q3 = np.percentile(lsoda / batched, [25, 50, 75])
+    return {"batched_seconds": float(np.median(batched)),
+            "lsoda_seconds": float(np.median(lsoda)),
+            "speedup": float(median), "speedup_iqr": [float(q1), float(q3)]}
 
 
 def test_report(benchmark):
+    summaries = {b: _summary(b) for b in BATCH_SIZES if b in rounds}
+
     def render():
         rows = []
-        for batch_size in BATCH_SIZES:
-            batched = batched_seconds.get(batch_size, float("nan"))
-            lsoda = lsoda_seconds.get(batch_size, float("nan"))
-            rows.append((batch_size, f"{batched * 1e3:.1f} ms",
-                         f"{lsoda * 1e3:.1f} ms",
-                         f"{lsoda / batched:.1f}x"))
+        for batch_size, summary in summaries.items():
+            q1, q3 = summary["speedup_iqr"]
+            rows.append((batch_size,
+                         f"{summary['batched_seconds'] * 1e3:.1f} ms",
+                         f"{summary['lsoda_seconds'] * 1e3:.1f} ms",
+                         f"{summary['speedup']:.2f}x",
+                         f"{q1:.2f}-{q3:.2f}x"))
         return format_table(
-            ["batch", "batched-hybrid", "lsoda loop", "speedup"], rows)
+            ["batch", "batched-hybrid", "lsoda loop", "speedup",
+             "speedup IQR"], rows)
 
     table = benchmark.pedantic(render, rounds=1, iterations=1)
     write_report("e1_speedup_vs_batch", table)
     write_bench_json("e1_speedup_vs_batch", {
         "batch_sizes": BATCH_SIZES,
-        "batched_seconds": {str(b): batched_seconds.get(b)
-                            for b in BATCH_SIZES},
-        "lsoda_seconds": {str(b): lsoda_seconds.get(b)
-                          for b in BATCH_SIZES},
-        "speedups": {str(b): lsoda_seconds[b] / batched_seconds[b]
-                     for b in BATCH_SIZES
-                     if b in batched_seconds and b in lsoda_seconds},
+        "rounds": ROUNDS,
+        "batched_seconds": {str(b): s["batched_seconds"]
+                            for b, s in summaries.items()},
+        "lsoda_seconds": {str(b): s["lsoda_seconds"]
+                          for b, s in summaries.items()},
+        "speedups": {str(b): s["speedup"] for b, s in summaries.items()},
+        "speedup_iqr": {str(b): s["speedup_iqr"]
+                        for b, s in summaries.items()},
         "metrics": _traced_metrics(BATCH_SIZES[-2]),
     })
     # Shape assertion: the speedup at the largest batch exceeds the
     # single-simulation speedup.
-    largest = lsoda_seconds[BATCH_SIZES[-1]] / batched_seconds[BATCH_SIZES[-1]]
-    smallest = lsoda_seconds[1] / batched_seconds[1]
+    largest = summaries[BATCH_SIZES[-1]]["speedup"]
+    smallest = summaries[1]["speedup"]
     assert largest > smallest
 
 

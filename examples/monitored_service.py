@@ -5,7 +5,8 @@ example runs the full loop an operator would:
 
 1. **calibrate** — probe launches fit a
    :class:`~repro.telemetry.CalibrationReport` (predicted vs observed
-   launch cost), which the server then uses for admission;
+   launch cost): a record of how far the perfmodel is off and whether
+   it drifts. It changes no routing or admission decision;
 2. **serve + storm** — a real TCP server with two tenants: ``prod``
    (tight SLO: 99% of jobs, under 30 s) and ``research`` (loose SLO),
    with scheduler-level fault injection and a few hopeless deadlines
@@ -18,7 +19,7 @@ example runs the full loop an operator would:
 The same views are available without code::
 
     python -m repro calibrate MODEL --out calib.json
-    python -m repro serve --calibration calib.json --slo-target 0.99
+    python -m repro serve --slo-target 0.99
     python -m repro top --once
 
 Run:  python examples/monitored_service.py
@@ -40,7 +41,7 @@ from repro.telemetry.calibration import calibrate_workload
 T_SPAN = (0.0, 2.0)
 
 
-def calibrate_demo(model, workdir: Path) -> Path:
+def calibrate_demo(model, workdir: Path) -> None:
     print("== 1. perfmodel calibration ==")
     table = calibrate_workload(model, t_span=T_SPAN, widths=(8, 16),
                                repeats=2)
@@ -48,7 +49,6 @@ def calibrate_demo(model, workdir: Path) -> Path:
     print(report.render())
     path = report.save(workdir / "calib.json")
     print(f"saved -> {path}\n")
-    return path
 
 
 def storm(model_folder: Path, host: str, port: int) -> None:
@@ -94,7 +94,7 @@ def main() -> None:
     model = lotka_volterra()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        calibration_path = calibrate_demo(model, workdir)
+        calibrate_demo(model, workdir)
         model_folder = write_model(model, workdir / "lv")
 
         print("== 2. two-tenant storm with faults and SLOs ==")
@@ -102,8 +102,7 @@ def main() -> None:
             max_running_jobs=2,
             slos={"prod": TenantSLO(target=0.99,
                                     latency_objective_seconds=30.0),
-                  "research": TenantSLO(target=0.7)},
-            calibration_path=str(calibration_path))
+                  "research": TenantSLO(target=0.7)})
         # Kill the third admitted job's first attempt: the supervisor
         # retries it, and the fault shows up in the metrics.
         faults = FaultPlan(sched_kill_jobs=(2,))

@@ -318,8 +318,7 @@ def _command_serve(args) -> int:
                                   max_inflight_chunks=args.tenant_inflight),
         max_job_attempts=args.job_attempts,
         attempt_timeout=args.attempt_timeout,
-        default_slo=default_slo,
-        calibration_path=args.calibration)
+        default_slo=default_slo)
     def announce(bound):
         # Printed from the *bound* address, not the requested one:
         # --port 0 picks an ephemeral port the operator must learn.
@@ -460,9 +459,9 @@ def _command_calibrate(args) -> int:
     print(report.render())
     if args.out:
         report.save(args.out)
-        print(f"\nwrote calibration report to {args.out} "
-              f"(pass to 'repro serve --calibration' or "
-              f"BatchSimulator(cost_model=...))")
+        print(f"\nwrote calibration report to {args.out} (a record of "
+              f"the perfmodel's error and drift; refit and compare it "
+              f"when the workload or host changes)")
     return 0
 
 
@@ -644,9 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock bound per job attempt (seconds)")
     serve.add_argument("--telemetry", default=None,
                        help="JSONL trace path for the service span tree")
-    serve.add_argument("--calibration", default=None,
-                       help="calibration report JSON ('repro calibrate' "
-                            "output) for calibrated admission and routing")
     serve.add_argument("--slo-target", type=float, default=None,
                        help="default per-tenant success objective "
                             "(e.g. 0.99)")

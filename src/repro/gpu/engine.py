@@ -30,14 +30,20 @@ from ..telemetry import clock
 from ..telemetry.calibration import LaunchCost
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import SpanHandle, as_tracer
+from .batch_bdf import BatchBDF
+from .batch_dopri5 import BatchDopri5
+from .batch_radau5 import BatchRadau5
 from .batch_result import (BROKEN, GUARD, OK, STATUS_NAMES, BatchSolveResult,
                            allocate_result)
 from .batched_ode import BatchedODEProblem, KernelCounters
 from .device import TITAN_X, VirtualDevice
 from .perfmodel import (DeviceTimeEstimate, estimate_device_time,
                         memory_footprint_doubles)
-from .router import INTEGRATORS, RoutingDecision, StiffnessRouter
+from .router import RoutingDecision, StiffnessRouter
 
+#: The batched integrator that serves each method name: the
+#: fixed-method launches and the retry rungs.
+INTEGRATORS = {"dopri5": BatchDopri5, "radau5": BatchRadau5, "bdf": BatchBDF}
 METHODS = ("auto",) + tuple(INTEGRATORS)
 
 #: Default cap on simulations per launch (``max_batch_per_launch``); the
@@ -70,9 +76,10 @@ class EngineReport:
     timestamp-free, so it is safe to embed in campaign checkpoints.
 
     ``launch_costs`` pairs every launch's perfmodel prediction with
-    its observed wall-clock and working set — the raw material of
-    :mod:`repro.telemetry.calibration`. Wall-clock lives here (next to
-    ``elapsed_seconds``), never in ``metrics``.
+    its observed wall-clock — the raw material of
+    :mod:`repro.telemetry.calibration`, which reports the model's error
+    and drift and feeds no decision back. Wall-clock lives here (next
+    to ``elapsed_seconds``), never in ``metrics``.
     """
 
     elapsed_seconds: float
@@ -201,13 +208,6 @@ class BatchSimulator:
         Optional parent span handle under which this simulate call's
         launch spans nest (the campaign runner passes its chunk span);
         ``None`` makes the launches trace roots.
-    cost_model:
-        Optional fitted :class:`~repro.telemetry.calibration.
-        CalibrationReport`. When present, ``"auto"`` routing may pick
-        BDF over Radau IIA for the implicit rung where the calibrated
-        per-row cost says it is cheaper. Predictions are *recorded*
-        on ``launch_costs`` either way — the model only changes
-        decisions, never measurements.
     """
 
     def __init__(self, model: ReactionBasedModel,
@@ -220,8 +220,7 @@ class BatchSimulator:
                  guard_config: GuardConfig | None = None,
                  memory_governor: MemoryGovernor | None = None,
                  tracer=None,
-                 trace_parent: SpanHandle | None = None,
-                 cost_model=None) -> None:
+                 trace_parent: SpanHandle | None = None) -> None:
         if method not in METHODS:
             raise SolverError(f"unknown method {method!r}; "
                               f"expected one of {METHODS}")
@@ -240,7 +239,6 @@ class BatchSimulator:
         self.memory_governor = memory_governor
         self.tracer = as_tracer(tracer)
         self.trace_parent = trace_parent
-        self.cost_model = cost_model
         self.last_report: EngineReport | None = None
 
     # ------------------------------------------------------------------
@@ -287,7 +285,6 @@ class BatchSimulator:
             rung_span = tracer.start("rung-0", "rung", parent=launch_span,
                                      method=self.method)
             problem.trace_span = rung_span
-            routing_before = len(report.routing)
             launch_t0 = clock.monotonic()
             chunk = self._run_launch_governed(problem, t_span, t_eval,
                                               report)
@@ -305,15 +302,13 @@ class BatchSimulator:
                     problem, chunk, t_span, t_eval, report,
                     invariant_monitor, launch_span)
             observed = clock.monotonic() - launch_t0
-            cost = self._launch_cost(report, routing_before, counters,
-                                     observed, stop - start, t_eval.size)
+            cost = self._launch_cost(report, counters, observed,
+                                     stop - start)
             counters.fold_into(report.metrics)
             report.metrics.count("retry.retried_rows", retried)
             report.metrics.count("retry.recovered_rows", recovered)
             tracer.end(launch_span, method=self.method,
-                       predicted_ms=cost.predicted_seconds * 1.0e3,
-                       predicted_doubles=cost.predicted_doubles,
-                       actual_doubles=cost.actual_doubles)
+                       predicted_ms=cost.predicted_seconds * 1.0e3)
             self._observe_launch(report, stop - start, t_eval.size)
             chunks.append(chunk)
             report.n_launches += 1
@@ -360,40 +355,23 @@ class BatchSimulator:
                                      self.system.n_reactions,
                                      n_save_points, self.method))
 
-    def _launch_cost(self, report: EngineReport, routing_before: int,
-                     counters: KernelCounters, observed: float,
-                     rows: int, n_save_points: int) -> LaunchCost:
-        """Record one launch's predicted-vs-observed cost.
+    def _launch_cost(self, report: EngineReport, counters: KernelCounters,
+                     observed: float, rows: int) -> LaunchCost:
+        """Record one launch's predicted-vs-observed device seconds.
 
         Prediction prices the launch's *own* account, which its router
         subsets, memory splits and retry rungs all accumulate into, so
-        their work is attributed to the launch that incurred it. The
-        actual working set discounts ``"auto"`` down to the rows that
-        really took the implicit path — the prediction conservatively
-        budgets Radau storage for every row; the routing decisions say
-        how many used it.
+        their work is attributed to the launch that incurred it.
         """
         n_species = self.system.n_species
         n_reactions = self.system.n_reactions
         predicted = estimate_device_time(counters, rows, n_species,
                                          n_reactions, self.device)
-        predicted_doubles = memory_footprint_doubles(
-            rows, n_species, n_reactions, n_save_points, self.method)
-        if self.method == "auto":
-            n_stiff = sum(decision.n_stiff for decision
-                          in report.routing[routing_before:])
-            actual_doubles = memory_footprint_doubles(
-                rows, n_species, n_reactions, n_save_points,
-                "dopri5") + 4 * n_stiff * n_species * n_species
-        else:
-            actual_doubles = predicted_doubles
         cost = LaunchCost(
             method=self.method, rows=int(rows), n_species=int(n_species),
             n_reactions=int(n_reactions),
             predicted_seconds=float(predicted.total_seconds),
-            observed_seconds=float(observed),
-            predicted_doubles=int(predicted_doubles),
-            actual_doubles=int(actual_doubles))
+            observed_seconds=float(observed))
         report.launch_costs.append(cost)
         return cost
 
@@ -530,9 +508,8 @@ class BatchSimulator:
                     t_span: tuple[float, float], t_eval: Array,
                     report: EngineReport) -> BatchSolveResult:
         if self.method == "auto":
-            result, decision = StiffnessRouter(
-                self.options, cost_model=self.cost_model).solve(
-                    problem, t_span, t_eval)
+            result, decision = StiffnessRouter(self.options).solve(
+                problem, t_span, t_eval)
             report.routing.append(decision)
             return result
         return INTEGRATORS[self.method](self.options).solve(

@@ -7,27 +7,26 @@ solver, the rest to batched DOPRI5. Simulations that DOPRI5 fails to
 finish (step-budget exhaustion or breakdown — the usual symptom of
 undetected stiffness) are *re-executed* with Radau IIA, mirroring the
 paper family's fallback re-run of failed explicit simulations.
+
+The implicit rung is always Radau IIA, so a row's integrator follows
+from that row's own stiffness and never from the width of the launch
+it shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..backend import Array, xp
 from ..lint.model_rules import (STIFFNESS_SAFE_DECADES,
                                 row_stiffness_risk_scores)
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.stiffness import power_iteration_matvec
-from .batch_bdf import BatchBDF
 from .batch_dopri5 import BatchDopri5
 from .batch_radau5 import BatchRadau5
 from .batch_result import (METHOD_DOPRI5, OK, BatchSolveResult,
                            allocate_result)
 from .batched_ode import BatchedODEProblem
-
-#: The batched integrator that serves each method name: the router's
-#: implicit rung, the engine's fixed-method launches and its retry rungs.
-INTEGRATORS = {"dopri5": BatchDopri5, "radau5": BatchRadau5, "bdf": BatchBDF}
 
 
 @dataclass(frozen=True)
@@ -48,17 +47,12 @@ class RoutingDecision:
         :func:`repro.lint.model_rules.stiffness_risk_score`) classified
         every row as safely non-stiff, so the power-iteration probe
         never ran.
-    stiff_method:
-        Implicit solver the stiff rows (and failed-row re-executions)
-        were sent to — ``"radau5"`` by default, ``"bdf"`` when a
-        calibrated cost model said BDF is cheaper for this bucket.
     """
 
     stiff_mask: Array
     spectral_radii: Array
     threshold: float
     probe_skipped: bool = False
-    stiff_method: str = "radau5"
 
     @property
     def n_stiff(self) -> int:
@@ -68,16 +62,14 @@ class RoutingDecision:
         return {"stiff_mask": [bool(v) for v in self.stiff_mask],
                 "spectral_radii": [float(v) for v in self.spectral_radii],
                 "threshold": float(self.threshold),
-                "probe_skipped": bool(self.probe_skipped),
-                "stiff_method": str(self.stiff_method)}
+                "probe_skipped": bool(self.probe_skipped)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingDecision":
         return cls(xp.asarray(data["stiff_mask"], dtype=bool),
                    xp.asarray(data["spectral_radii"], dtype=xp.float64),
                    float(data["threshold"]),
-                   bool(data.get("probe_skipped", False)),
-                   str(data.get("stiff_method", "radau5")))
+                   bool(data.get("probe_skipped", False)))
 
 
 def classify_batch(problem: BatchedODEProblem, t0: float,
@@ -130,24 +122,8 @@ class StiffnessRouter:
 
     name = "router"
 
-    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 cost_model=None) -> None:
+    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS) -> None:
         self.options = options
-        # Optional fitted CalibrationReport (or anything exposing
-        # ``preferred_stiff_method(rows, n_species)``): lets measured
-        # per-row cost pick the implicit rung instead of the Radau
-        # default. No model / no evidence -> behavior is unchanged.
-        self.cost_model = cost_model
-
-    def _implicit_solver(self, batch_size: int, n_species: int):
-        """Implicit solver class + name for this batch shape."""
-        method = "radau5"
-        if self.cost_model is not None:
-            preferred = self.cost_model.preferred_stiff_method(
-                batch_size, n_species)
-            if preferred == "bdf":
-                method = "bdf"
-        return INTEGRATORS[method], method
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
               t_eval: Array | None = None
@@ -166,9 +142,6 @@ class StiffnessRouter:
 
         nonstiff_rows = xp.flatnonzero(~decision.stiff_mask)
         stiff_rows = xp.flatnonzero(decision.stiff_mask)
-        implicit_cls, stiff_method = self._implicit_solver(
-            batch, problem.n_species)
-        decision = replace(decision, stiff_method=stiff_method)
 
         if nonstiff_rows.size:
             explicit = BatchDopri5(self.options,
@@ -177,11 +150,11 @@ class StiffnessRouter:
             self._splice(merged, explicit, nonstiff_rows)
             failed_rows = nonstiff_rows[explicit.status_codes != OK]
             if failed_rows.size:
-                retried = implicit_cls(self.options).solve(
+                retried = BatchRadau5(self.options).solve(
                     problem.subset(failed_rows), t_span, t_eval)
                 self._splice(merged, retried, failed_rows)
         if stiff_rows.size:
-            implicit = implicit_cls(self.options).solve(
+            implicit = BatchRadau5(self.options).solve(
                 problem.subset(stiff_rows), t_span, t_eval)
             self._splice(merged, implicit, stiff_rows)
         return merged, decision

@@ -94,12 +94,6 @@ class ServiceConfig:
         Per-tenant :class:`~repro.telemetry.slo.TenantSLO` objectives;
         tenants absent from ``slos`` fall back to ``default_slo``.
         Both ``None`` (the default) disables SLO tracking entirely.
-    calibration_path:
-        Optional path of a fitted
-        :class:`~repro.telemetry.calibration.CalibrationReport` JSON
-        (as written by ``repro calibrate``). When set, admission's
-        working-set predictions are corrected by the calibrated
-        factors before quota comparison.
     """
 
     max_running_jobs: int = 4
@@ -114,7 +108,6 @@ class ServiceConfig:
     serial_pressure: int = 6
     default_slo: TenantSLO | None = None
     slos: dict = field(default_factory=dict)
-    calibration_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_running_jobs < 1:

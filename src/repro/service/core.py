@@ -34,7 +34,6 @@ from ..errors import (QueueFull, QuotaExceeded, ReproError, ServiceError,
 from ..gpu.perfmodel import memory_footprint_doubles
 from ..resilience.campaign import CampaignConfig, run_campaign
 from ..telemetry import clock
-from ..telemetry.calibration import CalibrationReport
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.prometheus import labeled
 from ..telemetry.slo import SLOTracker
@@ -65,24 +64,14 @@ class CampaignService:
         to the service tracer on ``start()`` (so it sees every span
         close live) and fed a registry snapshot each dispatcher tick;
         the ``/metrics`` endpoint and ``repro top`` read from it.
-    calibration:
-        Optional fitted :class:`~repro.telemetry.calibration.
-        CalibrationReport` correcting admission's working-set
-        predictions; defaults to loading
-        ``config.calibration_path`` when that is set.
     """
 
     def __init__(self, config: ServiceConfig | None = None,
-                 telemetry=None, fault_plan=None, hub=None,
-                 calibration=None) -> None:
+                 telemetry=None, fault_plan=None, hub=None) -> None:
         self.config = ServiceConfig() if config is None else config
         self.tracer = as_tracer(telemetry)
         self.fault_plan = fault_plan
         self.hub = hub
-        if calibration is None and self.config.calibration_path:
-            calibration = CalibrationReport.load(
-                self.config.calibration_path)
-        self.calibration = calibration
         self.metrics = MetricsRegistry()
         # Engine-side counters merged from every finished job's
         # campaign result: kernel launches, Newton iterations, guard
@@ -207,9 +196,6 @@ class CampaignService:
         width = max(1, min(int(request.chunk_size), self._n_rows(request)))
         per_chunk = memory_footprint_doubles(width, model.n_species,
                                              model.n_reactions, n_save)
-        if self.calibration is not None:
-            per_chunk = self.calibration.calibrated_doubles(
-                per_chunk, "auto", width, model.n_species)
         estimate = per_chunk * quota.max_inflight_chunks
         if estimate > quota.working_set_doubles:
             raise WorkingSetExceeded(

@@ -254,17 +254,15 @@ async def _handle_connection(state: _ServerState, reader, writer) -> None:
 async def serve_async(host: str = "127.0.0.1", port: int = 8753,
                       config: ServiceConfig | None = None,
                       telemetry=None, ready=None, hub=None,
-                      calibration=None, fault_plan=None) -> None:
+                      fault_plan=None) -> None:
     """Run the service behind a TCP server until ``shutdown`` arrives.
 
     ``ready`` (optional callable) receives the bound ``(host, port)``
     once the socket is listening — tests use it to learn an ephemeral
     port. A :class:`~repro.telemetry.live.MetricsHub` always backs
-    ``/metrics``; pass ``hub`` to share or configure it,
-    ``calibration`` (a fitted
-    :class:`~repro.telemetry.calibration.CalibrationReport`) to turn
-    on calibrated admission, and ``fault_plan`` for scheduler-level
-    fault injection (demos and chaos drills).
+    ``/metrics``; pass ``hub`` to share or configure it and
+    ``fault_plan`` for scheduler-level fault injection (demos and
+    chaos drills).
     """
     hub = MetricsHub() if hub is None else hub
     if telemetry is None:
@@ -274,8 +272,7 @@ async def serve_async(host: str = "127.0.0.1", port: int = 8753,
         # works out of the box and memory stays bounded.
         telemetry = Tracer(sink=None, keep_spans=False)
     service = CampaignService(config=config, telemetry=telemetry,
-                              hub=hub, calibration=calibration,
-                              fault_plan=fault_plan)
+                              hub=hub, fault_plan=fault_plan)
     await service.start()
     state = _ServerState(service)
     server = await asyncio.start_server(
@@ -291,11 +288,10 @@ async def serve_async(host: str = "127.0.0.1", port: int = 8753,
 
 def serve(host: str = "127.0.0.1", port: int = 8753,
           config: ServiceConfig | None = None, telemetry=None,
-          calibration=None, ready=None) -> None:
+          ready=None) -> None:
     """Blocking entry point of ``repro serve``."""
     asyncio.run(serve_async(host, port, config=config,
-                            telemetry=telemetry,
-                            calibration=calibration, ready=ready))
+                            telemetry=telemetry, ready=ready))
 
 
 def scrape_metrics(host: str = "127.0.0.1", port: int = 8753,

@@ -89,11 +89,15 @@ class ExplicitRungeKutta:
                                    stats, self.name,
                                    f"step budget exhausted at t={t:g}")
             h = min(h, t1 - t)
-            # Clip so the next save time is hit exactly.
+            # Clip so the next save time is hit exactly; a step that
+            # would stop short of it by rounding only is clipped too, or
+            # the next one would be of rounding size.
             clipped = False
-            if save_index < t_eval.size and t + h >= t_eval[save_index]:
-                h = t_eval[save_index] - t
-                clipped = True
+            if save_index < t_eval.size:
+                t_save = t_eval[save_index]
+                if t + h >= t_save - abs(t_save) * 1e-15:
+                    h = t_save - t
+                    clipped = True
             if h <= abs(t) * 1e-15:
                 return SolveResult(t_eval[:save_index].copy(),
                                    output[:save_index].copy(), FAILED,

@@ -16,12 +16,12 @@ Three layers:
 Exporters produce JSONL, Chrome ``trace_event`` (Perfetto-loadable)
 and text summaries; the ``repro trace`` CLI wraps them.
 
-The *live* half (this PR's additions) streams instead of exporting:
+The *live* half streams instead of exporting:
 :class:`MetricsHub` aggregates span closes and registry snapshots
 into sliding windows, :func:`render_prometheus` exposes them (and any
 registry) in Prometheus text format, :class:`SLOTracker` burns
 per-tenant error budgets, and :mod:`~repro.telemetry.calibration`
-closes the perfmodel prediction loop.
+measures how far the perfmodel's predictions are off.
 """
 
 from . import clock

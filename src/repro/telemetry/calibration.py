@@ -1,22 +1,21 @@
 """Perfmodel calibration: predicted vs observed launch costs.
 
-The admission controller and the router make decisions from
-:mod:`repro.gpu.perfmodel` *predictions* (device seconds, working-set
-doubles) that nothing ever checks against reality. This module closes
-the loop: every launch records a :class:`LaunchCost` — the modeled
-cost next to the observed one — and a :class:`CalibrationTable`
-accumulates them into ``solver x batch-width x model-size`` buckets
-(powers of two, matching the registry histograms). ``fit()`` produces
-a :class:`CalibrationReport` of per-bucket multiplicative correction
-factors with drift detection; the report then plugs back in as an
-opt-in hook:
+The :mod:`repro.gpu.perfmodel` device-time model is a prediction that
+nothing else checks against reality. This module measures how far off
+it is: every launch records a :class:`LaunchCost` — the modeled device
+seconds next to the observed wall-clock — and a
+:class:`CalibrationTable` accumulates them into ``solver x batch-width
+x model-size`` buckets (powers of two, matching the registry
+histograms). ``fit()`` produces a :class:`CalibrationReport`: per
+bucket, the multiplicative time correction, the measured seconds per
+row, the model's median log error before and after the correction,
+and a drift flag.
 
-* admission — :meth:`CalibrationReport.calibrated_doubles` rescales
-  the working-set estimate behind ``WorkingSetExceeded``;
-* routing — :meth:`CalibrationReport.preferred_stiff_method` picks
-  the implicit rung (Radau IIA vs BDF) by measured per-row cost;
-* estimates — :meth:`CalibrationReport.calibrated_seconds` corrects
-  any perfmodel time prediction.
+The report is a record, not a control input. Routing picks each row's
+integrator from that row's own stiffness and admission prices a job
+with the analytic working-set formula; neither reads a report, so a
+stale or mis-fitted calibration can never change a result or a
+verdict.
 
 Records live on :class:`~repro.gpu.engine.EngineReport` (wall-clock
 values are **not** registry material — rule DET005 keeps checkpoints
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import TelemetryError
@@ -40,9 +39,6 @@ SCHEMA_VERSION = 1
 #: Per-bucket sample cap: the first N launches of a bucket are kept
 #: (deterministic under replay), later ones only bump the count.
 MAX_SAMPLES_PER_BUCKET = 512
-
-#: Implicit methods the router can choose between when calibrated.
-_STIFF_METHODS = ("radau5", "bdf")
 
 
 def bucket_exponent(value: int) -> int:
@@ -60,8 +56,6 @@ class LaunchCost:
     n_reactions: int
     predicted_seconds: float
     observed_seconds: float
-    predicted_doubles: int
-    actual_doubles: int
 
     @property
     def time_ratio(self) -> float:
@@ -70,21 +64,12 @@ class LaunchCost:
             return 1.0
         return self.observed_seconds / self.predicted_seconds
 
-    @property
-    def ws_ratio(self) -> float:
-        """actual/predicted working-set doubles."""
-        if self.predicted_doubles <= 0:
-            return 1.0
-        return self.actual_doubles / self.predicted_doubles
-
     def to_dict(self) -> dict:
         return {"method": self.method, "rows": int(self.rows),
                 "n_species": int(self.n_species),
                 "n_reactions": int(self.n_reactions),
                 "predicted_seconds": float(self.predicted_seconds),
-                "observed_seconds": float(self.observed_seconds),
-                "predicted_doubles": int(self.predicted_doubles),
-                "actual_doubles": int(self.actual_doubles)}
+                "observed_seconds": float(self.observed_seconds)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LaunchCost":
@@ -92,21 +77,18 @@ class LaunchCost:
                    n_species=int(data["n_species"]),
                    n_reactions=int(data["n_reactions"]),
                    predicted_seconds=float(data["predicted_seconds"]),
-                   observed_seconds=float(data["observed_seconds"]),
-                   predicted_doubles=int(data["predicted_doubles"]),
-                   actual_doubles=int(data["actual_doubles"]))
+                   observed_seconds=float(data["observed_seconds"]))
 
 
 @dataclass(frozen=True)
 class BucketCalibration:
-    """Fitted correction factors of one (method, width, size) bucket."""
+    """Fitted time correction of one (method, width, size) bucket."""
 
     method: str
     width_exponent: int
     size_exponent: int
     n: int
     time_factor: float
-    ws_factor: float
     seconds_per_row: float
     error_before: float
     error_after: float
@@ -118,7 +100,6 @@ class BucketCalibration:
                 "size_exponent": int(self.size_exponent),
                 "n": int(self.n),
                 "time_factor": float(self.time_factor),
-                "ws_factor": float(self.ws_factor),
                 "seconds_per_row": float(self.seconds_per_row),
                 "error_before": float(self.error_before),
                 "error_after": float(self.error_after),
@@ -131,7 +112,6 @@ class BucketCalibration:
                    size_exponent=int(data["size_exponent"]),
                    n=int(data["n"]),
                    time_factor=float(data["time_factor"]),
-                   ws_factor=float(data["ws_factor"]),
                    seconds_per_row=float(data.get("seconds_per_row", 0.0)),
                    error_before=float(data["error_before"]),
                    error_after=float(data["error_after"]),
@@ -188,9 +168,7 @@ class CalibrationTable:
             n_species=int(attrs.get("species", 0)),
             n_reactions=int(attrs.get("reactions", 0)),
             predicted_seconds=float(attrs["predicted_ms"]) * 1.0e-3,
-            observed_seconds=float(span.duration),
-            predicted_doubles=int(attrs.get("predicted_doubles", 0)),
-            actual_doubles=int(attrs.get("actual_doubles", 0))))
+            observed_seconds=float(span.duration)))
         return True
 
     def records(self) -> list:
@@ -200,7 +178,7 @@ class CalibrationTable:
     def fit(self, drift_ratio: float = 2.0) -> "CalibrationReport":
         """Fit per-bucket correction factors.
 
-        ``time_factor``/``ws_factor`` are medians of the per-launch
+        ``time_factor`` is the median of the per-launch
         observed/predicted ratios (robust against stragglers);
         ``error_before``/``error_after`` are median absolute log
         errors without and with the correction. A bucket with >= 8
@@ -210,16 +188,12 @@ class CalibrationTable:
         """
         buckets = []
         time_ratios_all: list[float] = []
-        ws_ratios_all: list[float] = []
         for key in sorted(self._buckets):
             method, width_exp, size_exp = key
             samples = self._buckets[key]
             time_ratios = [cost.time_ratio for cost in samples]
-            ws_ratios = [cost.ws_ratio for cost in samples]
             time_ratios_all.extend(time_ratios)
-            ws_ratios_all.extend(ws_ratios)
             time_factor = statistics.median(time_ratios)
-            ws_factor = statistics.median(ws_ratios)
             per_row = statistics.median(
                 [cost.observed_seconds / max(1, cost.rows)
                  for cost in samples])
@@ -232,7 +206,7 @@ class CalibrationTable:
             buckets.append(BucketCalibration(
                 method=method, width_exponent=width_exp,
                 size_exponent=size_exp, n=len(samples),
-                time_factor=time_factor, ws_factor=ws_factor,
+                time_factor=time_factor,
                 seconds_per_row=per_row,
                 error_before=error_before, error_after=error_after,
                 drifting=_drifts(time_ratios, drift_ratio)))
@@ -240,8 +214,6 @@ class CalibrationTable:
             buckets=buckets,
             global_time_factor=(statistics.median(time_ratios_all)
                                 if time_ratios_all else 1.0),
-            global_ws_factor=(statistics.median(ws_ratios_all)
-                              if ws_ratios_all else 1.0),
             n_records=self.n_records)
 
 
@@ -259,76 +231,15 @@ def _drifts(ratios: list, drift_ratio: float) -> bool:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Immutable fitted calibration: the opt-in correction hooks."""
+    """Immutable fitted calibration: per-bucket error and drift."""
 
     buckets: tuple = ()
     global_time_factor: float = 1.0
-    global_ws_factor: float = 1.0
     n_records: int = 0
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buckets", tuple(self.buckets))
-
-    # -- lookup --------------------------------------------------------
-
-    def lookup(self, method: str, rows: int,
-               n_species: int) -> BucketCalibration | None:
-        """Best bucket for a workload: exact, else the same-method
-        bucket at the smallest exponent distance."""
-        width_exp = bucket_exponent(rows)
-        size_exp = bucket_exponent(n_species)
-        best = None
-        best_distance = None
-        for bucket in self.buckets:
-            if bucket.method != method:
-                continue
-            distance = (abs(bucket.width_exponent - width_exp)
-                        + abs(bucket.size_exponent - size_exp))
-            if best_distance is None or distance < best_distance:
-                best, best_distance = bucket, distance
-        return best
-
-    def time_correction(self, method: str, rows: int,
-                        n_species: int) -> float:
-        bucket = self.lookup(method, rows, n_species)
-        return bucket.time_factor if bucket is not None \
-            else self.global_time_factor
-
-    def ws_correction(self, method: str, rows: int,
-                      n_species: int) -> float:
-        bucket = self.lookup(method, rows, n_species)
-        return bucket.ws_factor if bucket is not None \
-            else self.global_ws_factor
-
-    def calibrated_seconds(self, predicted_seconds: float, method: str,
-                           rows: int, n_species: int) -> float:
-        """Correct a perfmodel time prediction."""
-        return predicted_seconds * self.time_correction(method, rows,
-                                                        n_species)
-
-    def calibrated_doubles(self, predicted_doubles: int, method: str,
-                           rows: int, n_species: int) -> int:
-        """Correct a working-set prediction (admission hook)."""
-        corrected = predicted_doubles * self.ws_correction(method, rows,
-                                                           n_species)
-        return max(1, int(round(corrected)))
-
-    def preferred_stiff_method(self, rows: int,
-                               n_species: int) -> str | None:
-        """Cheapest implicit rung by measured per-row seconds.
-
-        Returns ``None`` unless *both* implicit methods have measured
-        buckets — no evidence, no deviation from the Radau default.
-        """
-        costs = {}
-        for method in _STIFF_METHODS:
-            bucket = self.lookup(method, rows, n_species)
-            if bucket is not None and bucket.seconds_per_row > 0.0:
-                costs[method] = bucket.seconds_per_row
-        if len(costs) < len(_STIFF_METHODS):
-            return None
-        return min(sorted(costs), key=lambda method: costs[method])
 
     # -- drift / quality -----------------------------------------------
 
@@ -360,7 +271,6 @@ class CalibrationReport:
         return {"schema_version": int(self.schema_version),
                 "n_records": int(self.n_records),
                 "global_time_factor": float(self.global_time_factor),
-                "global_ws_factor": float(self.global_ws_factor),
                 "buckets": [bucket.to_dict() for bucket in self.buckets]}
 
     @classmethod
@@ -369,7 +279,6 @@ class CalibrationReport:
             buckets=tuple(BucketCalibration.from_dict(entry)
                           for entry in data.get("buckets", [])),
             global_time_factor=float(data.get("global_time_factor", 1.0)),
-            global_ws_factor=float(data.get("global_ws_factor", 1.0)),
             n_records=int(data.get("n_records", 0)),
             schema_version=int(data.get("schema_version",
                                         SCHEMA_VERSION)))
@@ -397,22 +306,19 @@ class CalibrationReport:
         """Human-readable table, one bucket per line."""
         lines = [f"calibration: {self.n_records} launch(es), "
                  f"{len(self.buckets)} bucket(s), "
-                 f"global time x{self.global_time_factor:.4g}, "
-                 f"working set x{self.global_ws_factor:.4g}"]
+                 f"global time x{self.global_time_factor:.4g}"]
         lines.append(
             f"median |log error|: {self.median_error():.4g} raw -> "
             f"{self.median_error(calibrated=True):.4g} calibrated "
             f"({self.error_reduction():.3g}x reduction)"
             + (" [DRIFTING]" if self.drifting else ""))
-        header = (f"{'method':<8} {'width':>6} {'size':>6} {'n':>5} "
-                  f"{'time x':>10} {'ws x':>8} {'s/row':>10} "
-                  f"{'drift':>6}")
-        lines.append(header)
+        lines.append(f"{'method':<8} {'width':>6} {'size':>6} {'n':>5} "
+                     f"{'time x':>10} {'s/row':>10} {'drift':>6}")
         for bucket in self.buckets:
             lines.append(
                 f"{bucket.method:<8} {2 ** bucket.width_exponent:>6} "
                 f"{2 ** bucket.size_exponent:>6} {bucket.n:>5} "
-                f"{bucket.time_factor:>10.4g} {bucket.ws_factor:>8.4g} "
+                f"{bucket.time_factor:>10.4g} "
                 f"{bucket.seconds_per_row:>10.3g} "
                 f"{'yes' if bucket.drifting else 'no':>6}")
         return "\n".join(lines)

@@ -1,7 +1,6 @@
 """Perfmodel calibration: launch-cost records, table fitting, the
-report's admission/routing hooks, and the ``repro calibrate`` CLI."""
+fitted report, and the ``repro calibrate`` CLI."""
 
-import asyncio
 import json
 from types import SimpleNamespace
 
@@ -9,17 +8,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.errors import TelemetryError, WorkingSetExceeded
-from repro.gpu import BatchSimulator, BatchedODEProblem, StiffnessRouter
+from repro.errors import TelemetryError
+from repro.gpu import BatchSimulator
 from repro.gpu.engine import EngineReport
-from repro.gpu.perfmodel import memory_footprint_doubles
 from repro.io import write_model
-from repro.model import ODESystem, perturbed_batch
-from repro.models import lotka_volterra, robertson
+from repro.model import perturbed_batch
+from repro.models import lotka_volterra
 from repro.resilience import FaultPlan, default_retry_policy
-from repro.service import (CampaignService, JobRequest, ServiceConfig,
-                           TenantQuota)
-from repro.solvers import SolverOptions
 from repro.telemetry import CalibrationReport, CalibrationTable
 from repro.telemetry.calibration import (MAX_SAMPLES_PER_BUCKET,
                                          BucketCalibration, LaunchCost,
@@ -30,25 +25,20 @@ T_EVAL = np.linspace(0.0, 2.0, 5)
 
 
 def cost(method="auto", rows=8, n_species=4, predicted=1.0,
-         observed=4.0, predicted_doubles=100, actual_doubles=100):
+         observed=4.0):
     return LaunchCost(method=method, rows=rows, n_species=n_species,
                       n_reactions=6, predicted_seconds=predicted,
-                      observed_seconds=observed,
-                      predicted_doubles=predicted_doubles,
-                      actual_doubles=actual_doubles)
+                      observed_seconds=observed)
 
 
 class TestLaunchCost:
     def test_ratios(self):
-        record = cost(predicted=2.0, observed=6.0,
-                      predicted_doubles=100, actual_doubles=250)
+        record = cost(predicted=2.0, observed=6.0)
         assert record.time_ratio == pytest.approx(3.0)
-        assert record.ws_ratio == pytest.approx(2.5)
 
     def test_degenerate_predictions_ratio_one(self):
-        record = cost(predicted=0.0, predicted_doubles=0)
+        record = cost(predicted=0.0)
         assert record.time_ratio == 1.0
-        assert record.ws_ratio == 1.0
 
     def test_round_trip(self):
         record = cost()
@@ -70,7 +60,7 @@ class TestCalibrationTable:
             table.record(cost(observed=jitter))
         report = table.fit()
         assert report.n_records == 32
-        bucket = report.lookup("auto", 8, 4)
+        bucket, = report.buckets
         assert bucket.time_factor == pytest.approx(4.0, rel=0.1)
         assert report.median_error() == pytest.approx(np.log(4.0),
                                                       rel=0.1)
@@ -99,8 +89,7 @@ class TestCalibrationTable:
         launch = SimpleNamespace(
             category="launch", duration=0.02,
             attrs={"method": "dopri5", "rows": 16, "species": 3,
-                   "reactions": 4, "predicted_ms": 10.0,
-                   "predicted_doubles": 500, "actual_doubles": 600})
+                   "reactions": 4, "predicted_ms": 10.0})
         assert table.ingest_span(launch)
         # Non-launch spans and launches without predictions are skipped.
         assert not table.ingest_span(SimpleNamespace(
@@ -110,47 +99,17 @@ class TestCalibrationTable:
         record = table.records()[0]
         assert record.method == "dopri5"
         assert record.time_ratio == pytest.approx(2.0)
-        assert record.ws_ratio == pytest.approx(1.2)
 
 
 class TestCalibrationReport:
     def make_report(self):
         return CalibrationReport(
             buckets=(
-                BucketCalibration("auto", 3, 3, 16, 4.0, 2.0, 0.01,
-                                  1.4, 0.1),
-                BucketCalibration("radau5", 3, 3, 16, 1.0, 1.0, 0.05,
-                                  0.2, 0.1),
-                BucketCalibration("bdf", 3, 3, 16, 1.0, 1.0, 0.02,
-                                  0.2, 0.1),
+                BucketCalibration("auto", 3, 3, 16, 4.0, 0.01, 1.4, 0.1),
+                BucketCalibration("radau5", 3, 3, 16, 1.0, 0.05, 0.2, 0.1),
+                BucketCalibration("bdf", 3, 3, 16, 1.0, 0.02, 0.2, 0.1),
             ),
-            global_time_factor=3.0, global_ws_factor=1.5, n_records=48)
-
-    def test_lookup_prefers_nearest_same_method_bucket(self):
-        report = self.make_report()
-        assert report.lookup("auto", 8, 4).time_factor == 4.0
-        # Far-off sizes still land on the only auto bucket...
-        assert report.lookup("auto", 1024, 100).time_factor == 4.0
-        # ...but an unknown method falls back to the globals.
-        assert report.lookup("dopri5", 8, 4) is None
-        assert report.time_correction("dopri5", 8, 4) == 3.0
-        assert report.ws_correction("dopri5", 8, 4) == 1.5
-
-    def test_calibrated_estimates(self):
-        report = self.make_report()
-        assert report.calibrated_seconds(2.0, "auto", 8, 4) == \
-            pytest.approx(8.0)
-        assert report.calibrated_doubles(100, "auto", 8, 4) == 200
-        assert report.calibrated_doubles(0, "auto", 8, 4) == 1
-
-    def test_preferred_stiff_method_needs_both_rungs(self):
-        report = self.make_report()
-        assert report.preferred_stiff_method(8, 4) == "bdf"
-        radau_only = CalibrationReport(buckets=(
-            BucketCalibration("radau5", 3, 3, 16, 1.0, 1.0, 0.05,
-                              0.2, 0.1),))
-        assert radau_only.preferred_stiff_method(8, 4) is None
-        assert CalibrationReport().preferred_stiff_method(8, 4) is None
+            global_time_factor=3.0, n_records=48)
 
     def test_save_load_round_trip(self, tmp_path):
         report = self.make_report()
@@ -190,8 +149,6 @@ class TestEngineLaunchCosts:
             assert record.n_species == model.n_species
             assert record.observed_seconds > 0.0
             assert record.predicted_seconds > 0.0
-            assert record.predicted_doubles > 0
-            assert record.actual_doubles == record.predicted_doubles
 
     def test_retry_work_is_priced_on_the_launch_that_incurred_it(self):
         model = lotka_volterra()
@@ -231,115 +188,6 @@ class TestEngineLaunchCosts:
         # The stock perfmodel is scaled for a GPU, not this host: the
         # fit must shrink the median |log error| at least 2x.
         assert report.error_reduction() >= 2.0
-
-
-class _PreferBDF:
-    def preferred_stiff_method(self, rows, n_species):
-        return "bdf"
-
-
-class _NoEvidence:
-    def preferred_stiff_method(self, rows, n_species):
-        return None
-
-
-def stiff_problem(batch_size=4):
-    model = robertson()
-    batch = perturbed_batch(model.nominal_parameterization(), batch_size,
-                            np.random.default_rng(0))
-    return BatchedODEProblem(ODESystem.from_model(model), batch)
-
-
-class TestCalibratedRouting:
-    OPTIONS = SolverOptions(max_steps=100_000)
-    GRID = np.array([0.0, 1.0e3])
-
-    def test_default_stiff_rung_is_radau(self):
-        router = StiffnessRouter(self.OPTIONS,
-                                 cost_model=_NoEvidence())
-        result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                        self.GRID)
-        assert result.all_success
-        assert decision.stiff_method == "radau5"
-        assert set(result.methods()) == {"radau5"}
-
-    def test_calibrated_preference_switches_to_bdf(self):
-        router = StiffnessRouter(self.OPTIONS, cost_model=_PreferBDF())
-        result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                        self.GRID)
-        assert result.all_success
-        assert decision.stiff_method == "bdf"
-        assert set(result.methods()) == {"bdf"}
-
-    def test_engine_threads_cost_model_through(self):
-        model = robertson()
-        batch = perturbed_batch(model.nominal_parameterization(), 2,
-                                np.random.default_rng(0))
-        simulator = BatchSimulator(model, method="auto",
-                                   options=self.OPTIONS,
-                                   cost_model=_PreferBDF())
-        result = simulator.simulate((0.0, 1.0e3), self.GRID, batch)
-        assert result.all_success
-        assert "bdf" in set(result.methods())
-
-    def test_decision_round_trip_keeps_stiff_method(self):
-        router = StiffnessRouter(self.OPTIONS, cost_model=_PreferBDF())
-        _result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                         self.GRID)
-        restored = type(decision).from_dict(decision.to_dict())
-        assert restored.stiff_method == "bdf"
-
-
-class TestCalibratedAdmission:
-    def admit(self, config, request, calibration=None):
-        async def _run():
-            service = CampaignService(config=config,
-                                      calibration=calibration)
-            await service.start()
-            try:
-                return service.submit(request)
-            finally:
-                await service.stop(drain=False)
-        return asyncio.run(_run())
-
-    def make_request(self, model):
-        batch = perturbed_batch(model.nominal_parameterization(), 6,
-                                np.random.default_rng(11))
-        return JobRequest(model=model, t_span=(0.0, 2.0), t_eval=T_EVAL,
-                          parameters=batch, chunk_size=3)
-
-    def test_calibration_flips_the_admission_verdict(self):
-        model = lotka_volterra()
-        raw = memory_footprint_doubles(3, model.n_species,
-                                       model.n_reactions, len(T_EVAL))
-        quota = TenantQuota(max_inflight_chunks=2,
-                            working_set_doubles=3 * raw)
-        config = ServiceConfig(default_quota=quota)
-        # Uncalibrated: 2 chunks of `raw` fit the 3x budget.
-        job = self.admit(config, self.make_request(model))
-        assert job is not None
-        # A measured 10x working-set blowup pushes it over.
-        inflated = CalibrationReport(global_ws_factor=10.0)
-        with pytest.raises(WorkingSetExceeded):
-            self.admit(config, self.make_request(model),
-                       calibration=inflated)
-        # A measured shrink keeps an otherwise-borderline job in.
-        tight = ServiceConfig(default_quota=TenantQuota(
-            max_inflight_chunks=2, working_set_doubles=raw))
-        with pytest.raises(WorkingSetExceeded):
-            self.admit(tight, self.make_request(model))
-        shrunk = CalibrationReport(global_ws_factor=0.25)
-        job = self.admit(tight, self.make_request(model),
-                         calibration=shrunk)
-        assert job is not None
-
-    def test_config_path_loads_the_report(self, tmp_path):
-        path = CalibrationReport(global_ws_factor=2.0,
-                                 n_records=9).save(tmp_path / "c.json")
-        config = ServiceConfig(calibration_path=str(path))
-        service = CampaignService(config=config)
-        assert service.calibration.n_records == 9
-        assert service.calibration.global_ws_factor == 2.0
 
 
 class TestCalibrateCLI:

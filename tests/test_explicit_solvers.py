@@ -80,6 +80,21 @@ class TestControlFlow:
         assert np.array_equal(result.t, grid)
         assert np.allclose(result.y[:, 0], np.exp(-grid), atol=1e-6)
 
+    def test_step_ending_a_rounding_short_of_a_save_point(self):
+        # Fixed 0.1 steps: the sixth ends on 0.5 + 0.1 == 0.6, one
+        # rounding unit short of the save point linspace puts at
+        # 0.6000000000000001. Clipping must absorb that gap instead of
+        # leaving a 1e-16 step, which the underflow test takes for a
+        # collapse.
+        solver = ExplicitRungeKutta(DOPRI5, SolverOptions(first_step=0.1,
+                                                          max_step=0.1))
+        grid = np.linspace(0.0, 1.0, 11)
+        result = solver.solve(lambda t, y: -1e-9 * y, (0.0, 1.0),
+                              np.array([1.0]), grid)
+        assert result.success
+        assert np.array_equal(result.t, grid)
+        assert np.allclose(result.y[:, 0], np.exp(-1e-9 * grid))
+
     def test_grid_not_starting_at_t0(self):
         solver = ExplicitRungeKutta(DOPRI5)
         grid = np.array([0.5, 1.0])

@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import (QueueFull, QuotaExceeded, ServiceError,
                           WorkingSetExceeded)
+from repro.gpu.perfmodel import memory_footprint_doubles
 from repro.model import perturbed_batch
 from repro.models import lotka_volterra
 from repro.resilience import FaultPlan, run_campaign
@@ -158,6 +159,29 @@ class TestAdmission:
 
         service = self.run_admission(scenario, config)
         conservation(service)
+
+    def test_working_set_budget_prices_every_inflight_chunk(self, lv_model,
+                                                            lv_batch):
+        # The estimate is the analytic footprint of one chunk times the
+        # tenant's in-flight chunk cap: 2 chunks of `raw` fit a 3x
+        # budget and do not fit a 1x one.
+        raw = memory_footprint_doubles(3, lv_model.n_species,
+                                       lv_model.n_reactions, len(T_EVAL))
+
+        def budget(doubles):
+            return ServiceConfig(default_quota=TenantQuota(
+                max_inflight_chunks=2, working_set_doubles=doubles))
+
+        def fits(service):
+            job = service.submit(request_for(lv_model, lv_batch))
+            assert job.state == JobState.QUEUED
+
+        def does_not_fit(service):
+            with pytest.raises(WorkingSetExceeded, match="2 chunk"):
+                service.submit(request_for(lv_model, lv_batch))
+
+        conservation(self.run_admission(fits, budget(3 * raw)))
+        conservation(self.run_admission(does_not_fit, budget(raw)))
 
     def test_queue_full_same_priority_rejected(self, lv_model, lv_batch):
         config = ServiceConfig(queue_capacity=2)
