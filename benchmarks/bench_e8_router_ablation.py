@@ -8,8 +8,15 @@ ablates the Radau Jacobian-reuse policy.
 Expected shape: the router tracks the better pure method on each
 problem class — it avoids both the explicit method's collapse on stiff
 simulations and the implicit method's overhead on non-stiff ones.
+
+A third series runs ``auto`` on the stiff_cascade call shape, where one
+row goes to DOPRI5 first and is handed back: the handed-back row joins
+the probe-stiff rows' Radau IIA launch, so each call makes exactly one
+implicit launch. The numbers also go to
+``out/BENCH_e8_router_ablation.json``.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -18,12 +25,16 @@ import pytest
 from repro.gpu import BatchRadau5, BatchSimulator, BatchedODEProblem
 from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
+from repro.rules.library import multisite_cascade
 from repro.solvers import SolverOptions
 
-from common import write_report
+from common import write_bench_json, write_report
 
 OPTIONS = SolverOptions(max_steps=100_000)
 GRID = np.array([0.0, 1.0, 10.0, 100.0])
+CASCADE_OPTIONS = SolverOptions(rtol=1e-6, atol=1e-12)
+CASCADE_GRID = np.linspace(0.0, 1.0, 6)
+CASCADE_ROUNDS = 5
 
 state = {}
 
@@ -62,6 +73,50 @@ def test_router_methods(benchmark, method):
             "stiff_steps": int(second.n_steps.sum()),
             "nonstiff_ok": bool(first.all_success),
             "stiff_ok": bool(second.all_success),
+        }
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+
+def cascade_call():
+    """The stiff_cascade call shape: 16 perturbed cascade rows, row 0 at
+    half rates."""
+    model = multisite_cascade(5, kinase_rate=1e3).expand()
+    sampled = perturbed_batch(model.nominal_parameterization(), 16,
+                              np.random.default_rng(1))
+    constants = sampled.rate_constants
+    constants[0] *= 0.5
+    return model, ParameterizationBatch(constants, sampled.initial_states)
+
+
+def test_cascade_hand_back(benchmark, monkeypatch):
+    model, batch = cascade_call()
+    simulator = BatchSimulator(model, CASCADE_OPTIONS)
+    implicit_launches = []
+    solve = BatchRadau5.solve
+
+    def counting(self, *args, **kwargs):
+        implicit_launches[-1] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchRadau5, "solve", counting)
+
+    def run():
+        seconds, handed_back = [], []
+        for _ in range(CASCADE_ROUNDS):
+            implicit_launches.append(0)
+            started = time.perf_counter()
+            result = simulator.simulate((0.0, 1.0), CASCADE_GRID, batch)
+            seconds.append(time.perf_counter() - started)
+            handed_back.append(sum(decision.n_handed_back for decision
+                                   in simulator.last_report.routing))
+        state["cascade"] = {
+            "rows": batch.size,
+            "rounds": CASCADE_ROUNDS,
+            "median_seconds": statistics.median(seconds),
+            "radau5_launches_per_call": implicit_launches,
+            "handed_back_rows_per_call": handed_back,
+            "ok": bool(result.all_success),
         }
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -108,10 +163,29 @@ def test_report(benchmark):
             lines.append(
                 f"  {label:6s} time={data['seconds']:6.2f} s  "
                 f"jacobian sim-evals={data['jacobian_evals']}")
+        cascade = state["cascade"]
+        lines.append("")
+        lines.append(f"auto on the stiff_cascade call shape "
+                     f"({cascade['rows']} rows, row 0 at half rates, "
+                     f"{cascade['rounds']} calls):")
+        lines.append(
+            f"  median time={cascade['median_seconds']:6.2f} s  "
+            f"radau5 launches per call="
+            f"{cascade['radau5_launches_per_call']}  "
+            f"handed-back rows per call="
+            f"{cascade['handed_back_rows_per_call']}  "
+            f"(ok={cascade['ok']})")
         return "\n".join(lines)
 
     text = benchmark.pedantic(render, rounds=1, iterations=1)
     write_report("e8_router_ablation", text)
+    write_bench_json("e8_router_ablation", {
+        "mixed_16_16": {method: state[method]
+                        for method in ("auto", "dopri5", "radau5")},
+        "jacobian_reuse": {str(reuse): state[f"jac-reuse-{reuse}"]
+                           for reuse in (True, False)},
+        "stiff_cascade_auto": state["cascade"],
+    })
 
     # Shape assertions.
     auto = state["auto"]
@@ -125,3 +199,6 @@ def test_report(benchmark):
     # Jacobian reuse saves work.
     assert state["jac-reuse-True"]["jacobian_evals"] < \
         state["jac-reuse-False"]["jacobian_evals"]
+    # Rows DOPRI5 hands back join the stiff rows' launch: one Radau5
+    # launch per call.
+    assert set(state["cascade"]["radau5_launches_per_call"]) == {1}

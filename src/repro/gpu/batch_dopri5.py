@@ -136,9 +136,10 @@ class BatchDopri5:
 
     With ``abort_on_stiffness`` enabled (the router's configuration),
     simulations whose Hairer stiffness test fires persistently are
-    stopped early with status ``STIFF`` so that the router can
-    re-execute them with Radau IIA instead of letting them burn the
-    whole step budget near the explicit stability boundary.
+    stopped early with status ``STIFF`` so that the router can hand them
+    back to its one Radau IIA launch (beside the probe-stiff rows)
+    instead of letting them burn the whole step budget near the explicit
+    stability boundary.
     """
 
     name = "batch-dopri5"

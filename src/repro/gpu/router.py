@@ -5,8 +5,10 @@ probed by batched power iteration; simulations whose spectral radius
 exceeds the configured threshold are routed to the batched Radau IIA
 solver, the rest to batched DOPRI5. Simulations that DOPRI5 fails to
 finish (step-budget exhaustion or breakdown — the usual symptom of
-undetected stiffness) are *re-executed* with Radau IIA, mirroring the
-paper family's fallback re-run of failed explicit simulations.
+undetected stiffness) are *handed back*: they restart from ``t0`` in the
+same Radau IIA launch as the probe-stiff rows, mirroring the paper
+family's fallback re-run of failed explicit simulations without paying
+for a second implicit launch.
 
 The implicit rung is always Radau IIA, so a row's integrator follows
 from that row's own stiffness and never from the width of the launch
@@ -15,7 +17,7 @@ it shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..backend import Array, xp
 from ..lint.model_rules import (STIFFNESS_SAFE_DECADES,
@@ -47,29 +49,48 @@ class RoutingDecision:
         :func:`repro.lint.model_rules.stiffness_risk_score`) classified
         every row as safely non-stiff, so the power-iteration probe
         never ran.
+    handed_back:
+        Boolean per-simulation mask of the rows DOPRI5 returned unfinished
+        and Radau IIA re-ran from ``t0``. ``None`` (the classifier's
+        output, before any row ran) reads as all-False.
     """
 
     stiff_mask: Array
     spectral_radii: Array
     threshold: float
     probe_skipped: bool = False
+    handed_back: Array | None = None
+
+    def __post_init__(self) -> None:
+        if self.handed_back is None:
+            object.__setattr__(self, "handed_back",
+                               xp.zeros(self.stiff_mask.shape, dtype=bool))
 
     @property
     def n_stiff(self) -> int:
+        """Rows the probe classified stiff (not the handed-back ones)."""
         return int(xp.sum(self.stiff_mask))
+
+    @property
+    def n_handed_back(self) -> int:
+        return int(xp.sum(self.handed_back))
 
     def to_dict(self) -> dict:
         return {"stiff_mask": [bool(v) for v in self.stiff_mask],
                 "spectral_radii": [float(v) for v in self.spectral_radii],
                 "threshold": float(self.threshold),
-                "probe_skipped": bool(self.probe_skipped)}
+                "probe_skipped": bool(self.probe_skipped),
+                "handed_back": [bool(v) for v in self.handed_back]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingDecision":
+        handed_back = data.get("handed_back")
         return cls(xp.asarray(data["stiff_mask"], dtype=bool),
                    xp.asarray(data["spectral_radii"], dtype=xp.float64),
                    float(data["threshold"]),
-                   bool(data.get("probe_skipped", False)))
+                   bool(data.get("probe_skipped", False)),
+                   None if handed_back is None
+                   else xp.asarray(handed_back, dtype=bool))
 
 
 def classify_batch(problem: BatchedODEProblem, t0: float,
@@ -90,7 +111,7 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
     :data:`~repro.lint.model_rules.STIFFNESS_SAFE_DECADES` are classified
     non-stiff without the probe, and when every row is, the probe never
     runs; this is safe because DOPRI5 detects stiffness at run time and
-    the router re-executes any failed simulation with Radau IIA.
+    the router hands any failed simulation back to Radau IIA.
     """
     batch = problem.batch_size
     safe = xp.zeros(batch, dtype=bool)
@@ -118,7 +139,14 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
 
 
 class StiffnessRouter:
-    """Route each simulation to DOPRI5 or Radau IIA and merge results."""
+    """Route each simulation to DOPRI5 or Radau IIA and merge results.
+
+    DOPRI5 runs first, on the non-stiff rows. One Radau IIA launch then
+    runs the probe-stiff rows together with the rows DOPRI5 handed back,
+    in launch order, so a call makes at most one implicit launch. A
+    handed-back row restarts from ``t0`` and reports its DOPRI5 attempts
+    plus its Radau IIA attempts.
+    """
 
     name = "router"
 
@@ -141,23 +169,19 @@ class StiffnessRouter:
                                  METHOD_DOPRI5)
 
         nonstiff_rows = xp.flatnonzero(~decision.stiff_mask)
-        stiff_rows = xp.flatnonzero(decision.stiff_mask)
-
+        handed_back = xp.zeros(batch, dtype=bool)
         if nonstiff_rows.size:
             explicit = BatchDopri5(self.options,
                                    abort_on_stiffness=True).solve(
                 problem.subset(nonstiff_rows), t_span, t_eval)
             self._splice(merged, explicit, nonstiff_rows)
-            failed_rows = nonstiff_rows[explicit.status_codes != OK]
-            if failed_rows.size:
-                retried = BatchRadau5(self.options).solve(
-                    problem.subset(failed_rows), t_span, t_eval)
-                self._splice(merged, retried, failed_rows)
-        if stiff_rows.size:
+            handed_back[nonstiff_rows[explicit.status_codes != OK]] = True
+        implicit_rows = xp.flatnonzero(decision.stiff_mask | handed_back)
+        if implicit_rows.size:
             implicit = BatchRadau5(self.options).solve(
-                problem.subset(stiff_rows), t_span, t_eval)
-            self._splice(merged, implicit, stiff_rows)
-        return merged, decision
+                problem.subset(implicit_rows), t_span, t_eval)
+            self._splice(merged, implicit, implicit_rows)
+        return merged, replace(decision, handed_back=handed_back)
 
     @staticmethod
     def _splice(merged: BatchSolveResult, part: BatchSolveResult,

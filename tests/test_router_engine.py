@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.gpu import (BatchDopri5, BatchSimulator, BatchedODEProblem,
-                       StiffnessRouter, classify_batch)
+from repro.gpu import (BatchDopri5, BatchRadau5, BatchSimulator,
+                       BatchedODEProblem, RoutingDecision, StiffnessRouter,
+                       classify_batch)
+from repro.gpu.batch_result import OK
 from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
@@ -17,6 +19,22 @@ def make_problem(model, batch_size=4, seed=0):
     batch = perturbed_batch(model.nominal_parameterization(), batch_size,
                             np.random.default_rng(seed))
     return BatchedODEProblem(system, batch)
+
+
+def cascade_call():
+    """``(model, batch)`` of the stiff_cascade call shape: 16 perturbed
+    cascade rows, row 0 at half rates (DOPRI5 first, handed back)."""
+    from repro.rules.library import multisite_cascade
+    model = multisite_cascade(5, kinase_rate=1e3).expand()
+    sampled = perturbed_batch(model.nominal_parameterization(), 16,
+                              np.random.default_rng(1))
+    constants = sampled.rate_constants
+    constants[0] *= 0.5
+    return model, ParameterizationBatch(constants, sampled.initial_states)
+
+
+CASCADE_OPTIONS = SolverOptions(rtol=1e-6, atol=1e-12)
+CASCADE_GRID = np.linspace(0.0, 1.0, 6)
 
 
 class TestClassification:
@@ -112,6 +130,59 @@ class TestRouter:
         assert result.all_success
         assert set(result.methods()) == {"dopri5"}
         assert decision.n_stiff == 0
+        assert decision.n_handed_back == 0
+
+    def test_handed_back_rows_join_the_stiff_launch(self, monkeypatch):
+        """One Radau5 launch runs the probe-stiff rows and the row DOPRI5
+        hands back; that row's bytes are those of its own Radau5 launch
+        and its step count adds both integrators' attempts."""
+        model, batch = cascade_call()
+        problem = BatchedODEProblem(ODESystem.from_model(model), batch)
+        launches = []
+        solve = BatchRadau5.solve
+
+        def counting(self, *args, **kwargs):
+            launches.append(args[0].batch_size)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRadau5, "solve", counting)
+        result, decision = StiffnessRouter(CASCADE_OPTIONS).solve(
+            problem, (0.0, 1.0), CASCADE_GRID)
+        assert launches == [batch.size]
+        assert decision.handed_back.tolist() == [True] + [False] * 15
+        assert decision.n_handed_back == 1
+        assert decision.n_stiff == batch.size - 1
+        assert set(result.methods()) == {"radau5"}
+
+        row = problem.subset(np.array([0]))
+        explicit = BatchDopri5(CASCADE_OPTIONS, abort_on_stiffness=True)\
+            .solve(row, (0.0, 1.0), CASCADE_GRID)
+        assert explicit.status_codes[0] != OK
+        alone = solve(BatchRadau5(CASCADE_OPTIONS), row, (0.0, 1.0),
+                      CASCADE_GRID)
+        assert result.y[0].tobytes() == alone.y[0].tobytes()
+        assert result.n_steps[0] == explicit.n_steps[0] + alone.n_steps[0]
+
+
+class TestRoutingDecision:
+    def test_round_trip_keeps_the_handed_back_mask(self):
+        decision = RoutingDecision(np.array([True, False, False]),
+                                   np.array([900.0, 3.0, 0.0]), 500.0,
+                                   handed_back=np.array([False, True,
+                                                         False]))
+        restored = RoutingDecision.from_dict(decision.to_dict())
+        assert restored.handed_back.tolist() == [False, True, False]
+        assert restored.n_handed_back == 1
+        assert restored.n_stiff == 1
+        assert restored.to_dict() == decision.to_dict()
+
+    def test_dict_without_the_mask_loads_as_all_false(self):
+        legacy = {"stiff_mask": [True, False],
+                  "spectral_radii": [900.0, 3.0], "threshold": 500.0,
+                  "probe_skipped": False}
+        restored = RoutingDecision.from_dict(legacy)
+        assert restored.handed_back.tolist() == [False, False]
+        assert restored.n_handed_back == 0
 
 
 class TestEngine:
@@ -203,22 +274,13 @@ class TestWidthIndependentRouting:
         at half rates. Once, start vectors by launch position, estimates
         overwritten until the slowest row converged and a launch-wide
         risk score moved rows between DOPRI5-first and Radau5."""
-        from repro.rules.library import multisite_cascade
-
         from .row_isolation import row_bytes
-        model = multisite_cascade(5, kinase_rate=1e3).expand()
-        sampled = perturbed_batch(model.nominal_parameterization(), 16,
-                                  np.random.default_rng(1))
-        constants = sampled.rate_constants
-        constants[0] *= 0.5
-        batch = ParameterizationBatch(constants, sampled.initial_states)
-        options = SolverOptions(rtol=1e-6, atol=1e-12)
-        grid = np.linspace(0.0, 1.0, 6)
-        whole = BatchSimulator(model, options).simulate((0.0, 1.0), grid,
-                                                        batch)
-        split = BatchSimulator(model, options,
+        model, batch = cascade_call()
+        whole = BatchSimulator(model, CASCADE_OPTIONS).simulate(
+            (0.0, 1.0), CASCADE_GRID, batch)
+        split = BatchSimulator(model, CASCADE_OPTIONS,
                                max_batch_per_launch=4).simulate(
-            (0.0, 1.0), grid, batch)
+            (0.0, 1.0), CASCADE_GRID, batch)
         assert split.method_codes.tobytes() == whole.method_codes.tobytes()
         for row in range(batch.size):
             assert row_bytes(split, row) == row_bytes(whole, row), row
