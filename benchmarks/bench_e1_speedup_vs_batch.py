@@ -4,8 +4,10 @@ Regenerates the paper family's central claim: the batched GPU-style
 engine amortizes its overhead over the batch, so its advantage over the
 per-simulation CPU loop (SciPy LSODA) grows with the number of parallel
 simulations. The report table lists, per batch size, the median batched
-wall-clock, the median (budgeted, extrapolated) LSODA wall-clock, and
-the speedup.
+wall-clock, the median (budgeted, extrapolated) LSODA wall-clock, the
+speedup, and the batched microseconds per row-step (the median wall
+over the run's accepted plus rejected steps, summed over its rows; at
+batch 1 this is the cost of one step).
 
 Each batch size runs ``ROUNDS`` paired rounds: one batched run and one
 LSODA run back to back, alternating which goes first, so a slow spell
@@ -16,11 +18,15 @@ Expected shape: speedup < 1 (or ~1) for a single simulation, growing
 monotonically with the batch size.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.bench import format_table
 from repro.core.comparison import time_engine
+from repro.gpu import BatchSimulator
+from repro.model import perturbed_batch
 from repro.solvers import SolverOptions
 from repro.synth import generate_symmetric
 
@@ -35,11 +41,23 @@ OPTIONS = SolverOptions(max_steps=50_000)
 
 #: Per batch size, one ``(batched_seconds, lsoda_seconds)`` per round.
 rounds: dict[int, list[tuple[float, float]]] = {}
+#: Per batch size, the batched run's row-steps (accepted + rejected).
+row_steps: dict[int, int] = {}
 
 
 def _batched(batch_size: int) -> float:
-    return time_engine(MODEL, "batched-hybrid", batch_size, T_SPAN,
-                       T_EVAL, OPTIONS, seed=0)[0]
+    """Wall seconds of the batched engine on the rows ``time_engine``
+    draws for ``seed=0``; records the run's row-steps."""
+    batch = perturbed_batch(MODEL.nominal_parameterization(), batch_size,
+                            np.random.default_rng(0))
+    simulator = BatchSimulator(MODEL, OPTIONS)
+    started = time.perf_counter()
+    simulator.simulate(T_SPAN, T_EVAL, batch)
+    seconds = time.perf_counter() - started
+    counters = simulator.last_report.metrics.counters
+    row_steps[batch_size] = (counters["steps.accepted"]
+                             + counters["steps.rejected"])
+    return seconds
 
 
 def _lsoda(batch_size: int) -> float:
@@ -68,7 +86,9 @@ def _summary(batch_size: int) -> dict:
     q1, median, q3 = np.percentile(lsoda / batched, [25, 50, 75])
     return {"batched_seconds": float(np.median(batched)),
             "lsoda_seconds": float(np.median(lsoda)),
-            "speedup": float(median), "speedup_iqr": [float(q1), float(q3)]}
+            "speedup": float(median), "speedup_iqr": [float(q1), float(q3)],
+            "batched_us_per_step":
+                float(np.median(batched)) / row_steps[batch_size] * 1e6}
 
 
 def test_report(benchmark):
@@ -82,10 +102,11 @@ def test_report(benchmark):
                          f"{summary['batched_seconds'] * 1e3:.1f} ms",
                          f"{summary['lsoda_seconds'] * 1e3:.1f} ms",
                          f"{summary['speedup']:.2f}x",
-                         f"{q1:.2f}-{q3:.2f}x"))
+                         f"{q1:.2f}-{q3:.2f}x",
+                         f"{summary['batched_us_per_step']:.1f} us"))
         return format_table(
             ["batch", "batched-hybrid", "lsoda loop", "speedup",
-             "speedup IQR"], rows)
+             "speedup IQR", "batched per row-step"], rows)
 
     table = benchmark.pedantic(render, rounds=1, iterations=1)
     write_report("e1_speedup_vs_batch", table)
@@ -99,6 +120,9 @@ def test_report(benchmark):
         "speedups": {str(b): s["speedup"] for b, s in summaries.items()},
         "speedup_iqr": {str(b): s["speedup_iqr"]
                         for b, s in summaries.items()},
+        "row_steps": {str(b): row_steps[b] for b in summaries},
+        "batched_us_per_step": {str(b): s["batched_us_per_step"]
+                                for b, s in summaries.items()},
         "metrics": _traced_metrics(BATCH_SIZES[-2]),
     })
     # Shape assertion: the speedup at the largest batch exceeds the

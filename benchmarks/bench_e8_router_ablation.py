@@ -200,5 +200,6 @@ def test_report(benchmark):
     assert state["jac-reuse-True"]["jacobian_evals"] < \
         state["jac-reuse-False"]["jacobian_evals"]
     # Rows DOPRI5 hands back join the stiff rows' launch: one Radau5
-    # launch per call.
+    # launch per call, and DOPRI5 hands back the half-rate row only.
     assert set(state["cascade"]["radau5_launches_per_call"]) == {1}
+    assert set(state["cascade"]["handed_back_rows_per_call"]) == {1}

@@ -33,10 +33,24 @@ from .working_set import Interpolant, Launch, WorkingSet
 
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
 _STIFFNESS_BOUNDARY = 3.25
-#: Consecutive violations before a simulation is declared stiff.
+#: Strikes (violating tests not yet cleared) before a simulation is
+#: declared stiff.
 _STIFFNESS_PATIENCE = 15
-#: Calm accepted steps in a row that clear a simulation's strikes.
+#: Calm tests in a row that clear a simulation's strikes.
 _STIFFNESS_RECOVERY = 6
+#: A row without strikes runs the test on every ``_STIFFNESS_CADENCE``-th
+#: accepted step only (``NSTIFF`` of Hairer's ``dopri5.f``); a row with
+#: strikes runs it on every accepted step until they clear.
+_STIFFNESS_CADENCE = 8
+
+#: The step's stage combinations as one weight table: row ``i - 1``
+#: weighs the stages of stage ``i``'s state, the last two rows are
+#: ``b`` (the new state) and ``e`` (the local error).
+_WEIGHTS = xp.concatenate([DOPRI5.a[1:], DOPRI5.b[None], DOPRI5.e[None]])
+#: Column ``i`` of the table from row ``i`` on: stage ``i``'s weights
+#: in the combinations it enters (stages ``i + 1`` on, ``b`` and ``e``).
+_STAGE_COLUMNS = [_WEIGHTS[i:, i, None, None]
+                  for i in range(DOPRI5.n_stages)]
 
 
 def _combine_stages(weights: Array, stages: Array) -> Array:
@@ -48,7 +62,10 @@ def _combine_stages(weights: Array, stages: Array) -> Array:
     contractions do not: ``xp.tensordot`` lowers to a BLAS product whose
     row results change with the array width, and ``xp.einsum`` switches
     to a lane-split dot product when the stage axis is the only one left
-    (one row of a one-species model).
+    (one row of a one-species model). The step itself runs all of its
+    combinations as one accumulator over ``_STAGE_COLUMNS``, which
+    rounds each row exactly as this loop does; the dense output's
+    ``rcont5`` sums here.
     """
     combined = weights[0] * stages[0]
     for j in range(1, len(weights)):
@@ -62,7 +79,7 @@ def _scaled_error_norms(error: Array, reference: Array,
     scale = options.atol + options.rtol * xp.maximum(xp.abs(reference),
                                                      xp.abs(candidate))
     # sum / n is what mean computes, without mean's Python frame.
-    return xp.sqrt(xp.sum((error / scale) ** 2, axis=1) / error.shape[1])
+    return xp.sqrt(((error / scale) ** 2).sum(axis=1) / error.shape[1])
 
 
 def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
@@ -73,8 +90,8 @@ def _stiffness_violations(h: Array, y_new: Array, penultimate: Array,
     derivative difference to their state difference estimates
     h * rho(J) (Hairer's stiffness test).
     """
-    numerator = xp.sum((stage_k[-1] - stage_k[-2]) ** 2, axis=1)
-    denominator = xp.sum((y_new - penultimate) ** 2, axis=1)
+    numerator = ((stage_k[-1] - stage_k[-2]) ** 2).sum(axis=1)
+    denominator = ((y_new - penultimate) ** 2).sum(axis=1)
     valid = (denominator > 0.0) & xp.isfinite(denominator)
     return valid & (h * xp.sqrt(numerator / denominator)
                     > _STIFFNESS_BOUNDARY)
@@ -117,17 +134,26 @@ class _Dopri5Set(WorkingSet):
     ROW_FIELDS = WorkingSet.ROW_FIELDS + ("derivative", "previous_error",
                                           "strikes", "streak")
 
-    def count_stiffness(self, accepted: Array, violated: Array) -> None:
-        """Strike bookkeeping of the stiffness test on accepted rows;
-        running rows whose strikes persist turn STIFF.
+    def stiffness_test_due(self, accepted: Array) -> Array:
+        """Accepted rows that run the stiffness test on this step: every
+        ``_STIFFNESS_CADENCE``-th accepted step of a row, and every one
+        while the row has strikes (Hairer's ``NSTIFF`` / ``IASTI``).
         """
-        violated = accepted & violated
-        calm = accepted & ~violated
+        return accepted & ((self.n_accepted % _STIFFNESS_CADENCE == 0)
+                           | (self.strikes > 0))
+
+    def count_stiffness(self, tested: Array, violated: Array) -> None:
+        """Strike bookkeeping of the stiffness test on the tested rows;
+        running rows whose strikes persist turn STIFF. Untested rows
+        keep their strikes and streak.
+        """
+        violated = tested & violated
+        calm = tested & ~violated
         self.streak = xp.where(violated, 0, self.streak + calm)
         self.strikes = xp.where(calm & (self.streak >= _STIFFNESS_RECOVERY),
                                 0, self.strikes + violated)
         self.status = xp.where(
-            accepted & (self.strikes >= _STIFFNESS_PATIENCE)
+            tested & (self.strikes >= _STIFFNESS_PATIENCE)
             & (self.status == RUNNING), STIFF, self.status)
 
 
@@ -160,8 +186,6 @@ class BatchDopri5:
         batch, n = problem.batch_size, problem.n_species
         error_exponent = -1.0 / (tableau.error_order + 1)
         guard = problem.guard
-        n_stages = tableau.n_stages
-        stage_weights = [tableau.a[i, :i] for i in range(n_stages)]
 
         work = launch.working_set(
             _Dopri5Set, y=launch.y, derivative=launch.derivative,
@@ -170,46 +194,47 @@ class BatchDopri5:
             streak=xp.zeros(batch, dtype=xp.int64))
         launch.step_loop()
 
-        while work.retire(result, options.max_steps):
-            t = work.t
-            h = launch.clip(t, work.h)
+        # Diverging rows overflow transiently before they are caught by
+        # the finiteness check, and the step-size control runs both
+        # branches on every row; keep those FP warnings quiet.
+        with xp.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while work.retire(result, options.max_steps):
+                t = work.t
+                h = launch.clip(t, work.h)
 
-            # Non-finite steps (a NaN RHS poisoned the step heuristic or
-            # controller) can never recover — break those rows at once.
-            broken = ~xp.isfinite(h) | (h <= xp.abs(t) * 1e-15)
-            if broken.any():
-                work.break_rows(broken, t, h)
-                if not work.retire(result, options.max_steps):
-                    break
-                # Every other row was running, so exactly these stay.
-                keep = ~broken
-                t, h = work.t, h[keep]
+                # Non-finite steps (a NaN RHS poisoned the step heuristic
+                # or controller) can never recover — break those rows at
+                # once.
+                broken = ~xp.isfinite(h) | (h <= xp.abs(t) * 1e-15)
+                if broken.any():
+                    work.break_rows(broken, t, h)
+                    if not work.retire(result, options.max_steps):
+                        break
+                    # Every other row was running, so exactly these stay.
+                    t, h = work.t, h[~broken]
 
-            work.n_steps += 1
-            y = work.y
-            stage_k = xp.empty((n_stages, t.size, n))
-            stage_k[0] = work.derivative
-            penultimate_states = None
-            # Diverging rows overflow transiently before they are caught
-            # by the finiteness check, and the step-size control runs
-            # both branches on every row; keep those FP warnings quiet.
-            with xp.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                for i in range(1, n_stages):
-                    increment = _combine_stages(stage_weights[i],
-                                                stage_k[:i])
-                    stage_states = y + h[:, None] * increment
-                    if i == n_stages - 2:
-                        penultimate_states = stage_states
-                    stage_k[i] = work.problem.fun(t + tableau.c[i] * h,
-                                                  stage_states)
+                work.n_steps += 1
+                y = work.y
+                step = h[:, None]
+                fun = work.problem.fun
+                # All of the step's stage combinations accumulate at
+                # once: row i - 1 of ``acc`` is stage i's increment, the
+                # last two are the b and e sums. Each row rounds every
+                # product and adds them in stage order, zero weights
+                # included, so its bytes are ``_combine_stages``'s.
+                stage_k = xp.empty((tableau.n_stages, t.size, n))
+                stage_k[0] = work.derivative
+                acc = _STAGE_COLUMNS[0] * work.derivative
+                for i in range(1, tableau.n_stages):
+                    stage_k[i] = fun(t + tableau.c[i] * h,
+                                     y + step * acc[i - 1])
+                    acc[i:] += _STAGE_COLUMNS[i] * stage_k[i]
 
-                y_new = y + h[:, None] * _combine_stages(tableau.b, stage_k)
-                local_error = h[:, None] * _combine_stages(tableau.e,
-                                                           stage_k)
-                err = _scaled_error_norms(local_error, y, y_new, options)
-                err = xp.where(xp.all(xp.isfinite(y_new), axis=1), err,
-                               xp.inf)
+                y_new = y + step * acc[-2]
+                err = _scaled_error_norms(step * acc[-1], y, y_new, options)
+                finite = xp.isfinite(y_new)
+                if not finite.all():
+                    err = xp.where(finite.all(axis=1), err, xp.inf)
                 accepted = err <= 1.0
 
                 err_accepted = xp.maximum(err, 1e-10)
@@ -218,44 +243,55 @@ class BatchDopri5:
                 factor *= xp.where(
                     memory > 0.0,
                     (xp.maximum(memory, 1e-10) / err_accepted) ** 0.04, 1.0)
-                factor = xp.clip(factor, options.min_step_factor,
-                                 options.max_step_factor)
-                shrink = xp.where(
-                    xp.isfinite(err),
-                    xp.maximum(options.min_step_factor,
-                               options.safety * err ** error_exponent),
-                    options.min_step_factor)
-                violated = (_stiffness_violations(h, y_new,
-                                                  penultimate_states,
-                                                  stage_k)
-                            if self.abort_on_stiffness else None)
+                factor = factor.clip(options.min_step_factor,
+                                     options.max_step_factor)
 
-            # Accept/reject: each row keeps its own branch.
-            work.h = xp.where(accepted, xp.minimum(h * factor, max_step),
-                              h * shrink)
-            work.n_accepted += accepted
-            work.previous_error = xp.where(accepted, err_accepted,
-                                           work.previous_error)
-            t_new = launch.step_ends(t, h)
-            if accepted.all():  # the selects would copy these unchanged
-                work.t, work.y, work.derivative = t_new, y_new, stage_k[-1]
-            else:
-                work.t = xp.where(accepted, t_new, t)
-                work.y = xp.where(accepted[:, None], y_new, y)
-                work.derivative = xp.where(accepted[:, None], stage_k[-1],
-                                           work.derivative)
-            if guard is not None and accepted.any():
-                # Clamps land in the working set, in place.
-                moved = xp.flatnonzero(accepted)
-                guard.after_accept(work.y, moved,
-                                   work.problem.row_ids[moved],
-                                   t_new[moved], work.status)
-            if violated is not None:
-                work.count_stiffness(accepted, violated)
+                # Accept/reject: each row keeps its own branch.
+                t_new = launch.step_ends(t, h)
+                if accepted.all():  # the selects would copy these as is
+                    work.h = xp.minimum(h * factor, max_step)
+                    work.previous_error = err_accepted
+                    work.t, work.y = t_new, y_new
+                    work.derivative = stage_k[-1]
+                else:
+                    shrink = xp.where(
+                        xp.isfinite(err),
+                        xp.maximum(options.min_step_factor,
+                                   options.safety * err ** error_exponent),
+                        options.min_step_factor)
+                    work.h = xp.where(accepted,
+                                      xp.minimum(h * factor, max_step),
+                                      h * shrink)
+                    work.previous_error = xp.where(accepted, err_accepted,
+                                                   work.previous_error)
+                    work.t = xp.where(accepted, t_new, t)
+                    work.y = xp.where(accepted[:, None], y_new, y)
+                    work.derivative = xp.where(accepted[:, None],
+                                               stage_k[-1], work.derivative)
+                work.n_accepted += accepted
 
-            # The extension ends at the (possibly guard-clamped) working
-            # state; only rows the guard and the stiffness test left
-            # running are saved.
-            work.record(_quartic_output(t, h, y, work.y, stage_k), result)
+                # The test reads the step's own states (``acc[-4]`` is
+                # the penultimate stage's increment) before the guard
+                # may clamp ``y_new`` in place as the working state.
+                violated = tested = None
+                if self.abort_on_stiffness:
+                    tested = work.stiffness_test_due(accepted)
+                    if tested.any():
+                        violated = _stiffness_violations(
+                            h, y_new, y + step * acc[-4], stage_k)
+                if guard is not None and accepted.any():
+                    # Clamps land in the working set, in place.
+                    moved = xp.flatnonzero(accepted)
+                    guard.after_accept(work.y, moved,
+                                       work.problem.row_ids[moved],
+                                       t_new[moved], work.status)
+                if violated is not None:
+                    work.count_stiffness(tested, violated)
+
+                # The extension ends at the (possibly guard-clamped)
+                # working state; only rows the guard and the stiffness
+                # test left running are saved.
+                work.record(_quartic_output(t, h, y, work.y, stage_k),
+                            result)
 
         return launch.finish()

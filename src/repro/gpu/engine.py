@@ -150,6 +150,13 @@ class EngineReport:
         )
 
 
+def _routing_counts(decisions: list[RoutingDecision]) -> dict[str, int]:
+    """Why rows ran Radau IIA: the rows the probe classified stiff and
+    the rows DOPRI5 handed back, over ``decisions``."""
+    return {"probe_stiff_rows": sum(d.n_stiff for d in decisions),
+            "handed_back_rows": sum(d.n_handed_back for d in decisions)}
+
+
 class BatchSimulator:
     """Fine- and coarse-grained batched deterministic simulator.
 
@@ -286,9 +293,11 @@ class BatchSimulator:
                                      method=self.method)
             problem.trace_span = rung_span
             launch_t0 = clock.monotonic()
+            decided = len(report.routing)
             chunk = self._run_launch_governed(problem, t_span, t_eval,
                                               report)
-            tracer.end(rung_span)
+            tracer.end(rung_span,
+                       **_routing_counts(report.routing[decided:]))
             if self.fault_plan is not None and \
                     self.fault_plan.forces_launch_failure(report.n_launches):
                 chunk.status_codes[:] = BROKEN
@@ -392,6 +401,8 @@ class BatchSimulator:
                       report.guard_log.n_clamped_steps)
         for kind, count in report.guard_log.counts().items():
             metrics.count(f"guard.violations.{kind}", count)
+        for name, count in _routing_counts(report.routing).items():
+            metrics.count(f"router.{name}", count)
         metrics.count("governor.splits", len(report.memory_events))
         metrics.count("governor.segments",
                       sum(event.n_splits for event in report.memory_events))

@@ -120,7 +120,10 @@ class WorkingSet:
         last = self.grid.size - 1
         while True:
             times = self.grid[xp.minimum(self.save, last)]
-            crossed = (times <= self.t) & (self.status == RUNNING)
+            reached = times <= self.t
+            if not reached.any():  # most steps cross no save point
+                return
+            crossed = reached & (self.status == RUNNING)
             if not crossed.any():
                 return
             index = xp.flatnonzero(crossed)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..errors import FormatError, ResilienceError
@@ -124,9 +124,12 @@ class CampaignCheckpoint:
 
         ``launch`` is the first chunk of the launch that produced it
         (default: the chunk itself). With ``write=False`` the entry is
-        only staged; the next journal rewrite makes it durable.
+        only staged; the next journal rewrite makes it durable. The
+        archive stores no wall-clock time (resume never reads it), so
+        identical runs leave identical bytes.
         """
-        file = save_result(self.chunk_file(index), result)
+        file = save_result(self.chunk_file(index),
+                           replace(result, elapsed_seconds=0.0))
         self.chunks[index] = {"file": file.name,
                               "quarantine": quarantine or [],
                               "launch": index if launch is None

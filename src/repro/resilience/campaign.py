@@ -197,8 +197,10 @@ class CampaignResult:
 #: points are interpolated from each step's continuous extension instead
 #: of clipping steps onto them. Version 3: the batched BDF's sums run
 #: element-wise in slot order at each row's order, and a last step short
-#: of the span's end by a rounding error ends on it.
-NUMERICS_VERSION = 3
+#: of the span's end by a rounding error ends on it. Version 4: DOPRI5
+#: runs its stiffness test on every eighth accepted step of a row without
+#: strikes, so stiff rows are handed back a few steps later.
+NUMERICS_VERSION = 4
 
 
 def _numerics_digest(options, retry_policy) -> str:

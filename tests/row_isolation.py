@@ -40,7 +40,7 @@ def mixed_exit_launch():
     model.add("P + Q -> 2 Q @ 0.1")
     model.add("Q -> @ 1.0")
     model.add("A -> B @ 1.0")
-    oscillator_scale = np.array([1.0, 2.0, 0.5, 12.0, 1.0, 1.0, 1.0, 1.0])
+    oscillator_scale = np.array([1.0, 2.2, 0.5, 12.0, 1.0, 1.0, 1.0, 1.0])
     decay_rate = np.array([1.0, 1.0, 1.0, 1.0, 1e5, 1.0, 1.0, 15.0])
     constants = np.column_stack([oscillator_scale * 1.0,
                                  oscillator_scale * 0.1,

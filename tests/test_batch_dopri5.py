@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.gpu import BatchDopri5, BatchedODEProblem, batch_dopri5
-from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK, STIFF
-from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
+from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK, RUNNING, STIFF
+from repro.model import (ODESystem, ParameterizationBatch,
+                         ReactionBasedModel, perturbed_batch)
 from repro.models import decay_chain, lotka_volterra, robertson
 from repro.solvers import ExplicitRungeKutta, SolverOptions
 from repro.solvers.tableaus import DOPRI5
@@ -124,6 +125,103 @@ class TestStiffnessAbort:
         assert np.all(result.status_codes == OK)
 
 
+def _strike_set(n_accepted, strikes, streak):
+    """A DOPRI5 working set of one-species rows carrying only the
+    stiffness test's bookkeeping."""
+    rows = len(n_accepted)
+    return batch_dopri5._Dopri5Set(
+        rows=np.arange(rows), problem=None, t=np.zeros(rows),
+        h=np.ones(rows), y=np.zeros((rows, 1)),
+        save=np.zeros(rows, dtype=np.int64),
+        n_accepted=np.array(n_accepted, dtype=np.int64),
+        status=np.full(rows, RUNNING), grid=np.array([0.0, 1.0]),
+        derivative=np.zeros((rows, 1)), previous_error=np.ones(rows),
+        strikes=np.array(strikes, dtype=np.int64),
+        streak=np.array(streak, dtype=np.int64))
+
+
+def _accepted_step(work, violated):
+    """The step loop's stiffness bookkeeping for a step every row
+    accepts; returns the rows that ran the test."""
+    accepted = np.ones(work.rows.size, dtype=bool)
+    work.n_accepted += accepted
+    tested = work.stiffness_test_due(accepted)
+    work.count_stiffness(tested, np.array(violated))
+    return tested
+
+
+class TestStiffnessCadence:
+    """Hairer's cadence: a row without strikes runs the test on every
+    ``_STIFFNESS_CADENCE``-th accepted step, a row with strikes on every
+    one until they clear."""
+
+    CADENCE = batch_dopri5._STIFFNESS_CADENCE
+
+    def test_a_row_with_strikes_is_tested_until_they_clear(self):
+        work = _strike_set([0], [0], [0])
+        tested = [_accepted_step(work, [False])[0]
+                  for _ in range(self.CADENCE - 1)]
+        assert not any(tested) and work.strikes[0] == 0
+        # The due test finds a violation: one strike.
+        assert _accepted_step(work, [True])[0]
+        assert work.strikes[0] == 1
+        recovery = batch_dopri5._STIFFNESS_RECOVERY
+        for calm in range(1, recovery + 1):
+            assert _accepted_step(work, [False])[0]
+            assert work.strikes[0] == (0 if calm == recovery else 1)
+        # Cleared: back to the cadence.
+        assert not _accepted_step(work, [True])[0]
+        assert work.strikes[0] == 0
+
+    def test_untested_steps_leave_strikes_and_streak_alone(self):
+        work = _strike_set([3, 3, 3], [5, 5, 0], [5, 5, 4])
+        work.count_stiffness(np.array([True, False, False]),
+                             np.array([False, False, True]))
+        # Only the tested row counts its calm step, which clears it.
+        assert work.strikes.tolist() == [0, 5, 0]
+        assert work.streak.tolist() == [6, 5, 4]
+        assert work.status.tolist() == [RUNNING] * 3
+
+    def test_patience_counts_tests(self):
+        work = _strike_set([self.CADENCE - 1], [0], [0])
+        for _ in range(batch_dopri5._STIFFNESS_PATIENCE):
+            assert _accepted_step(work, [True])[0]
+        assert work.status[0] == STIFF
+
+    def test_stiff_rows_step_alike_alone_and_in_a_wide_launch(self):
+        """Each row keeps its own cadence: a stiff row leaves after the
+        same attempts in a 64-row launch whose rows accept steps at
+        different rates as it does alone."""
+        model = ReactionBasedModel("oscillator-and-decay")
+        for name, amount in (("P", 10.0), ("Q", 5.0), ("A", 1.0),
+                             ("B", 0.0)):
+            model.add_species(name, amount)
+        model.add("P -> 2 P @ 1.0")
+        model.add("P + Q -> 2 Q @ 0.1")
+        model.add("Q -> @ 1.0")
+        model.add("A -> B @ 1.0")
+        rng = np.random.default_rng(4)
+        scale = rng.uniform(0.5, 3.0, 64)
+        decay = np.where(np.arange(64) % 4 == 0, 1e5,
+                         rng.uniform(0.5, 2.0, 64))
+        constants = np.column_stack([scale, 0.1 * scale, scale, decay])
+        problem = BatchedODEProblem(
+            ODESystem.from_model(model),
+            ParameterizationBatch(constants,
+                                  np.tile([10.0, 5.0, 1.0, 0.0], (64, 1))))
+        solver = BatchDopri5(MIXED_OPTIONS, abort_on_stiffness=True)
+        span, grid = RowIsolationChecks.SPAN, RowIsolationChecks.GRID
+        wide = solver.solve(problem, span, grid)
+        stiff = np.flatnonzero(wide.status_codes == STIFF)
+        assert stiff.tolist() == list(range(0, 64, 4))
+        assert (wide.status_codes[decay < 1e5] == OK).all()
+        for row in stiff:
+            alone = solver.solve(problem.subset(np.array([row])), span,
+                                 grid)
+            assert _result_bytes(alone) == _result_bytes(
+                wide, slice(row, row + 1))
+
+
 class TestRowIsolation(RowIsolationChecks):
     def solver(self):
         return BatchDopri5(MIXED_OPTIONS, abort_on_stiffness=True)
@@ -180,6 +278,31 @@ class TestStageCombination:
             assert combined.shape == (width, n)
             assert combined.tobytes() == \
                 _scalar_combination(weights, stages).tobytes()
+
+    @pytest.mark.parametrize("width, n", [(1, 1), (4, 1), (1, 33), (4, 33),
+                                          (15, 33), (256, 33)])
+    def test_step_accumulation_matches_combine_stages(self, width, n):
+        """The step's one accumulator gives every stage state, ``b`` and
+        ``e`` sum the bytes of ``_combine_stages`` over the same stages,
+        non-finite stage entries included."""
+        rng = np.random.default_rng(width * 100 + n + 1)
+        stage_k = (rng.standard_normal((DOPRI5.n_stages, width, n))
+                   * np.exp(4.0 * rng.standard_normal((DOPRI5.n_stages,
+                                                       width, n))))
+        stage_k[:, :, ::7] = 0.0
+        stage_k[:, ::3, ::5] = -0.0
+        stage_k[2, -1, -1] = np.inf
+        stage_k[4, 0, 0] = np.nan
+        columns = batch_dopri5._STAGE_COLUMNS
+        with np.errstate(invalid="ignore", over="ignore"):
+            acc = columns[0] * stage_k[0]
+            for i in range(1, DOPRI5.n_stages):
+                acc[i:] += columns[i] * stage_k[i]
+            assert acc.shape == (len(self.WEIGHTS), width, n)
+            for row, weights in enumerate(self.WEIGHTS):
+                combined = batch_dopri5._combine_stages(
+                    weights, stage_k[:weights.size])
+                assert acc[row].tobytes() == combined.tobytes(), row
 
     @staticmethod
     def _launches():

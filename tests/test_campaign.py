@@ -101,6 +101,21 @@ class TestRunCampaign:
         assert np.array_equal(resumed.result.status_codes,
                               reference.result.status_codes)
 
+    def test_identical_runs_leave_identical_chunk_archives(
+            self, tmp_path, lv_model, lv_batch):
+        """Chunk archives carry no wall-clock time, so the same campaign
+        journals the same bytes."""
+        archives = []
+        for run in ("first", "second"):
+            journal = tmp_path / run / "j.json"
+            run_campaign(lv_model, (0.0, 2.0), T_EVAL, lv_batch,
+                         config=CampaignConfig(chunk_size=3,
+                                               checkpoint_path=journal))
+            archives.append({path.name: path.read_bytes() for path in
+                             sorted(journal.parent.glob("j.chunk*.npz"))})
+        assert len(archives[0]) == 4
+        assert archives[0] == archives[1]
+
     def test_keyboard_interrupt_becomes_campaign_interrupted(
             self, lv_model, lv_batch, monkeypatch):
         import repro.resilience.campaign as campaign_module

@@ -528,25 +528,35 @@ class TestFingerprintNumerics:
             run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
                          options=options)
 
-    def test_journal_of_numerics_version_2_does_not_resume(
-            self, lv_model, lv_batch, tmp_path):
-        """A journal written before the batched BDF's order-masked sums
-        and the end-of-span clip rule (numerics version 2) is refused."""
+    @staticmethod
+    def _refuses_numerics_version(version, lv_model, lv_batch, tmp_path):
         journal = tmp_path / "campaign.json"
         config = CampaignConfig(chunk_size=3, checkpoint_path=journal)
         options = SolverOptions(rtol=1e-6)
         run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
                      options=options)
         document = json.loads(journal.read_text())
-        version_2 = {"options": dataclasses.asdict(options), "retry": None,
-                     "numerics": 2}
+        older = {"options": dataclasses.asdict(options), "retry": None,
+                 "numerics": version}
         document["fingerprint"]["numerics_sha"] = hashlib.sha256(
-            json.dumps(version_2, sort_keys=True).encode()
+            json.dumps(older, sort_keys=True).encode()
         ).hexdigest()[:16]
         journal.write_text(json.dumps(document))
         with pytest.raises(ResilienceError, match="different campaign"):
             run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
                          options=options)
+
+    def test_journal_of_numerics_version_2_does_not_resume(
+            self, lv_model, lv_batch, tmp_path):
+        """A journal written before the batched BDF's order-masked sums
+        and the end-of-span clip rule (numerics version 2) is refused."""
+        self._refuses_numerics_version(2, lv_model, lv_batch, tmp_path)
+
+    def test_journal_of_numerics_version_3_does_not_resume(
+            self, lv_model, lv_batch, tmp_path):
+        """A journal written before DOPRI5's stiffness-test cadence
+        (numerics version 3) is refused."""
+        self._refuses_numerics_version(3, lv_model, lv_batch, tmp_path)
 
     def test_same_numerics_resume_fine(self, lv_model, lv_batch,
                                        tmp_path):

@@ -12,6 +12,7 @@ from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
 from repro.solvers.stiffness import power_iteration_matvec
+from repro.telemetry import Tracer
 
 
 def make_problem(model, batch_size=4, seed=0):
@@ -244,6 +245,26 @@ class TestEngine:
         assert len(report.routing) == 1
         assert report.modeled_device_time is not None
         assert report.modeled_device_time.total_seconds > 0
+
+    def test_counts_why_rows_ran_radau5(self):
+        """The registry and the rung span count the probe-stiff and the
+        handed-back rows of a call."""
+        model, batch = cascade_call()
+        tracer = Tracer()
+        engine = BatchSimulator(model, CASCADE_OPTIONS, tracer=tracer)
+        engine.simulate((0.0, 1.0), CASCADE_GRID, batch)
+        counters = engine.last_report.metrics.counters
+        assert counters["router.probe_stiff_rows"] == 15
+        assert counters["router.handed_back_rows"] == 1
+        (rung,) = [span for span in tracer.spans if span.name == "rung-0"]
+        assert rung.attrs["probe_stiff_rows"] == 15
+        assert rung.attrs["handed_back_rows"] == 1
+
+        forced = BatchSimulator(model, CASCADE_OPTIONS, method="radau5")
+        forced.simulate((0.0, 1.0), CASCADE_GRID, batch)
+        counters = forced.last_report.metrics.counters
+        assert counters["router.probe_stiff_rows"] == 0
+        assert counters["router.handed_back_rows"] == 0
 
     def test_single_parameterization_accepted(self):
         model = decay_chain(2)
