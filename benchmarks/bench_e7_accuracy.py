@@ -1,37 +1,32 @@
 """E7 — numerical accuracy parity across all engines.
 
 Regenerates the paper family's accuracy validation: the same problems
-are integrated by our scalar DOPRI5 / Radau5, the batched GPU-style
-engine, and the SciPy LSODA / VODE baselines, and the deviation from a
-high-precision reference is measured. Includes one non-stiff problem
-with a closed-form solution (Bateman decay chain) and the stiff
-Robertson problem.
+are integrated by the batched GPU-style engine, the sequential
+``dopri5`` / ``radau5`` / ``bdf`` engines (the batched integrators one
+row per launch) and the SciPy LSODA / VODE baselines, and the deviation
+from a reference that none of them computed is measured: the closed
+form of a non-stiff Bateman decay chain, and SciPy's own Radau IIA at
+rtol 1e-11 on the stiff Robertson problem.
 
 Expected shape: every engine stays within its tolerance band of the
-reference; the batched engine's error is indistinguishable from its
-scalar counterpart's (same math, vectorized execution). The
-``batched-bdf`` rows run the batched engine with every row on its BDF
-integrator, next to the scalar ``bdf`` engine.
-
-A secondary series times the PI step controller against the elementary
-one (a design-choice ablation called out in DESIGN.md).
+reference, and the batched engine's Robertson error stays within 10x of
+LSODA's (and never above 1e-4).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from repro.core import simulate
+from repro.model import ODESystem
 from repro.models import decay_chain, robertson
-from repro.solvers import (DOPRI5, ExplicitRungeKutta, Radau5,
-                           SolverOptions)
+from repro.solvers import SolverOptions
 
 from common import write_bench_json, write_report
 
 OPTIONS = SolverOptions(rtol=1e-6, atol=1e-12, max_steps=200_000)
-REFERENCE_OPTIONS = SolverOptions(rtol=1e-11, atol=1e-14,
-                                  max_steps=1_000_000)
 
 NONSTIFF_GRID = np.linspace(0.0, 4.0, 9)
 STIFF_GRID = np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
@@ -40,11 +35,14 @@ state = {"errors": {}}
 
 
 def bateman_reference():
-    """Closed-form X0 of the 2-chain: rates 1.0 and 2/3 (decay_chain)."""
+    """The 2-chain (rates 1.0 and 2/3, see ``decay_chain``) and its
+    closed-form Bateman solution on the grid."""
     model = decay_chain(2, rate=1.0, initial=10.0)
-    reference = simulate(model, (0.0, 4.0), NONSTIFF_GRID,
-                         options=REFERENCE_OPTIONS)
-    return model, reference.y[0]
+    k1, k2 = model.rate_constants()
+    x0 = 10.0 * np.exp(-k1 * NONSTIFF_GRID)
+    x1 = 10.0 * k1 / (k2 - k1) * (np.exp(-k1 * NONSTIFF_GRID)
+                                  - np.exp(-k2 * NONSTIFF_GRID))
+    return model, np.column_stack([x0, x1, 10.0 - x0 - x1])
 
 
 @pytest.fixture(scope="module")
@@ -54,29 +52,26 @@ def nonstiff():
 
 @pytest.fixture(scope="module")
 def stiff():
+    """Robertson and SciPy's Radau solution with the model's Jacobian."""
     model = robertson()
-    reference = simulate(model, (0.0, 1e4), STIFF_GRID,
-                         options=REFERENCE_OPTIONS)
-    return model, reference.y[0]
+    system = ODESystem.from_model(model)
+    constants = model.rate_constants()
+    reference = solve_ivp(system.as_scipy_rhs(constants), (0.0, 1e4),
+                          model.initial_state(), method="Radau",
+                          t_eval=STIFF_GRID, rtol=1e-11, atol=1e-14,
+                          jac=system.as_scipy_jacobian(constants))
+    assert reference.success, reference.message
+    return model, reference.y.T
 
 
-def run_engine(model, t_span, grid, engine):
-    """``engine`` is a ``simulate`` engine, or ``"batched-bdf"``: the
-    batched engine with every row on its BDF integrator (the scalar
-    ``"bdf"`` engine is this package's sequential BDF)."""
-    if engine == "batched-bdf":
-        return simulate(model, t_span, grid, None, "batched", OPTIONS,
-                        method="bdf")
-    return simulate(model, t_span, grid, None, engine, OPTIONS)
-
-
-@pytest.mark.parametrize("engine", ["batched", "batched-bdf", "dopri5",
-                                    "radau5", "bdf", "lsoda", "vode"])
+@pytest.mark.parametrize("engine", ["batched", "dopri5", "radau5", "bdf",
+                                    "lsoda", "vode"])
 def test_nonstiff_accuracy(benchmark, nonstiff, engine):
     model, reference = nonstiff
 
     def run():
-        result = run_engine(model, (0.0, 4.0), NONSTIFF_GRID, engine)
+        result = simulate(model, (0.0, 4.0), NONSTIFF_GRID, None, engine,
+                          OPTIONS)
         error = np.max(np.abs(result.y[0] - reference)
                        / (np.abs(reference) + 1e-10))
         state["errors"][("bateman", engine)] = error
@@ -86,13 +81,14 @@ def test_nonstiff_accuracy(benchmark, nonstiff, engine):
     assert error < 1e-3
 
 
-@pytest.mark.parametrize("engine", ["batched", "batched-bdf", "radau5",
-                                    "bdf", "lsoda", "vode"])
+@pytest.mark.parametrize("engine", ["batched", "radau5", "bdf", "lsoda",
+                                    "vode"])
 def test_stiff_accuracy(benchmark, stiff, engine):
     model, reference = stiff
 
     def run():
-        result = run_engine(model, (0.0, 1e4), STIFF_GRID, engine)
+        result = simulate(model, (0.0, 1e4), STIFF_GRID, None, engine,
+                          OPTIONS)
         if not result.all_success:
             state["errors"][("robertson", engine)] = float("nan")
             return None
@@ -111,37 +107,13 @@ def test_stiff_accuracy(benchmark, stiff, engine):
     assert error is not None and error < 1e-2
 
 
-def test_step_controller_ablation(benchmark):
-    """PI vs elementary controller on an oscillatory problem."""
-
-    def oscillator(t, y):
-        return np.array([y[1], -y[0]])
-
-    def run():
-        steps = {}
-        for use_pi in (True, False):
-            solver = ExplicitRungeKutta(DOPRI5, OPTIONS,
-                                        use_pi_controller=use_pi)
-            result = solver.solve(oscillator, (0.0, 50.0),
-                                  np.array([1.0, 0.0]),
-                                  np.array([0.0, 50.0]))
-            steps[use_pi] = result.stats.n_steps
-        state["controller_steps"] = steps
-        return steps
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
 def test_report(benchmark):
     def render():
-        lines = ["max relative error vs high-precision reference:", ""]
+        lines = ["max relative error vs an independent reference "
+                 "(Bateman: closed form; Robertson: SciPy Radau, "
+                 "rtol 1e-11):", ""]
         for (problem, engine), error in sorted(state["errors"].items()):
-            lines.append(f"  {problem:10s} {engine:11s} {error:.3e}")
-        steps = state["controller_steps"]
-        lines.append("")
-        lines.append(f"step-controller ablation (DOPRI5, 50 time units): "
-                     f"PI={steps[True]} steps, "
-                     f"elementary={steps[False]} steps")
+            lines.append(f"  {problem:10s} {engine:7s} {error:.3e}")
         return "\n".join(lines)
 
     text = benchmark.pedantic(render, rounds=1, iterations=1)
@@ -154,10 +126,9 @@ def test_report(benchmark):
                       for (name, engine), error in state["errors"].items()
                       if name == problem}
             for problem in ("bateman", "robertson")},
-        "controller_steps": {"pi": state["controller_steps"][True],
-                             "elementary": state["controller_steps"][False]},
     })
-    # Parity assertion: batched error within 10x of scalar counterparts.
+    # Parity assertion: the batched engine within 10x of LSODA's error,
+    # and never above 1e-4.
     batched = state["errors"][("robertson", "batched")]
-    scalar = state["errors"][("robertson", "radau5")]
-    assert batched < max(10 * scalar, 1e-4)
+    lsoda = state["errors"][("robertson", "lsoda")]
+    assert batched < min(10 * lsoda, 1e-4)

@@ -15,11 +15,12 @@ Engines
     Sequential CPU baselines: one SciPy/ODEPACK integration per
     simulation, exactly how the paper family benchmarks CPUs.
 ``"dopri5"``, ``"radau5"``, ``"bdf"``
-    Sequential runs of this package's own scalar solvers (the
-    fine-grained-only reference points). A sequential run that switches
-    between explicit and implicit integration is
-    ``engine="batched", max_batch_per_launch=1``: rows do not depend on
-    the launch width.
+    Sequential runs of the batched integrator of that name, one
+    one-row launch per simulation (the fine-grained-only reference
+    points). Rows do not depend on the launch width, so each row has
+    the bytes of ``engine="batched", method=name``; a sequential run
+    that switches between explicit and implicit integration is
+    ``engine="batched", max_batch_per_launch=1``.
 ``"ssa"``, ``"tau-leaping"``
     Batched stochastic engines (exact Gillespie / tau-leaping) at a
     volume given by the ``volume`` engine kwarg; trajectories are
@@ -37,14 +38,14 @@ from ..errors import AnalysisError
 from ..gpu.batch_result import (BROKEN, EXHAUSTED, METHOD_BDF, METHOD_DOPRI5,
                                 METHOD_LSODA, METHOD_RADAU5, METHOD_VODE, OK,
                                 BatchSolveResult, allocate_result)
-from ..gpu.engine import BatchSimulator, EngineReport
+from ..gpu.batched_ode import BatchedODEProblem
+from ..gpu.engine import INTEGRATORS, BatchSimulator, EngineReport
 from ..resilience.quarantine import QuarantineLog
 from ..model import (ODESystem, Parameterization, ParameterizationBatch,
                      ReactionBasedModel)
-from ..solvers import BDF, ExplicitRungeKutta, Radau5, ScipyLSODA, ScipyVODE
-from ..solvers.base import DEFAULT_OPTIONS, SUCCESS, MAX_STEPS, SolverOptions
+from ..solvers import ScipyLSODA, ScipyVODE
+from ..solvers.base import DEFAULT_OPTIONS, SUCCESS, SolverOptions
 from ..telemetry import clock
-from ..solvers.tableaus import DOPRI5
 
 SEQUENTIAL_ENGINES = ("lsoda", "vode", "dopri5", "radau5", "bdf")
 STOCHASTIC_ENGINES = ("ssa", "tau-leaping")
@@ -130,9 +131,9 @@ class SequentialSimulator:
     """CPU baseline: integrate the batch one simulation at a time.
 
     This is the execution model of the sequential comparisons in the
-    paper family — LSODA/VODE loops for the CPU columns of the maps,
-    and this package's own scalar solvers for the fine-grained-only
-    reference.
+    paper family: LSODA/VODE loops for the CPU columns of the maps,
+    and this package's batched integrators one row per launch for the
+    fine-grained-only reference.
     """
 
     def __init__(self, model: ReactionBasedModel,
@@ -145,17 +146,6 @@ class SequentialSimulator:
         self.system = ODESystem.from_model(model)
         self.options = options
         self.engine = engine
-
-    def _make_solver(self):
-        if self.engine == "lsoda":
-            return ScipyLSODA(self.options)
-        if self.engine == "vode":
-            return ScipyVODE(self.options)
-        if self.engine == "dopri5":
-            return ExplicitRungeKutta(DOPRI5, self.options)
-        if self.engine == "radau5":
-            return Radau5(self.options)
-        return BDF(self.options)
 
     def simulate(self, t_span: tuple[float, float],
                  t_eval: np.ndarray | None = None,
@@ -175,35 +165,37 @@ class SequentialSimulator:
         t_eval = np.asarray(t_eval, dtype=np.float64)
         result = allocate_result(t_eval, batch.size, self.model.n_species,
                                  _SEQUENTIAL_METHOD_CODES[self.engine])
-        solver = self._make_solver()
-        supports_jacobian = self.engine != "dopri5"
         started = clock.monotonic()
         completed = 0
         for index in range(batch.size):
             if time_budget_seconds is not None and \
                     clock.monotonic() - started > time_budget_seconds:
                 break
-            constants = batch.rate_constants[index]
-            fun = self.system.as_scipy_rhs(constants)
-            kwargs = {}
-            if supports_jacobian:
-                kwargs["jac"] = self.system.as_scipy_jacobian(constants)
-            single = solver.solve(fun, t_span, batch.initial_states[index],
-                                  t_eval, **kwargs)
-            filled = single.y.shape[0]
-            result.y[index, :filled, :] = single.y
-            result.n_steps[index] = single.stats.n_steps
-            result.n_accepted[index] = single.stats.n_accepted
-            result.n_rejected[index] = single.stats.n_rejected
-            if single.status == SUCCESS:
-                result.status_codes[index] = OK
-            elif single.status == MAX_STEPS:
-                result.status_codes[index] = EXHAUSTED
-            else:
-                result.status_codes[index] = BROKEN
+            row = np.array([index])
+            result.merge_rows(
+                self._solve_row(batch.subset(row), t_span, t_eval), row)
             completed += 1
         result.status_codes[completed:] = BROKEN
         result.elapsed_seconds = clock.monotonic() - started
+        return result
+
+    def _solve_row(self, row: ParameterizationBatch,
+                   t_span: tuple[float, float],
+                   t_eval: np.ndarray) -> BatchSolveResult:
+        """One simulation as a one-row result."""
+        if self.engine in INTEGRATORS:
+            return INTEGRATORS[self.engine](self.options).solve(
+                BatchedODEProblem(self.system, row), t_span, t_eval)
+        baseline = ScipyLSODA if self.engine == "lsoda" else ScipyVODE
+        constants = row.rate_constants[0]
+        single = baseline(self.options).solve(
+            self.system.as_scipy_rhs(constants), t_span,
+            row.initial_states[0], t_eval,
+            jac=self.system.as_scipy_jacobian(constants))
+        result = allocate_result(t_eval, 1, self.model.n_species,
+                                 _SEQUENTIAL_METHOD_CODES[self.engine])
+        result.y[0, :single.y.shape[0]] = single.y
+        result.status_codes[0] = OK if single.status == SUCCESS else BROKEN
         return result
 
 

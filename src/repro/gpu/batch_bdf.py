@@ -2,8 +2,8 @@
 
 The original coarse-grained GPU simulator (cupSODA) runs one
 LSODA-style multistep integration per device thread. This module is
-its NumPy analog built on our from-scratch scalar
-:class:`~repro.solvers.bdf.BDF`: every simulation carries its own
+its NumPy analog, on the fixed-leading-coefficient BDF constants of
+:mod:`repro.solvers.bdf`: every simulation carries its own
 backward-difference table, step size, *order* and Newton state, and
 each sweep makes one attempt (a Newton failure, a rejection or an
 accept) for every running simulation, whatever its order.

@@ -102,8 +102,7 @@ def _quartic_output(t: Array, h: Array, y_start: Array, y_end: Array,
     """Hairer's quartic continuous extension of the step of size ``h``
     from ``(t, y_start)`` to ``y_end`` with stages ``stage_k``.
 
-    The ``rcont1..5`` form of the scalar
-    :class:`~repro.solvers.explicit.Dopri5Interpolant`, evaluated
+    The ``rcont1..5`` form of Hairer's ``dopri5.f``, evaluated
     element-wise and only for the rows asked for, so each row rounds as
     in its own launch.
     """

@@ -10,9 +10,8 @@ updates become batched matrix-vector products.
 Each simulation keeps its own step size, Jacobian freshness flag,
 factorization cache, collocation polynomial (used to predict the next
 step's stage values and to interpolate the save points a step crosses)
-and predictive step controller, like the scalar
-:class:`~repro.solvers.radau5.Radau5` it is validated against (which
-still clips its steps onto the save points).
+and predictive step controller, as Hairer & Wanner's RADAU5 does; the
+tests check it against SciPy's ``Radau``.
 
 That state lives in the persistent working set all three batched
 integrators share (:mod:`repro.gpu.working_set`): compact per-row

@@ -199,8 +199,10 @@ class CampaignResult:
 #: element-wise in slot order at each row's order, and a last step short
 #: of the span's end by a rounding error ends on it. Version 4: DOPRI5
 #: runs its stiffness test on every eighth accepted step of a row without
-#: strikes, so stiff rows are handed back a few steps later.
-NUMERICS_VERSION = 4
+#: strikes, so stiff rows are handed back a few steps later. Version 5:
+#: the sequential ``dopri5``, ``radau5`` and ``bdf`` engines run the
+#: batched integrators one row at a time.
+NUMERICS_VERSION = 5
 
 
 def _numerics_digest(options, retry_policy) -> str:
@@ -223,20 +225,31 @@ def _numerics_digest(options, retry_policy) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def campaign_fingerprint(model, batch_size: int, chunk_size: int,
+def _sha(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def campaign_fingerprint(model, batch, chunk_size: int,
                          t_span: tuple[float, float],
                          t_eval: np.ndarray, engine: str,
                          options=None, retry_policy=None) -> dict:
-    """Identity of a campaign, compared when re-opening a journal."""
-    grid = hashlib.sha256(
-        np.ascontiguousarray(t_eval, dtype=np.float64).tobytes()
-    ).hexdigest()[:16]
+    """Identity of a campaign, compared when re-opening a journal.
+
+    ``batch`` is the campaign's
+    :class:`~repro.model.ParameterizationBatch`; its rate constants and
+    initial states are part of the identity, so a journal never resumes
+    for another batch of the same size.
+    """
     return {"kind": "campaign", "model": model.name,
             "n_species": int(model.n_species),
             "n_reactions": int(model.n_reactions),
-            "batch_size": int(batch_size), "chunk_size": int(chunk_size),
+            "batch_size": int(batch.size), "chunk_size": int(chunk_size),
+            "batch_sha": _sha(batch.rate_constants, batch.initial_states),
             "t_span": [float(t_span[0]), float(t_span[1])],
-            "t_eval_sha": grid, "engine": engine,
+            "t_eval_sha": _sha(t_eval), "engine": engine,
             "numerics_sha": _numerics_digest(options, retry_policy)}
 
 
@@ -306,7 +319,7 @@ def run_campaign(model, t_span: tuple[float, float],
         from ..io.checkpoint import CampaignCheckpoint
         checkpoint = CampaignCheckpoint.open(
             config.checkpoint_path,
-            campaign_fingerprint(model, batch.size, config.chunk_size,
+            campaign_fingerprint(model, batch, config.chunk_size,
                                  t_span, t_eval, engine, options,
                                  retry_policy))
     spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,

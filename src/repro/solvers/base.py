@@ -1,10 +1,10 @@
 """Shared definitions for the ODE solver stack.
 
-All solvers in this package — scalar CPU references and batched
-GPU-style engines — share the same option set and result schema, and
-follow the tolerance convention of the paper family: absolute error
+The batched integrators and the SciPy baselines share one option set
+and follow the tolerance convention of the paper family: absolute error
 tolerance 1e-12, relative error tolerance 1e-6, and a cap of 1e4 steps
-per simulation.
+per simulation. The baselines report one :class:`SolveResult` per
+simulation.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ class SolveResult:
         return self.y[-1]
 
 
-def error_norm(error: np.ndarray, reference: np.ndarray,
-               candidate: np.ndarray, options: SolverOptions) -> float:
-    """Hairer-style scaled RMS norm of a local error estimate."""
-    scale = options.atol + options.rtol * np.maximum(np.abs(reference),
-                                                     np.abs(candidate))
-    return float(np.sqrt(np.mean((error / scale) ** 2)))
-
-
 def validate_time_grid(t_span: tuple[float, float],
                        t_eval: np.ndarray | None) -> np.ndarray:
     """Check and normalize the save grid against the integration span.
@@ -159,59 +151,3 @@ def validate_time_grid(t_span: tuple[float, float],
             f"t_eval range [{t_eval[0]}, {t_eval[-1]}] exceeds "
             f"t_span {t_span}")
     return np.clip(t_eval, t0, t1)
-
-
-def initial_step_size(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
-                      order: int, options: SolverOptions,
-                      direction: float = 1.0) -> float:
-    """Hairer's starting-step heuristic (Solving ODEs I, II.4).
-
-    ``fun`` is called once; callers should count one extra RHS
-    evaluation.
-    """
-    scale = options.atol + np.abs(y0) * options.rtol
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
-    return min(100.0 * h0, h1, options.max_step)
-
-
-class StepController:
-    """Elementary and PI step-size controllers.
-
-    The PI (proportional-integral, Gustafsson) controller damps the step
-    oscillations of the elementary controller on mildly stiff problems;
-    both are exposed so the ablation bench can compare them.
-    """
-
-    def __init__(self, error_order: int, options: SolverOptions,
-                 use_pi: bool = True, beta: float = 0.04) -> None:
-        self.error_exponent = -1.0 / (error_order + 1)
-        self.options = options
-        self.use_pi = use_pi
-        self.beta = beta
-        self._previous_error: float | None = None
-
-    def factor(self, err_norm: float) -> float:
-        """Step multiplier proposed for the next step."""
-        options = self.options
-        if err_norm == 0.0:
-            return options.max_step_factor
-        factor = options.safety * err_norm ** self.error_exponent
-        if self.use_pi and self._previous_error is not None and err_norm <= 1.0:
-            factor *= self._previous_error ** self.beta / err_norm ** self.beta
-        return float(np.clip(factor, options.min_step_factor,
-                             options.max_step_factor))
-
-    def record_accepted(self, err_norm: float) -> None:
-        self._previous_error = max(err_norm, 1e-10)

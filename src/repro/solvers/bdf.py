@@ -1,29 +1,16 @@
-"""Variable-order BDF multistep solver (orders 1-5).
+"""Constants of the variable-order BDF method (orders 1-5).
 
-Our own implementation of the quasi-constant-step, fixed-leading-
-coefficient Backward Differentiation Formulae — the algorithm family
-behind the LSODA/VODE stiff modes this paper's simulators are
-benchmarked against. Implementing the baseline from scratch (rather
-than only wrapping ODEPACK) lets the test suite validate the whole
-stiff tool chain end to end.
-
-The formulation follows the classical presentation (Byrne & Hindmarsh;
-Shampine & Reichelt's ode15s; SciPy's BDF uses the same scheme): the
-solution history is carried as a table of backward differences D,
-step-size changes rescale D with the Jacobian-free R(factor) matrix,
-each step solves the implicit BDF equation with a simplified Newton
-iteration, and the order is adapted by comparing the error estimates
-of orders k-1, k, k+1.
+The quasi-constant-step, fixed-leading-coefficient Backward
+Differentiation Formulae are the algorithm family behind the LSODA/VODE
+stiff modes this paper's simulators are benchmarked against. The
+formulation follows the classical presentation (Byrne & Hindmarsh;
+Shampine & Reichelt's ode15s; SciPy's BDF uses the same scheme); its
+integrator is the batched :class:`~repro.gpu.batch_bdf.BatchBDF`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-
-from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, SUCCESS, SolveResult,
-                   SolverOptions, SolverStats, error_norm,
-                   initial_step_size, validate_time_grid)
 
 MAX_ORDER = 5
 NEWTON_MAXITER = 4
@@ -33,251 +20,3 @@ KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
 GAMMA = np.hstack(([0.0], np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))))
 ALPHA = (1.0 - KAPPA) * GAMMA
 ERROR_CONST = KAPPA * GAMMA + 1.0 / np.arange(1, MAX_ORDER + 2)
-
-
-def change_difference_array(differences: np.ndarray, order: int,
-                            factor: float) -> None:
-    """Rescale the backward-difference table for a step-size change."""
-    rescale = _r_matrix(order, factor).dot(_r_matrix(order, 1.0))
-    differences[:order + 1] = rescale.T.dot(differences[:order + 1])
-
-
-def _r_matrix(order: int, factor: float) -> np.ndarray:
-    row = np.arange(1, order + 1)[:, None]
-    col = np.arange(1, order + 1)[None, :]
-    matrix = np.zeros((order + 1, order + 1))
-    matrix[1:, 1:] = (row - 1 - factor * col) / row
-    matrix[0] = 1.0
-    return np.cumprod(matrix, axis=0)
-
-
-class BDF:
-    """Adaptive-order BDF solver for stiff systems.
-
-    Parameters
-    ----------
-    options:
-        Shared solver options (rtol/atol/max_steps/...).
-    max_order:
-        Cap on the BDF order (1..5); order 1-2 BDF is A-stable, higher
-        orders trade stability angle for accuracy.
-    """
-
-    name = "bdf"
-
-    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 max_order: int = MAX_ORDER) -> None:
-        if not (1 <= max_order <= MAX_ORDER):
-            raise ValueError(f"max_order must be in 1..{MAX_ORDER}")
-        self.options = options
-        self.max_order = max_order
-
-    def solve(self, fun, t_span: tuple[float, float], y0: np.ndarray,
-              t_eval: np.ndarray | None = None, jac=None) -> SolveResult:
-        options = self.options
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        y = np.array(y0, dtype=np.float64)
-        n = y.size
-        stats = SolverStats()
-        identity = np.eye(n)
-
-        if jac is None:
-            jac = _finite_difference_jacobian(fun, stats)
-
-        output = np.empty((t_eval.size, n))
-        save_index = 0
-        t = t0
-        if t_eval[0] == t0:
-            output[0] = y
-            save_index = 1
-
-        f0 = fun(t, y)
-        stats.n_rhs_evaluations += 1
-        if options.first_step is not None:
-            h = options.first_step
-        else:
-            h = initial_step_size(fun, t, y, f0, 1, options)
-            stats.n_rhs_evaluations += 1
-        max_step = min(options.max_step, t1 - t0)
-        h = min(h, max_step)
-
-        differences = np.zeros((MAX_ORDER + 3, n))
-        differences[0] = y
-        differences[1] = f0 * h
-        order = 1
-        steps_at_order = 0
-
-        jacobian = jac(t, y)
-        stats.n_jacobian_evaluations += 1
-        jac_current = True
-        lu = None
-        c_factored = -1.0
-        newton_tol = max(10 * np.finfo(float).eps / options.rtol,
-                         min(0.03, options.rtol ** 0.5))
-
-        while t < t1 - 1e-14 * max(1.0, abs(t1)):
-            if stats.n_steps >= options.max_steps:
-                return SolveResult(t_eval[:save_index].copy(),
-                                   output[:save_index].copy(), MAX_STEPS,
-                                   stats, self.name,
-                                   f"step budget exhausted at t={t:g}")
-            if h > t1 - t:
-                change_difference_array(differences, order, (t1 - t) / h)
-                h = t1 - t
-                steps_at_order = 0
-            if save_index < t_eval.size and t + h >= t_eval[save_index]:
-                target = t_eval[save_index] - t
-                if target < h * (1.0 - 1e-12):
-                    change_difference_array(differences, order, target / h)
-                    h = target
-                    steps_at_order = 0
-            if h <= abs(t) * 1e-15 or h < 1e-300:
-                return SolveResult(t_eval[:save_index].copy(),
-                                   output[:save_index].copy(), FAILED,
-                                   stats, self.name,
-                                   f"step size underflow at t={t:g}")
-            stats.n_steps += 1
-
-            t_new = t + h
-            y_predict = differences[:order + 1].sum(axis=0)
-            scale = options.atol + options.rtol * np.abs(y_predict)
-            psi = differences[1:order + 1].T.dot(
-                GAMMA[1:order + 1]) / ALPHA[order]
-            c = h / ALPHA[order]
-            if lu is None or c != c_factored:
-                lu = lu_factor(identity - c * jacobian)
-                stats.n_factorizations += 1
-                c_factored = c
-
-            converged, n_iter, y_new, correction = self._newton(
-                fun, t_new, y_predict, c, psi, lu, scale, newton_tol,
-                stats)
-            if not converged:
-                if not jac_current:
-                    jacobian = jac(t, y)
-                    stats.n_jacobian_evaluations += 1
-                    jac_current = True
-                    lu = None
-                else:
-                    change_difference_array(differences, order, 0.5)
-                    h *= 0.5
-                    lu = None
-                    steps_at_order = 0
-                stats.n_rejected += 1
-                continue
-
-            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / \
-                (2 * NEWTON_MAXITER + n_iter)
-            error = ERROR_CONST[order] * correction
-            err = error_norm(error, y, y_new, options)
-            if err >= 1.0 or not np.all(np.isfinite(y_new)):
-                stats.n_rejected += 1
-                factor = options.min_step_factor
-                if np.isfinite(err) and err > 0:
-                    factor = max(options.min_step_factor,
-                                 safety * err ** (-1.0 / (order + 1)))
-                change_difference_array(differences, order, factor)
-                h *= factor
-                lu = None
-                steps_at_order = 0
-                continue
-
-            stats.n_accepted += 1
-            t = t_new
-            y = y_new
-            jac_current = False
-            steps_at_order += 1
-
-            # Update the backward-difference table.
-            differences[order + 2] = correction - differences[order + 1]
-            differences[order + 1] = correction
-            for i in reversed(range(order + 1)):
-                differences[i] += differences[i + 1]
-
-            if save_index < t_eval.size and \
-                    abs(t - t_eval[save_index]) <= 1e-12 * max(1.0, abs(t)):
-                output[save_index] = y
-                save_index += 1
-
-            if steps_at_order < order + 1:
-                continue
-            # Order adaptation: compare error estimates at k-1, k, k+1.
-            scale = options.atol + options.rtol * np.abs(y)
-            error_m = (ERROR_CONST[order - 1] * differences[order]
-                       if order > 1 else None)
-            error_p = (ERROR_CONST[order + 1] * differences[order + 2]
-                       if order < self.max_order else None)
-
-            def _norm(vector):
-                return float(np.sqrt(np.mean((vector / scale) ** 2)))
-
-            norms = [np.inf, max(_norm(error), 1e-10), np.inf]
-            if error_m is not None:
-                norms[0] = max(_norm(error_m), 1e-10)
-            if error_p is not None:
-                norms[2] = max(_norm(error_p), 1e-10)
-            orders = np.array([order - 1, order, order + 1])
-            with np.errstate(divide="ignore", over="ignore"):
-                factors = np.array([
-                    norms[i] ** (-1.0 / (orders[i] + 1))
-                    if np.isfinite(norms[i]) else 0.0
-                    for i in range(3)])
-            best = int(np.argmax(factors))
-            new_order = int(orders[best])
-            factor = min(options.max_step_factor, safety * factors[best])
-            factor = max(factor, options.min_step_factor)
-            order = new_order
-            change_difference_array(differences, order, factor)
-            h = min(h * factor, max_step)
-            lu = None
-            steps_at_order = 0
-
-        while save_index < t_eval.size and \
-                abs(t_eval[save_index] - t1) <= 1e-12 * max(1.0, abs(t1)):
-            output[save_index] = y
-            save_index += 1
-        return SolveResult(t_eval.copy(), output, SUCCESS, stats, self.name)
-
-    def _newton(self, fun, t_new, y_predict, c, psi, lu, scale, tol,
-                stats):
-        y = y_predict.copy()
-        correction = np.zeros_like(y)
-        rate = None
-        norm_previous = None
-        for iteration in range(NEWTON_MAXITER):
-            f = fun(t_new, y)
-            stats.n_rhs_evaluations += 1
-            stats.n_newton_iterations += 1
-            if not np.all(np.isfinite(f)):
-                return False, iteration + 1, y, correction
-            delta = lu_solve(lu, c * f - psi - correction)
-            delta_norm = float(np.sqrt(np.mean((delta / scale) ** 2)))
-            if norm_previous is not None and norm_previous > 0:
-                rate = delta_norm / norm_previous
-                if rate >= 1.0 or rate ** (NEWTON_MAXITER - iteration) / \
-                        (1 - rate) * delta_norm > tol:
-                    return False, iteration + 1, y, correction
-            y = y + delta
-            correction = correction + delta
-            if delta_norm == 0.0 or (rate is not None
-                                     and rate / (1 - rate)
-                                     * delta_norm < tol):
-                return True, iteration + 1, y, correction
-            norm_previous = delta_norm
-        return False, NEWTON_MAXITER, y, correction
-
-
-def _finite_difference_jacobian(fun, stats: SolverStats):
-    def jacobian(t: float, y: np.ndarray) -> np.ndarray:
-        f0 = fun(t, y)
-        stats.n_rhs_evaluations += 1 + y.size
-        result = np.empty((y.size, y.size))
-        for j in range(y.size):
-            step = max(1e-8, 1e-8 * abs(y[j]))
-            perturbed = y.copy()
-            perturbed[j] += step
-            result[:, j] = (fun(t, perturbed) - f0) / step
-        return result
-
-    return jacobian

@@ -1,27 +1,22 @@
-"""Scalar Radau IIA order-5 implicit Runge-Kutta solver.
+"""Constants of the three-stage Radau IIA method (order 5).
 
-The three-stage Radau IIA collocation method (RADAU5 of Hairer & Wanner,
-"Solving ODEs II") is the stiff workhorse of this paper family: it is
-A-stable, L-stable and stiffly accurate. The nonlinear stage system is
-solved by a simplified Newton iteration on variables transformed by the
-real Schur-like similarity that splits the inverted Butcher matrix into
-one real eigenvalue and one complex-conjugate pair, so each Newton
-iteration costs one real and one complex back-substitution.
+The Radau IIA collocation method (RADAU5 of Hairer & Wanner, "Solving
+ODEs II") is the stiff workhorse of this paper family: it is A-stable,
+L-stable and stiffly accurate. Its integrator is the batched
+:class:`~repro.gpu.batch_radau5.BatchRadau5`, which solves the
+nonlinear stage system by a simplified Newton iteration on variables
+transformed by the real similarity that splits the inverted Butcher
+matrix into one real eigenvalue and one complex-conjugate pair, so each
+Newton iteration costs one real and one complex solve.
 
-All transformation constants are derived *numerically* at import time
-from the exact Butcher matrix, which keeps the implementation honest
-(no hand-copied magic constants) and is verified by the test suite
-against the known closed forms.
+The transformation constants are derived *numerically* at import time
+from the exact Butcher matrix (no hand-copied magic constants); the
+test suite checks them against the known closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-
-from .base import (DEFAULT_OPTIONS, FAILED, MAX_STEPS, SUCCESS, SolveResult,
-                   SolverOptions, SolverStats, error_norm, initial_step_size,
-                   validate_time_grid)
 
 _SQRT6 = np.sqrt(6.0)
 
@@ -72,259 +67,3 @@ def _derive_transformation() -> tuple[float, complex, np.ndarray, np.ndarray]:
 
 
 MU_REAL, MU_COMPLEX, RADAU_T, RADAU_TI = _derive_transformation()
-
-#: Vandermonde solve matrix for the collocation dense-output polynomial:
-#: row i of V is (c_i, c_i^2, c_i^3); Q = solve(V, Z) gives the theta^j+1
-#: coefficients of the continuous extension.
-_VANDERMONDE = np.vander(RADAU_C, 3, increasing=True) * RADAU_C[:, None]
-
-
-class _CollocationPolynomial:
-    """Continuous extension of one Radau step, used to predict stages."""
-
-    def __init__(self, y_start: np.ndarray, stage_increments: np.ndarray) -> None:
-        self._y_start = y_start
-        self._coefficients = np.linalg.solve(_VANDERMONDE, stage_increments)
-
-    def offset(self, theta: np.ndarray) -> np.ndarray:
-        """w(theta) - y_start for (possibly >1) normalized times."""
-        powers = np.vander(theta, 3, increasing=True) * theta[:, None]
-        return powers.dot(self._coefficients)
-
-
-class Radau5:
-    """Adaptive Radau IIA order-5 solver for stiff systems.
-
-    Parameters
-    ----------
-    options:
-        Shared solver options; ``newton_max_iterations`` and
-        ``newton_tol_factor`` control the simplified Newton iteration.
-    reuse_jacobian:
-        When True (default) the Jacobian is kept across steps until the
-        Newton iteration converges too slowly; when False it is
-        refreshed every step (the ablation bench measures the cost).
-    """
-
-    name = "radau5"
-
-    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 reuse_jacobian: bool = True) -> None:
-        self.options = options
-        self.reuse_jacobian = reuse_jacobian
-
-    def solve(self, fun, t_span: tuple[float, float], y0: np.ndarray,
-              t_eval: np.ndarray | None = None, jac=None) -> SolveResult:
-        """Integrate a (stiff) IVP; ``jac(t, y)`` defaults to finite
-        differences when not supplied."""
-        options = self.options
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        y = np.array(y0, dtype=np.float64)
-        n = y.size
-        stats = SolverStats()
-        identity = np.eye(n)
-
-        if jac is None:
-            jac = _finite_difference_jacobian(fun, options, stats)
-
-        newton_tol = max(10.0 * np.finfo(float).eps / options.rtol,
-                         min(options.newton_tol_factor, options.rtol ** 0.5))
-        max_newton = options.newton_max_iterations
-
-        output = np.empty((t_eval.size, n))
-        save_index = 0
-        t = t0
-        if t_eval[0] == t0:
-            output[0] = y
-            save_index = 1
-
-        f_current = fun(t, y)
-        stats.n_rhs_evaluations += 1
-        if options.first_step is not None:
-            h = options.first_step
-        else:
-            h = initial_step_size(fun, t, y, f_current, 5, options)
-            stats.n_rhs_evaluations += 1
-        max_step = min(options.max_step, t1 - t0)
-        h = min(h, max_step)
-
-        jacobian = jac(t, y)
-        stats.n_jacobian_evaluations += 1
-        jac_current = True
-        lu_real = lu_complex = None
-        h_factored = -1.0
-        previous_poly: _CollocationPolynomial | None = None
-        h_previous = h
-        err_previous: float | None = None
-
-        while t < t1 - 1e-14 * max(1.0, abs(t1)):
-            if stats.n_steps >= options.max_steps:
-                return SolveResult(t_eval[:save_index].copy(),
-                                   output[:save_index].copy(), MAX_STEPS,
-                                   stats, self.name,
-                                   f"step budget exhausted at t={t:g}")
-            h = min(h, t1 - t)
-            if save_index < t_eval.size and t + h >= t_eval[save_index]:
-                h = t_eval[save_index] - t
-            if h <= abs(t) * 1e-15 or h < 1e-300:
-                return SolveResult(t_eval[:save_index].copy(),
-                                   output[:save_index].copy(), FAILED,
-                                   stats, self.name,
-                                   f"step size underflow at t={t:g}")
-            stats.n_steps += 1
-
-            if h != h_factored:
-                lu_real = lu_factor(MU_REAL / h * identity - jacobian)
-                lu_complex = lu_factor(MU_COMPLEX / h * identity
-                                       - jacobian.astype(complex))
-                stats.n_factorizations += 2
-                h_factored = h
-
-            if previous_poly is None:
-                stage_guess = np.zeros((3, n))
-            else:
-                theta = 1.0 + (h / h_previous) * RADAU_C
-                stage_guess = (previous_poly.offset(theta)
-                               + (previous_poly._y_start - y))
-
-            converged, n_iter, stage_increments, rate = self._newton(
-                fun, t, y, h, stage_guess, lu_real, lu_complex,
-                newton_tol, max_newton, stats)
-
-            if not converged:
-                if not jac_current:
-                    jacobian = jac(t, y)
-                    stats.n_jacobian_evaluations += 1
-                    jac_current = True
-                else:
-                    h *= 0.5
-                h_factored = -1.0
-                stats.n_rejected += 1
-                continue
-
-            y_new = y + stage_increments[2]
-            scaled_stage_error = stage_increments.T.dot(RADAU_E) / h
-            error = lu_solve(lu_real, f_current + scaled_stage_error)
-            err = error_norm(error, y, y_new, options)
-            if err >= 1.0:
-                # Hairer's refined estimate after a first rejection.
-                f_refined = fun(t, y + error)
-                stats.n_rhs_evaluations += 1
-                error = lu_solve(lu_real, f_refined + scaled_stage_error)
-                err = error_norm(error, y, y_new, options)
-
-            safety = (options.safety * (2 * max_newton + 1)
-                      / (2 * max_newton + n_iter))
-            if err >= 1.0 or not np.all(np.isfinite(y_new)):
-                stats.n_rejected += 1
-                if np.isfinite(err):
-                    h *= np.clip(safety * err ** -0.25,
-                                 options.min_step_factor, 1.0)
-                else:
-                    h *= options.min_step_factor
-                continue
-
-            stats.n_accepted += 1
-            previous_poly = _CollocationPolynomial(y.copy(),
-                                                   stage_increments.copy())
-            h_previous = h
-            t = t + h
-            y = y_new
-            f_current = fun(t, y)
-            stats.n_rhs_evaluations += 1
-            if save_index < t_eval.size and \
-                    abs(t - t_eval[save_index]) <= 1e-12 * max(1.0, abs(t)):
-                output[save_index] = y
-                save_index += 1
-
-            factor = min(options.max_step_factor, safety * err ** -0.25)
-            if err_previous is not None and err > 0.0:
-                factor = min(factor, safety * (err_previous / err) ** 0.1
-                             * err ** -0.25)
-            err_previous = max(err, 1e-10)
-            h_new = min(h * max(factor, options.min_step_factor), max_step)
-
-            refresh = (self.reuse_jacobian
-                       and (n_iter > 2 and rate > 1e-3)) \
-                or not self.reuse_jacobian
-            if refresh:
-                jacobian = jac(t, y)
-                stats.n_jacobian_evaluations += 1
-                jac_current = True
-                h_factored = -1.0
-            else:
-                jac_current = False
-            # Avoid refactorizing for negligible step changes.
-            if abs(h_new - h) > 0.1 * h:
-                h = h_new
-            # else keep h (and the factorization) as is.
-
-        while save_index < t_eval.size and \
-                abs(t_eval[save_index] - t1) <= 1e-12 * max(1.0, abs(t1)):
-            output[save_index] = y
-            save_index += 1
-        return SolveResult(t_eval.copy(), output, SUCCESS, stats, self.name)
-
-    def _newton(self, fun, t, y, h, stage_guess, lu_real, lu_complex,
-                tol, max_iterations, stats):
-        """Simplified Newton on the transformed stage system."""
-        n = y.size
-        increments = stage_guess
-        transformed = RADAU_TI.dot(increments.reshape(3, n))
-        stage_times = t + RADAU_C * h
-        rate = np.inf
-        norm_previous: float | None = None
-        stage_derivatives = np.empty((3, n))
-        for iteration in range(max_iterations):
-            for i in range(3):
-                stage_derivatives[i] = fun(stage_times[i], y + increments[i])
-            stats.n_rhs_evaluations += 3
-            stats.n_newton_iterations += 1
-            if not np.all(np.isfinite(stage_derivatives)):
-                return False, iteration + 1, increments, rate
-            residual_real = (RADAU_TI[0].dot(stage_derivatives)
-                             - MU_REAL / h * transformed[0])
-            residual_complex = (
-                (RADAU_TI[1] + 1j * RADAU_TI[2]).dot(stage_derivatives)
-                - MU_COMPLEX / h * (transformed[1] + 1j * transformed[2]))
-            delta_real = lu_solve(lu_real, residual_real)
-            delta_complex = lu_solve(lu_complex, residual_complex)
-            delta = np.vstack([delta_real, delta_complex.real,
-                               delta_complex.imag])
-            transformed = transformed + delta
-            increments = RADAU_T.dot(transformed)
-            scale = (self.options.atol
-                     + np.abs(y) * self.options.rtol)
-            delta_norm = float(np.sqrt(np.mean((delta / scale) ** 2)))
-            if norm_previous is not None and norm_previous > 0.0:
-                rate = delta_norm / norm_previous
-                if rate >= 1.0:
-                    return False, iteration + 1, increments, rate
-                remaining = max_iterations - iteration - 1
-                if rate ** remaining / (1.0 - rate) * delta_norm > tol:
-                    return False, iteration + 1, increments, rate
-                if rate / (1.0 - rate) * delta_norm < tol:
-                    return True, iteration + 1, increments, rate
-            elif delta_norm < tol:
-                return True, iteration + 1, increments, min(rate, 0.0)
-            norm_previous = delta_norm
-        return False, max_iterations, increments, rate
-
-
-def _finite_difference_jacobian(fun, options: SolverOptions,
-                                stats: SolverStats):
-    """Forward-difference Jacobian callable with evaluation counting."""
-
-    def jacobian(t: float, y: np.ndarray) -> np.ndarray:
-        f0 = fun(t, y)
-        stats.n_rhs_evaluations += 1 + y.size
-        result = np.empty((y.size, y.size))
-        for j in range(y.size):
-            step = max(1e-8, 1e-8 * abs(y[j]))
-            perturbed = y.copy()
-            perturbed[j] += step
-            result[:, j] = (fun(t, perturbed) - f0) / step
-        return result
-
-    return jacobian

@@ -1,6 +1,7 @@
-"""Butcher tableaus for the embedded explicit Runge-Kutta methods.
+"""The Butcher tableau of DOPRI5, the embedded explicit Runge-Kutta pair
+the batched :class:`~repro.gpu.batch_dopri5.BatchDopri5` integrates with.
 
-Each tableau packages the stage matrix ``a``, the nodes ``c``, the
+A tableau packages the stage matrix ``a``, the nodes ``c``, the
 higher-order weights ``b`` (used to advance the solution) and the error
 weights ``e = b - b_hat`` (difference between the embedded orders, used
 for the local error estimate).
@@ -93,49 +94,6 @@ def _tableau(name, order, error_order, a, b, b_hat, c, fsal=False):
     return ButcherTableau(name, order, error_order, a, b, c, b - b_hat, fsal)
 
 
-#: Bogacki-Shampine 3(2) pair (the low-cost non-stiff option).
-BOGACKI_SHAMPINE_23 = _tableau(
-    "bs23", 3, 2,
-    a=[[0, 0, 0, 0],
-       [1 / 2, 0, 0, 0],
-       [0, 3 / 4, 0, 0],
-       [2 / 9, 1 / 3, 4 / 9, 0]],
-    b=[2 / 9, 1 / 3, 4 / 9, 0],
-    b_hat=[7 / 24, 1 / 4, 1 / 3, 1 / 8],
-    c=[0, 1 / 2, 3 / 4, 1],
-    fsal=True,
-)
-
-#: Runge-Kutta-Fehlberg 4(5) pair (the classical reference).
-FEHLBERG_45 = _tableau(
-    "rkf45", 5, 4,
-    a=[[0, 0, 0, 0, 0, 0],
-       [1 / 4, 0, 0, 0, 0, 0],
-       [3 / 32, 9 / 32, 0, 0, 0, 0],
-       [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0, 0],
-       [439 / 216, -8, 3680 / 513, -845 / 4104, 0, 0],
-       [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40, 0]],
-    b=[16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55],
-    b_hat=[25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0],
-    c=[0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2],
-)
-
-#: Cash-Karp 4(5) pair.
-CASH_KARP_45 = _tableau(
-    "cash-karp45", 5, 4,
-    a=[[0, 0, 0, 0, 0, 0],
-       [1 / 5, 0, 0, 0, 0, 0],
-       [3 / 40, 9 / 40, 0, 0, 0, 0],
-       [3 / 10, -9 / 10, 6 / 5, 0, 0, 0],
-       [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0, 0],
-       [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592,
-        253 / 4096, 0]],
-    b=[37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771],
-    b_hat=[2825 / 27648, 0, 18575 / 48384, 13525 / 55296,
-           277 / 14336, 1 / 4],
-    c=[0, 1 / 5, 3 / 10, 3 / 5, 1, 7 / 8],
-)
-
 #: Dormand-Prince 5(4) pair — the paper family's non-stiff workhorse.
 DOPRI5 = _tableau(
     "dopri5", 5, 4,
@@ -167,8 +125,3 @@ DOPRI5_DENSE_D = np.array([
     -1453857185.0 / 822651844.0,
     69997945.0 / 29380423.0,
 ])
-
-TABLEAUS = {
-    tableau.name: tableau
-    for tableau in (BOGACKI_SHAMPINE_23, FEHLBERG_45, CASH_KARP_45, DOPRI5)
-}

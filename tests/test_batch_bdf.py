@@ -10,10 +10,11 @@ from repro.gpu.batch_bdf import (_accept, _difference_output, _order_change,
                                  _predict, _rescale)
 from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, dimerization, robertson
-from repro.solvers import BDF, SolverOptions
+from repro.solvers import SolverOptions
 from repro.solvers.bdf import MAX_ORDER
 
 from .row_isolation import MIXED_OPTIONS, RowIsolationChecks
+from .scalar_problems import scipy_rows
 
 OPTIONS = SolverOptions(rtol=1e-6, atol=1e-10, max_steps=200_000)
 
@@ -26,22 +27,18 @@ def make_problem(model, batch_size=6, seed=0, spread=0.25):
 
 
 class TestAgainstScalar:
+    """Against SciPy's ``BDF`` (the same NDF/BDF scheme) solving each row
+    alone at the same tolerances, with the model's Jacobian."""
+
     def test_matches_scalar_bdf_on_nonstiff_batch(self):
         model = decay_chain(3)
         problem, batch = make_problem(model, 6)
         grid = np.linspace(0, 4, 9)
         batched = BatchBDF(OPTIONS).solve(problem, (0, 4), grid)
         assert batched.all_success
-        scalar = BDF(OPTIONS)
-        for index in range(batch.size):
-            fun = problem.system.as_scipy_rhs(batch.rate_constants[index])
-            jac = problem.system.as_scipy_jacobian(
-                batch.rate_constants[index])
-            reference = scalar.solve(fun, (0, 4),
-                                     batch.initial_states[index], grid,
-                                     jac=jac)
-            assert np.allclose(batched.y[index], reference.y, rtol=1e-3,
-                               atol=1e-6)
+        reference = scipy_rows(problem.system, batch, (0, 4), grid, "BDF",
+                               OPTIONS.rtol, OPTIONS.atol)
+        assert np.allclose(batched.y, reference, rtol=1e-3, atol=1e-6)
 
     def test_stiff_robertson_batch(self):
         problem, batch = make_problem(robertson(), 8, seed=1)
@@ -53,21 +50,15 @@ class TestAgainstScalar:
         assert np.allclose(result.y[:, -1, :].sum(axis=1), 1.0, atol=1e-5)
 
     def test_accuracy_against_high_precision_reference(self):
-        from repro.solvers import Radau5
+        """The truth is SciPy's ``Radau`` at rtol 1e-11, atol 1e-14."""
         problem, batch = make_problem(robertson(), 4, seed=1)
         grid = np.array([0.0, 1.0, 1e2, 1e4])
         result = BatchBDF(OPTIONS).solve(problem, (0, 1e4), grid)
-        truth_solver = Radau5(SolverOptions(rtol=1e-11, atol=1e-14,
-                                            max_steps=1_000_000))
+        truth = scipy_rows(problem.system, batch, (0, 1e4), grid, "Radau",
+                           1e-11, 1e-14)
         for index in range(batch.size):
-            fun = problem.system.as_scipy_rhs(batch.rate_constants[index])
-            jac = problem.system.as_scipy_jacobian(
-                batch.rate_constants[index])
-            truth = truth_solver.solve(fun, (0, 1e4),
-                                       batch.initial_states[index], grid,
-                                       jac=jac)
-            error = np.max(np.abs(truth.y - result.y[index])
-                           / (np.abs(truth.y) + 1e-8))
+            error = np.max(np.abs(truth[index] - result.y[index])
+                           / (np.abs(truth[index]) + 1e-8))
             assert error < 1e-3
 
 

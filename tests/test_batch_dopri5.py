@@ -8,12 +8,13 @@ from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK, RUNNING, STIFF
 from repro.model import (ODESystem, ParameterizationBatch,
                          ReactionBasedModel, perturbed_batch)
 from repro.models import decay_chain, lotka_volterra, robertson
-from repro.solvers import ExplicitRungeKutta, SolverOptions
+from repro.solvers import SolverOptions
 from repro.solvers.tableaus import DOPRI5
 from repro.synth import generate_symmetric
 
 from .row_isolation import (MIXED_OPTIONS, RowIsolationChecks,
                             mixed_exit_launch, one_species_model)
+from .scalar_problems import scipy_rows
 
 
 def make_problem(model, batch_size=8, seed=0, spread=0.25):
@@ -24,6 +25,9 @@ def make_problem(model, batch_size=8, seed=0, spread=0.25):
 
 
 class TestAgainstScalar:
+    """Against SciPy's ``RK45`` (the same Dormand-Prince pair) solving
+    each row alone at the same tolerances."""
+
     def test_matches_scalar_dopri5_per_simulation(self):
         model = decay_chain(3)
         problem, batch = make_problem(model, 6)
@@ -31,13 +35,9 @@ class TestAgainstScalar:
         grid = np.linspace(0, 5, 11)
         batched = BatchDopri5(options).solve(problem, (0, 5), grid)
         assert batched.all_success
-        scalar = ExplicitRungeKutta(DOPRI5, options)
-        for index in range(batch.size):
-            fun = problem.system.as_scipy_rhs(batch.rate_constants[index])
-            reference = scalar.solve(fun, (0, 5),
-                                     batch.initial_states[index], grid)
-            assert np.allclose(batched.y[index], reference.y, rtol=1e-6,
-                               atol=1e-9)
+        reference = scipy_rows(problem.system, batch, (0, 5), grid, "RK45",
+                               options.rtol, options.atol)
+        assert np.allclose(batched.y, reference, rtol=1e-6, atol=1e-9)
 
     def test_oscillatory_dynamics(self):
         model = lotka_volterra()

@@ -9,9 +9,10 @@ from repro.gpu import BatchRadau5, BatchedODEProblem
 from repro.gpu.batch_result import BROKEN, EXHAUSTED, OK
 from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, dimerization, robertson
-from repro.solvers import Radau5, SolverOptions
+from repro.solvers import SolverOptions
 
 from .row_isolation import MIXED_OPTIONS, RowIsolationChecks, mixed_exit_launch
+from .scalar_problems import scipy_rows
 
 
 def make_problem(model, batch_size=6, seed=0, spread=0.25):
@@ -22,6 +23,9 @@ def make_problem(model, batch_size=6, seed=0, spread=0.25):
 
 
 class TestAgainstScalar:
+    """Against SciPy's ``Radau`` (the same Radau IIA method) solving each
+    row alone at the same tolerances, with the model's Jacobian."""
+
     def test_matches_scalar_radau_on_robertson_batch(self):
         model = robertson()
         problem, batch = make_problem(model, 5, spread=0.2)
@@ -29,16 +33,9 @@ class TestAgainstScalar:
         grid = np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
         batched = BatchRadau5(options).solve(problem, (0, 1e4), grid)
         assert batched.all_success
-        scalar = Radau5(options)
-        for index in range(batch.size):
-            constants = batch.rate_constants[index]
-            fun = problem.system.as_scipy_rhs(constants)
-            jac = problem.system.as_scipy_jacobian(constants)
-            reference = scalar.solve(fun, (0, 1e4),
-                                     batch.initial_states[index], grid,
-                                     jac=jac)
-            assert np.allclose(batched.y[index], reference.y, rtol=1e-5,
-                               atol=1e-12)
+        reference = scipy_rows(problem.system, batch, (0, 1e4), grid,
+                               "Radau", options.rtol, options.atol)
+        assert np.allclose(batched.y, reference, rtol=1e-5, atol=1e-12)
 
     def test_nonstiff_accuracy(self):
         model = decay_chain(3)

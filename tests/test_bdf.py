@@ -1,26 +1,19 @@
-"""Tests for the from-scratch variable-order BDF solver."""
+"""Tests for the variable-order BDF method: its constants, the batched
+integrator's difference-table rescale, and the integrator as the
+sequential ``bdf`` engine runs it, on one-row launches."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from repro.core import simulate
+from repro.gpu.batch_bdf import _rescale
+from repro.model import ODESystem
 from repro.models import robertson
-from repro.solvers import BDF, SolverOptions
-from repro.solvers.bdf import (ALPHA, ERROR_CONST, GAMMA, KAPPA, MAX_ORDER,
-                               change_difference_array)
+from repro.solvers import SolverOptions
+from repro.solvers.bdf import ALPHA, ERROR_CONST, GAMMA, KAPPA, MAX_ORDER
 
-
-def rob(t, y):
-    return np.array([-0.04 * y[0] + 1e4 * y[1] * y[2],
-                     0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] ** 2,
-                     3e7 * y[1] ** 2])
-
-
-def rob_jac(t, y):
-    return np.array([[-0.04, 1e4 * y[2], 1e4 * y[1]],
-                     [0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
-                     [0.0, 6e7 * y[1], 0.0]])
+from .scalar_problems import decay, harmonic, solve_row
 
 
 class TestConstants:
@@ -35,119 +28,84 @@ class TestConstants:
     def test_error_constants_positive_for_usable_orders(self):
         assert np.all(ERROR_CONST[1:MAX_ORDER + 1] > 0)
 
-    def test_difference_rescaling_identity(self):
-        """factor = 1 must leave the difference table unchanged."""
-        rng = np.random.default_rng(0)
-        differences = rng.standard_normal((MAX_ORDER + 3, 4))
-        copy = differences.copy()
-        change_difference_array(differences, 3, 1.0)
-        assert np.allclose(differences, copy)
-
     def test_difference_rescaling_consistency(self):
-        """Halving twice equals scaling by 1/4 (group property)."""
+        """Halving twice equals scaling by 1/4 (group property), at
+        every order."""
         rng = np.random.default_rng(1)
-        first = rng.standard_normal((MAX_ORDER + 3, 3))
-        second = first.copy()
-        change_difference_array(first, 2, 0.5)
-        change_difference_array(first, 2, 0.5)
-        change_difference_array(second, 2, 0.25)
-        assert np.allclose(first, second, atol=1e-12)
+        orders = np.arange(1, MAX_ORDER + 1)
+        first = rng.standard_normal((orders.size, MAX_ORDER + 3, 3))
+        halves = np.full(orders.size, 0.5)
+        twice = _rescale(_rescale(first, orders, halves), orders, halves)
+        once = _rescale(first, orders, np.full(orders.size, 0.25))
+        assert not np.allclose(once, first)
+        assert np.allclose(twice, once, atol=1e-12)
 
 
 class TestAccuracy:
     def test_linear_decay(self):
-        solver = BDF(SolverOptions(rtol=1e-8, atol=1e-12))
         grid = np.linspace(0, 5, 6)
-        result = solver.solve(lambda t, y: -y, (0, 5), np.array([1.0]),
-                              grid)
-        assert result.success
-        assert np.allclose(result.y[:, 0], np.exp(-grid), atol=1e-7)
+        result, _ = solve_row(decay(), (0, 5), grid, "bdf",
+                              SolverOptions(rtol=1e-8, atol=1e-12))
+        assert result.all_success
+        assert np.allclose(result.y[0, :, 0], np.exp(-grid), atol=1e-7)
 
     def test_oscillator(self):
-        solver = BDF(SolverOptions(rtol=1e-8, atol=1e-12))
         grid = np.linspace(0, 2 * np.pi, 5)
-        result = solver.solve(lambda t, y: np.array([y[1], -y[0]]),
-                              (0, 2 * np.pi), np.array([1.0, 0.0]), grid)
-        assert result.success
-        assert np.allclose(result.y[:, 0], np.cos(grid), atol=1e-5)
+        result, _ = solve_row(harmonic(), (0, 2 * np.pi), grid, "bdf",
+                              SolverOptions(rtol=1e-8, atol=1e-12))
+        assert result.all_success
+        assert np.allclose(result.y[0, :, 0], np.cos(grid), atol=1e-5)
 
     def test_robertson_against_scipy_bdf(self):
+        model = robertson()
         grid = np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
-        solver = BDF(SolverOptions(rtol=1e-6, atol=1e-10,
-                                   max_steps=200_000))
-        result = solver.solve(rob, (0, 1e4), np.array([1.0, 0, 0]), grid,
-                              jac=rob_jac)
-        assert result.success
-        reference = solve_ivp(rob, (0, 1e4), [1.0, 0, 0], method="BDF",
+        result, _ = solve_row(model, (0, 1e4), grid, "bdf",
+                              SolverOptions(rtol=1e-6, atol=1e-10,
+                                            max_steps=200_000))
+        assert result.all_success
+        system = ODESystem.from_model(model)
+        constants = model.rate_constants()
+        reference = solve_ivp(system.as_scipy_rhs(constants), (0, 1e4),
+                              model.initial_state(), method="BDF",
                               t_eval=grid, rtol=1e-10, atol=1e-13,
-                              jac=rob_jac)
-        assert np.allclose(result.y, reference.y.T, rtol=1e-3, atol=1e-9)
+                              jac=system.as_scipy_jacobian(constants))
+        assert np.allclose(result.y[0], reference.y.T, rtol=1e-3, atol=1e-9)
 
     def test_robertson_step_efficiency(self):
         """The multistep method cracks Robertson in a few hundred
         steps (the whole point of BDF)."""
-        grid = np.array([0.0, 1e4])
-        solver = BDF(SolverOptions(max_steps=200_000))
-        result = solver.solve(rob, (0, 1e4), np.array([1.0, 0, 0]), grid,
-                              jac=rob_jac)
-        assert result.success
-        assert result.stats.n_steps < 1_000
+        result, _ = solve_row(robertson(), (0, 1e4), np.array([0.0, 1e4]),
+                              "bdf", SolverOptions(max_steps=200_000))
+        assert result.all_success
+        assert result.n_steps[0] < 1_000
 
     def test_mass_conservation(self):
         grid = np.array([0.0, 1e2, 1e4])
-        solver = BDF(SolverOptions(max_steps=200_000))
-        result = solver.solve(rob, (0, 1e4), np.array([1.0, 0, 0]), grid,
-                              jac=rob_jac)
-        assert np.allclose(result.y.sum(axis=1), 1.0, atol=1e-6)
+        result, _ = solve_row(robertson(), (0, 1e4), grid, "bdf",
+                              SolverOptions(max_steps=200_000))
+        assert np.allclose(result.y[0].sum(axis=1), 1.0, atol=1e-6)
 
     def test_tightening_tolerance_reduces_error(self):
         grid = np.array([0.0, 3.0])
         errors = []
         for rtol in (1e-4, 1e-9):
-            solver = BDF(SolverOptions(rtol=rtol, atol=1e-14))
-            result = solver.solve(lambda t, y: -y, (0, 3),
-                                  np.array([1.0]), grid)
-            errors.append(abs(result.y[-1, 0] - np.exp(-3.0)))
+            result, _ = solve_row(decay(), (0, 3), grid, "bdf",
+                                  SolverOptions(rtol=rtol, atol=1e-14))
+            errors.append(abs(result.y[0, -1, 0] - np.exp(-3.0)))
         assert errors[1] < errors[0]
 
 
 class TestBehaviour:
-    def test_order_capping(self):
-        options = SolverOptions(rtol=1e-5, atol=1e-10, max_steps=100_000)
-        grid = np.array([0.0, 1.0])
-        capped = BDF(options, max_order=1).solve(
-            lambda t, y: -y, (0, 1), np.array([1.0]), grid)
-        assert capped.success
-        # Order-1 BDF needs far more steps than adaptive order.
-        adaptive = BDF(options).solve(lambda t, y: -y, (0, 1),
-                                      np.array([1.0]), grid)
-        assert adaptive.success
-        assert capped.stats.n_steps > 2 * adaptive.stats.n_steps
-
-    def test_invalid_max_order_rejected(self):
-        with pytest.raises(ValueError):
-            BDF(max_order=9)
-
     def test_max_steps_status(self):
-        solver = BDF(SolverOptions(max_steps=3))
-        result = solver.solve(rob, (0, 1e4), np.array([1.0, 0, 0]),
-                              np.array([0.0, 1e4]))
-        assert result.status == "max_steps"
+        result, _ = solve_row(robertson(), (0, 1e4), np.array([0.0, 1e4]),
+                              "bdf", SolverOptions(max_steps=3))
+        assert result.statuses() == ["max_steps"]
 
     def test_save_grid_hit_exactly(self):
-        solver = BDF()
         grid = np.array([0.0, 0.3, 0.77, 1.0])
-        result = solver.solve(lambda t, y: -y, (0, 1), np.array([1.0]),
-                              grid)
+        result, _ = solve_row(decay(), (0, 1), grid, "bdf", SolverOptions())
         assert np.array_equal(result.t, grid)
-        assert np.allclose(result.y[:, 0], np.exp(-grid), atol=1e-6)
-
-    def test_finite_difference_jacobian_fallback(self):
-        grid = np.array([0.0, 10.0])
-        solver = BDF(SolverOptions(max_steps=200_000))
-        result = solver.solve(rob, (0, 10), np.array([1.0, 0, 0]), grid)
-        assert result.success
-        assert result.stats.n_jacobian_evaluations > 0
+        assert np.allclose(result.y[0, :, 0], np.exp(-grid), atol=1e-6)
 
 
 class TestIntegration:

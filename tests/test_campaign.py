@@ -16,6 +16,7 @@ from repro.models import lotka_volterra
 from repro.resilience import (CampaignConfig, FaultPlan, QuarantineLog,
                               default_retry_policy, run_campaign)
 from repro.core import synthetic_target
+from repro.synth import generate_symmetric
 
 
 @pytest.fixture
@@ -164,6 +165,25 @@ class TestRunCampaign:
         with pytest.raises(ResilienceError):
             run_campaign(lv_model, (0.0, 2.0), np.linspace(0, 2, 9),
                          lv_batch, config=config)
+
+    def test_journal_of_another_batch_rejected(self, tmp_path):
+        """A journal does not resume for another batch of the same model
+        and size: the batch's rate constants and initial states are part
+        of the campaign's identity."""
+        model = generate_symmetric(8, seed=1)
+        config = CampaignConfig(chunk_size=2,
+                                checkpoint_path=tmp_path / "j.json")
+        first, second = (
+            perturbed_batch(model.nominal_parameterization(), 4,
+                            np.random.default_rng(seed))
+            for seed in (1, 2))
+        run_campaign(model, (0.0, 1.0), T_EVAL / 2, first, config=config)
+        with pytest.raises(ResilienceError, match="different campaign"):
+            run_campaign(model, (0.0, 1.0), T_EVAL / 2, second,
+                         config=config)
+        again = run_campaign(model, (0.0, 1.0), T_EVAL / 2, first,
+                             config=config)
+        assert again.resumed_chunks == again.total_chunks
 
     def test_config_validation(self):
         with pytest.raises(ResilienceError):

@@ -558,6 +558,13 @@ class TestFingerprintNumerics:
         (numerics version 3) is refused."""
         self._refuses_numerics_version(3, lv_model, lv_batch, tmp_path)
 
+    def test_journal_of_numerics_version_4_does_not_resume(
+            self, lv_model, lv_batch, tmp_path):
+        """A journal written while the sequential dopri5, radau5 and bdf
+        engines ran their own scalar integrators (numerics version 4)
+        is refused."""
+        self._refuses_numerics_version(4, lv_model, lv_batch, tmp_path)
+
     def test_same_numerics_resume_fine(self, lv_model, lv_batch,
                                        tmp_path):
         journal = tmp_path / "campaign.json"

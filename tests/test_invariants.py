@@ -41,15 +41,16 @@ def test_conservation_laws_hold_along_trajectories(seed):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 500))
 def test_batched_and_sequential_engines_agree(seed):
-    """The GPU-style engine and the scalar DOPRI5 loop compute the same
-    dynamics on random networks."""
+    """The GPU-style engine and the sequential LSODA loop (ODEPACK, a
+    second implementation) compute the same dynamics on random
+    networks."""
     model = generate_model(SyntheticModelSpec(5, 6, seed))
     grid = np.linspace(0, 0.5, 4)
     batch = perturbed_batch(model.nominal_parameterization(), 3,
                             np.random.default_rng(seed))
     batched = simulate(model, (0, 0.5), grid, batch, engine="batched",
                        options=OPTIONS)
-    sequential = simulate(model, (0, 0.5), grid, batch, engine="dopri5",
+    sequential = simulate(model, (0, 0.5), grid, batch, engine="lsoda",
                           options=OPTIONS)
     if batched.all_success and sequential.all_success:
         # Both run at rtol 1e-6 locally; global error on decaying

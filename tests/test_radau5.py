@@ -1,27 +1,17 @@
-"""Tests for the scalar Radau IIA order-5 solver."""
+"""Tests for Radau IIA (order 5): the constants the batched integrator
+derives at import, and the integrator as the sequential ``radau5``
+engine runs it, on one-row launches."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from repro.model import ODESystem
+from repro.models import robertson
 from repro.solvers import (MU_COMPLEX, MU_REAL, RADAU_A, RADAU_C, RADAU_T,
-                           RADAU_TI, Radau5, SolverOptions)
+                           RADAU_TI, SolverOptions)
 
-
-def robertson_rhs(t, y):
-    return np.array([
-        -0.04 * y[0] + 1e4 * y[1] * y[2],
-        0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] ** 2,
-        3e7 * y[1] ** 2,
-    ])
-
-
-def robertson_jac(t, y):
-    return np.array([
-        [-0.04, 1e4 * y[2], 1e4 * y[1]],
-        [0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
-        [0.0, 6e7 * y[1], 0.0],
-    ])
+from .scalar_problems import decay, solve_row, van_der_pol
 
 
 class TestDerivedConstants:
@@ -66,90 +56,70 @@ class TestDerivedConstants:
 
 class TestAccuracy:
     def test_linear_decay(self):
-        solver = Radau5(SolverOptions(rtol=1e-9, atol=1e-12))
         grid = np.linspace(0, 5, 6)
-        result = solver.solve(lambda t, y: -y, (0, 5), np.array([1.0]), grid)
-        assert result.success
-        assert np.allclose(result.y[:, 0], np.exp(-grid), atol=1e-8)
+        result, _ = solve_row(decay(), (0, 5), grid, "radau5",
+                              SolverOptions(rtol=1e-9, atol=1e-12))
+        assert result.all_success
+        assert np.allclose(result.y[0, :, 0], np.exp(-grid), atol=1e-8)
 
     def test_robertson_against_scipy_radau(self):
+        model = robertson()
         grid = np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
-        solver = Radau5(SolverOptions(rtol=1e-6, atol=1e-10,
-                                      max_steps=100_000))
-        result = solver.solve(robertson_rhs, (0, 1e4), np.array([1.0, 0, 0]),
-                              grid, jac=robertson_jac)
-        assert result.success
-        reference = solve_ivp(robertson_rhs, (0, 1e4), [1.0, 0, 0],
-                              method="Radau", t_eval=grid, rtol=1e-10,
-                              atol=1e-13, jac=robertson_jac)
-        assert np.allclose(result.y, reference.y.T, rtol=1e-4, atol=1e-10)
+        result, _ = solve_row(model, (0, 1e4), grid, "radau5",
+                              SolverOptions(rtol=1e-6, atol=1e-10,
+                                            max_steps=100_000))
+        assert result.all_success
+        system = ODESystem.from_model(model)
+        constants = model.rate_constants()
+        reference = solve_ivp(system.as_scipy_rhs(constants), (0, 1e4),
+                              model.initial_state(), method="Radau",
+                              t_eval=grid, rtol=1e-10, atol=1e-13,
+                              jac=system.as_scipy_jacobian(constants))
+        assert np.allclose(result.y[0], reference.y.T, rtol=1e-4,
+                           atol=1e-10)
 
     def test_robertson_mass_conservation(self):
         grid = np.array([0.0, 1e2, 1e4])
-        solver = Radau5(SolverOptions(max_steps=100_000))
-        result = solver.solve(robertson_rhs, (0, 1e4), np.array([1.0, 0, 0]),
-                              grid, jac=robertson_jac)
-        assert np.allclose(result.y.sum(axis=1), 1.0, atol=1e-7)
-
-    def test_finite_difference_jacobian_fallback(self):
-        """Radau works without an analytic Jacobian."""
-        grid = np.array([0.0, 1.0, 100.0])
-        solver = Radau5(SolverOptions(max_steps=100_000))
-        result = solver.solve(robertson_rhs, (0, 100), np.array([1.0, 0, 0]),
-                              grid)
-        assert result.success
-        assert result.stats.n_jacobian_evaluations > 0
+        result, _ = solve_row(robertson(), (0, 1e4), grid, "radau5",
+                              SolverOptions(max_steps=100_000))
+        assert np.allclose(result.y[0].sum(axis=1), 1.0, atol=1e-7)
 
     def test_van_der_pol_efficiency(self):
         """Radau solves stiff VdP in far fewer steps than its step cap."""
-
-        def vdp(t, y, mu=1000.0):
-            return np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
-
-        def vdp_jac(t, y, mu=1000.0):
-            return np.array([[0.0, 1.0],
-                             [-2 * mu * y[0] * y[1] - 1.0,
-                              mu * (1 - y[0] ** 2)]])
-
-        solver = Radau5(SolverOptions(max_steps=20_000))
-        result = solver.solve(vdp, (0, 3), np.array([2.0, 0.0]),
-                              np.array([0.0, 3.0]), jac=vdp_jac)
-        assert result.success
-        assert result.stats.n_steps < 2_000
+        result, _ = solve_row(van_der_pol(1000.0), (0, 3),
+                              np.array([0.0, 3.0]), "radau5",
+                              SolverOptions(max_steps=20_000))
+        assert result.all_success
+        assert result.n_steps[0] < 2_000
 
 
 class TestBehaviour:
     def test_stats_accumulate(self):
-        solver = Radau5()
-        result = solver.solve(lambda t, y: -y, (0, 1), np.array([1.0]),
-                              np.array([0.0, 1.0]))
-        stats = result.stats
-        assert stats.n_accepted > 0
-        assert stats.n_factorizations > 0
-        assert stats.n_newton_iterations >= stats.n_accepted
+        result, counters = solve_row(decay(), (0, 1), np.array([0.0, 1.0]),
+                                     "radau5", SolverOptions())
+        assert result.n_accepted[0] > 0
+        assert counters.factorizations > 0
+        assert counters.newton_iterations >= result.n_accepted[0]
 
     def test_jacobian_reuse_reduces_evaluations(self):
         grid = np.array([0.0, 1e2])
         evaluations = {}
         for reuse in (True, False):
-            solver = Radau5(SolverOptions(max_steps=100_000),
-                            reuse_jacobian=reuse)
-            result = solver.solve(robertson_rhs, (0, 1e2),
-                                  np.array([1.0, 0, 0]), grid,
-                                  jac=robertson_jac)
-            assert result.success
-            evaluations[reuse] = result.stats.n_jacobian_evaluations
+            result, counters = solve_row(
+                robertson(), (0, 1e2), grid, "radau5",
+                SolverOptions(max_steps=100_000), reuse_jacobian=reuse)
+            assert result.all_success
+            evaluations[reuse] = counters.jacobian_simulation_evaluations
         assert evaluations[True] < evaluations[False]
 
     def test_max_steps_status(self):
-        solver = Radau5(SolverOptions(max_steps=3))
-        result = solver.solve(robertson_rhs, (0, 1e4),
-                              np.array([1.0, 0, 0]), np.array([0.0, 1e4]))
-        assert result.status == "max_steps"
+        result, _ = solve_row(robertson(), (0, 1e4), np.array([0.0, 1e4]),
+                              "radau5", SolverOptions(max_steps=3))
+        assert result.statuses() == ["max_steps"]
 
     def test_save_grid_hit_exactly(self):
-        solver = Radau5()
         grid = np.array([0.0, 0.21, 0.9, 1.0])
-        result = solver.solve(lambda t, y: -y, (0, 1), np.array([1.0]), grid)
+        result, _ = solve_row(decay(), (0, 1), grid, "radau5",
+                              SolverOptions())
         assert np.array_equal(result.t, grid)
-        assert np.allclose(result.y[:, 0], np.exp(-grid), atol=1e-7)
+        assert np.allclose(result.y[0, :, 0], np.exp(-grid), atol=1e-7)

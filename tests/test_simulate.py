@@ -6,7 +6,7 @@ import pytest
 from repro.core import SEQUENTIAL_ENGINES, SequentialSimulator, simulate
 from repro.errors import AnalysisError
 from repro.model import perturbed_batch
-from repro.models import decay_chain, robertson
+from repro.models import decay_chain, lotka_volterra, robertson
 
 
 class TestFacade:
@@ -54,6 +54,23 @@ class TestSequentialEngines:
         result = simulate(model, (0, 1), np.array([0.0, 1.0]),
                           engine=engine)
         assert result.raw.methods()[0] == engine
+
+
+@pytest.mark.parametrize("engine", ["dopri5", "radau5", "bdf"])
+def test_engine_runs_the_batched_integrator_one_row_at_a_time(engine):
+    """The sequential engine of a batched method gives every row the
+    bytes of the batched engine forced onto that method."""
+    model = lotka_volterra()
+    batch = perturbed_batch(model.nominal_parameterization(), 3,
+                            np.random.default_rng(2))
+    grid = np.linspace(0, 5, 11)
+    sequential = simulate(model, (0, 5), grid, batch, engine=engine)
+    batched = simulate(model, (0, 5), grid, batch, engine="batched",
+                       method=engine)
+    assert sequential.all_success
+    for field in ("y", "status_codes", "n_steps"):
+        assert getattr(sequential.raw, field).tobytes() == \
+            getattr(batched.raw, field).tobytes(), field
 
 
 @pytest.mark.parametrize("engine", SEQUENTIAL_ENGINES + ("batched",))

@@ -1,13 +1,33 @@
-"""Unit tests for shared solver definitions (options, norms, grids,
-step controller, starting-step heuristic)."""
+"""Unit tests for shared solver definitions (options, grids, results)
+and the batched integrators' error norm and starting-step heuristic."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SolverError
+from repro.gpu import BatchedODEProblem
+from repro.gpu.batch_dopri5 import _scaled_error_norms
+from repro.gpu.working_set import _initial_steps
+from repro.model import ODESystem
 from repro.solvers import (DEFAULT_OPTIONS, SolveResult, SolverOptions,
-                           StepController, error_norm, initial_step_size,
                            validate_time_grid)
+
+from .scalar_problems import decay
+
+
+def error_norm(error, reference, candidate, options):
+    """The scaled RMS norm of one row's local error."""
+    return float(_scaled_error_norms(error[None], reference[None],
+                                     candidate[None], options)[0])
+
+
+def initial_step_size(model, options):
+    """Hairer's starting step for the model's nominal row (order 5)."""
+    problem = BatchedODEProblem(ODESystem.from_model(model), model.batch(1))
+    y0 = problem.initial_states()
+    f0 = problem.fun(np.zeros(1), y0)
+    return float(_initial_steps(problem, 0.0, y0, f0, 5, options,
+                                options.max_step)[0])
 
 
 class TestSolverOptions:
@@ -80,48 +100,14 @@ class TestTimeGrid:
 
 class TestInitialStep:
     def test_reasonable_for_decay(self):
-        fun = lambda t, y: -y
-        y0 = np.array([1.0])
-        h = initial_step_size(fun, 0.0, y0, fun(0.0, y0), order=5,
-                              options=DEFAULT_OPTIONS)
-        assert 1e-4 < h < 1.0
+        assert 1e-4 < initial_step_size(decay(), DEFAULT_OPTIONS) < 1.0
 
     def test_respects_max_step(self):
         options = SolverOptions(max_step=1e-5)
-        fun = lambda t, y: -y
-        y0 = np.array([1.0])
-        h = initial_step_size(fun, 0.0, y0, fun(0.0, y0), order=5,
-                              options=options)
-        assert h <= 1e-5
+        assert initial_step_size(decay(), options) <= 1e-5
 
     def test_degenerate_zero_state(self):
-        fun = lambda t, y: np.zeros_like(y)
-        y0 = np.zeros(2)
-        h = initial_step_size(fun, 0.0, y0, fun(0.0, y0), order=5,
-                              options=DEFAULT_OPTIONS)
-        assert h > 0.0
-
-
-class TestStepController:
-    def test_zero_error_gives_max_growth(self):
-        controller = StepController(4, DEFAULT_OPTIONS)
-        assert controller.factor(0.0) == DEFAULT_OPTIONS.max_step_factor
-
-    def test_large_error_gives_min_factor(self):
-        controller = StepController(4, DEFAULT_OPTIONS)
-        assert controller.factor(1e12) == \
-            pytest.approx(DEFAULT_OPTIONS.min_step_factor)
-
-    def test_unit_error_shrinks_by_safety(self):
-        controller = StepController(4, DEFAULT_OPTIONS, use_pi=False)
-        assert controller.factor(1.0) == \
-            pytest.approx(DEFAULT_OPTIONS.safety)
-
-    def test_pi_memory_damps_growth(self):
-        plain = StepController(4, DEFAULT_OPTIONS, use_pi=False)
-        pi = StepController(4, DEFAULT_OPTIONS, use_pi=True)
-        pi.record_accepted(0.9)       # previous step was near the limit
-        assert pi.factor(0.01) <= plain.factor(0.01) * 1.3
+        assert initial_step_size(decay(initial=0.0), DEFAULT_OPTIONS) > 0.0
 
 
 class TestStats:

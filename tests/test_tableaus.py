@@ -1,4 +1,4 @@
-"""Structural and order-condition tests for the Butcher tableaus."""
+"""Structural and order-condition tests for the DOPRI5 Butcher tableau."""
 
 from dataclasses import replace
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.solvers import (BOGACKI_SHAMPINE_23, CASH_KARP_45, DOPRI5,
-                           FEHLBERG_45, TABLEAUS)
+from repro.solvers import DOPRI5
 
-ALL = [BOGACKI_SHAMPINE_23, FEHLBERG_45, CASH_KARP_45, DOPRI5]
+ALL = [DOPRI5]
 
 
 @pytest.mark.parametrize("tableau", ALL, ids=lambda t: t.name)
 class TestStructure:
     def test_structural_validation(self, tableau):
         tableau.validate()
-
-    def test_registry_contains_tableau(self, tableau):
-        assert TABLEAUS[tableau.name] is tableau
 
     def test_error_weights_sum_to_zero(self, tableau):
         assert abs(tableau.e.sum()) < 1e-12
@@ -41,13 +37,11 @@ class TestOrderConditions:
 
 
 class TestHighOrderConditions:
-    @pytest.mark.parametrize("tableau", [FEHLBERG_45, CASH_KARP_45, DOPRI5],
-                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("tableau", ALL, ids=lambda t: t.name)
     def test_order_4_quadrature(self, tableau):
         assert tableau.b.dot(tableau.c ** 3) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("tableau", [FEHLBERG_45, CASH_KARP_45, DOPRI5],
-                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("tableau", ALL, ids=lambda t: t.name)
     def test_order_5_quadrature(self, tableau):
         assert tableau.b.dot(tableau.c ** 4) == pytest.approx(0.2)
 
@@ -55,9 +49,6 @@ class TestHighOrderConditions:
         """FSAL: the last a-row equals b (the final stage is f(t+h, y1))."""
         assert np.allclose(DOPRI5.a[-1], DOPRI5.b)
         assert DOPRI5.first_same_as_last
-
-    def test_bs23_fsal_row(self):
-        assert np.allclose(BOGACKI_SHAMPINE_23.a[-1], BOGACKI_SHAMPINE_23.b)
 
 
 class TestValidationRaises:
