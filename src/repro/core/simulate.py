@@ -44,7 +44,8 @@ from ..resilience.quarantine import QuarantineLog
 from ..model import (ODESystem, Parameterization, ParameterizationBatch,
                      ReactionBasedModel)
 from ..solvers import ScipyLSODA, ScipyVODE
-from ..solvers.base import DEFAULT_OPTIONS, SUCCESS, SolverOptions
+from ..solvers.base import (DEFAULT_OPTIONS, SUCCESS, SolverOptions,
+                           validate_time_grid)
 from ..telemetry import clock
 
 SEQUENTIAL_ENGINES = ("lsoda", "vode", "dopri5", "radau5", "bdf")
@@ -160,9 +161,7 @@ class SequentialSimulator:
         family's "how many simulations fit in a time budget" runs.
         """
         batch = _normalize(self.model, parameters)
-        if t_eval is None:
-            t_eval = np.array([float(t_span[0]), float(t_span[1])])
-        t_eval = np.asarray(t_eval, dtype=np.float64)
+        t_eval = validate_time_grid(t_span, t_eval)
         result = allocate_result(t_eval, batch.size, self.model.n_species,
                                  _SEQUENTIAL_METHOD_CODES[self.engine])
         started = clock.monotonic()

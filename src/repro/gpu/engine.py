@@ -25,7 +25,7 @@ from ..resilience.faults import FaultPlan
 from ..resilience.policy import RetryPolicy
 from ..resilience.quarantine import (FailureRecord, QuarantineLog,
                                      RetryAttempt)
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
 from ..telemetry import clock
 from ..telemetry.calibration import LaunchCost
 from ..telemetry.metrics import MetricsRegistry
@@ -262,9 +262,7 @@ class BatchSimulator:
         is stored in :attr:`last_report`.
         """
         batch = self._normalize_parameters(parameters)
-        if t_eval is None:
-            t_eval = xp.array([float(t_span[0]), float(t_span[1])])
-        t_eval = xp.asarray(t_eval, dtype=xp.float64)
+        t_eval = validate_time_grid(t_span, t_eval)
 
         report = EngineReport(elapsed_seconds=0.0, n_launches=0)
         kernel_guard, invariant_monitor = self._build_guards(batch, report)

@@ -81,8 +81,6 @@ class ServiceConfig:
         Wall-clock bound per job attempt; past it the attempt is
         cancelled cooperatively and retried. ``None`` leaves attempts
         bounded only by the per-job deadline.
-    poll_interval:
-        Dispatcher tick (seconds) of the asyncio scheduling loop.
     overload_pressure / serial_pressure:
         Degradation-ladder thresholds: sustained shedding, job faults
         and pool collapses accumulate pressure; at
@@ -103,7 +101,6 @@ class ServiceConfig:
     quotas: dict = field(default_factory=dict)
     max_job_attempts: int = 2
     attempt_timeout: float | None = None
-    poll_interval: float = 0.01
     overload_pressure: int = 3
     serial_pressure: int = 6
     default_slo: TenantSLO | None = None
@@ -129,9 +126,6 @@ class ServiceConfig:
                 and not (self.attempt_timeout > 0.0):
             raise ServiceError(
                 f"attempt_timeout must be > 0, got {self.attempt_timeout}")
-        if not (self.poll_interval > 0.0):
-            raise ServiceError(
-                f"poll_interval must be > 0, got {self.poll_interval}")
         if self.overload_pressure < 1 \
                 or self.serial_pressure <= self.overload_pressure:
             raise ServiceError(

@@ -11,6 +11,8 @@
   running set (deficit-fair across tenants, priority-ordered within
   one), sheds deadline-expired queued work, and preempts running jobs
   back to the queue when the degradation ladder shrinks the slots;
+  it wakes only when :meth:`_wake` announces a change or the earliest
+  queued deadline expires;
 * a per-job **supervisor** (:meth:`_run_job`) driving attempts,
   scheduler-level fault injection, the attempt-timeout backstop,
   cooperative cancellation and the terminal-state bookkeeping;
@@ -62,8 +64,8 @@ class CampaignService:
     hub:
         Optional :class:`~repro.telemetry.live.MetricsHub`: attached
         to the service tracer on ``start()`` (so it sees every span
-        close live) and fed a registry snapshot each dispatcher tick;
-        the ``/metrics`` endpoint and ``repro top`` read from it.
+        close live); the ``/metrics`` endpoint and ``repro top`` read
+        its window aggregates.
     """
 
     def __init__(self, config: ServiceConfig | None = None,
@@ -82,7 +84,7 @@ class CampaignService:
                               tracer=self.tracer) \
             if self.config.tracks_slos else None
         self.scheduler = ChunkScheduler(self.config.max_inflight_chunks)
-        self.ladder = DegradationLadder(self.config)
+        self.ladder = DegradationLadder(self.config, on_change=self._wake)
         self._jobs: dict[int, JobRecord] = {}
         self._queue: list[JobRecord] = []
         self._running: dict[int, asyncio.Task] = {}
@@ -93,6 +95,7 @@ class CampaignService:
         self._service_span = None
         self._dispatcher: asyncio.Task | None = None
         self._dispatcher_error: BaseException | None = None
+        self._wakeup: asyncio.Future | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -100,6 +103,7 @@ class CampaignService:
         if self._started:
             raise ServiceError("service already started")
         self._started = True
+        self._wakeup = asyncio.get_running_loop().create_future()
         if self.hub is not None:
             self.hub.attach(self.tracer)
         self._service_span = self.tracer.start("service", "service")
@@ -121,6 +125,7 @@ class CampaignService:
                 record = self._jobs[task_id]
                 record.cancel.set()
         self._stopping = True
+        self._wake()
         if self._dispatcher is not None:
             await self._dispatcher
         self.scheduler.stop()
@@ -128,7 +133,6 @@ class CampaignService:
                         jobs=int(self._admitted),
                         ladder=self.ladder.state)
         if self.hub is not None:
-            self.hub.ingest_registry(self.metrics)
             self.hub.detach()
         # The sink flush opens and writes the trace file: off the loop.
         await asyncio.to_thread(self.tracer.flush)
@@ -136,7 +140,20 @@ class CampaignService:
     async def drain(self) -> None:
         """Wait until no job is queued or running."""
         while self._queue or self._running:
-            await asyncio.sleep(self.config.poll_interval)
+            await self._until_woken()
+
+    def _wake(self) -> None:
+        """Announce a change a waiting coroutine may be blocked on
+        (submission, finish, shrunk running set, requeue, cancel, stop,
+        ladder pressure): resolve the wake-up future, arm a fresh one."""
+        if self._wakeup is not None:
+            self._wakeup.set_result(None)
+            self._wakeup = self._wakeup.get_loop().create_future()
+
+    async def _until_woken(self, until: float | None = None) -> None:
+        """Sleep until the next :meth:`_wake` or the clock reads ``until``."""
+        timeout = None if until is None else until - clock.monotonic()
+        await asyncio.wait({self._wakeup}, timeout=timeout)
 
     # -- admission -------------------------------------------------------
 
@@ -181,6 +198,7 @@ class CampaignService:
                                    tenant=request.tenant))
         self.metrics.observe("service.queue.depth_samples",
                              len(self._queue))
+        self._wake()
         return job
 
     def _next_job_id(self) -> int:
@@ -255,6 +273,7 @@ class CampaignService:
             self._finish_queued(job, JobState.CANCELLED, "client-cancel")
             return job
         job.cancel.set()
+        self._wake()
         return job
 
     async def wait(self, job_id: int,
@@ -267,7 +286,7 @@ class CampaignService:
                 raise ServiceError(
                     f"timed out waiting for job {job_id} "
                     f"(state {job.state!r})")
-            await asyncio.sleep(self.config.poll_interval)
+            await self._until_woken(deadline)
         return job
 
     def snapshot(self) -> dict:
@@ -306,9 +325,7 @@ class CampaignService:
                 self._running[job.job_id] = task
             self.metrics.gauge("service.queue.depth", len(self._queue))
             self.metrics.gauge("service.jobs.running", len(self._running))
-            if self.hub is not None:
-                self.hub.ingest_registry(self.metrics)
-            await asyncio.sleep(self.config.poll_interval)
+            await self._until_woken(self._next_expiry())
 
     def _pick_next(self) -> JobRecord:
         """Deficit-fair job start: the queued tenant with the least
@@ -321,6 +338,13 @@ class CampaignService:
                 else lane["granted_rows"] / lane["weight"]
             return (consumed, -job.request.priority, job.job_id)
         return min(self._queue, key=tenant_key)
+
+    def _next_expiry(self) -> float | None:
+        """When the earliest queued deadline expires (the only timeout)."""
+        return min((job.submitted_at + job.request.deadline_seconds
+                    for job in self._queue
+                    if job.request.deadline_seconds is not None),
+                   default=None)
 
     def _shed_expired(self) -> None:
         now = clock.monotonic()
@@ -346,6 +370,7 @@ class CampaignService:
             if not job.preempted and not job.cancel.is_set():
                 job.preempted = True
                 job.cancel.set()
+                self._wake()
 
     # -- job supervision -------------------------------------------------
 
@@ -369,10 +394,13 @@ class CampaignService:
                             degraded=bool(job.degraded),
                             requeued=requeued,
                             wait_seconds=float(job.wait_seconds or 0.0))
-            # Per-job trace flush does file IO: off the loop.
-            await asyncio.to_thread(self.tracer.flush)
+            # Requeue before the flush's await, so a drain never sees
+            # the job in neither the queue nor the running set.
             if requeued:
                 self._queue.append(job)
+            self._wake()
+            # Per-job trace flush does file IO: off the loop.
+            await asyncio.to_thread(self.tracer.flush)
 
     async def _attempt_loop(self, job: JobRecord, span) -> None:
         while True:
@@ -417,10 +445,9 @@ class CampaignService:
         cancel) would have fired."""
         bound = self.config.attempt_timeout
         bound = 0.05 if bound is None else bound
-        waited = 0.0
-        while waited < bound and not job.cancel.is_set():
-            await asyncio.sleep(self.config.poll_interval)
-            waited += self.config.poll_interval
+        until = clock.monotonic() + bound
+        while clock.monotonic() < until and not job.cancel.is_set():
+            await self._until_woken(until)
 
     def _attempts_exhausted(self, job: JobRecord, reason: str) -> bool:
         if job.attempts >= self.config.max_job_attempts:
@@ -552,6 +579,7 @@ class CampaignService:
                 latency = job.finished_at - job.submitted_at
             self.slo.observe(tenant, state, reason, latency)
         job.done.set()
+        self._wake()
 
     def _finish_queued(self, job: JobRecord, state: str,
                        reason: str) -> None:

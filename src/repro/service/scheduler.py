@@ -245,26 +245,32 @@ class DegradationLadder:
 
     Jobs that finish while the ladder is below ``normal`` are marked
     ``degraded`` so clients can tell a squeezed result from a healthy
-    one.
+    one. ``on_change()`` runs after every pressure change.
     """
 
-    def __init__(self, config: ServiceConfig) -> None:
+    def __init__(self, config: ServiceConfig, on_change=None) -> None:
         self.config = config
         self.pressure = 0
+        self._on_change = on_change
 
     # -- event feed ------------------------------------------------------
 
+    def _shift(self, delta: int) -> None:
+        self.pressure = max(0, self.pressure + delta)
+        if self._on_change is not None:
+            self._on_change()
+
     def note_shed(self) -> None:
-        self.pressure += 1
+        self._shift(1)
 
     def note_job_fault(self) -> None:
-        self.pressure += 1
+        self._shift(1)
 
     def note_pool_collapse(self) -> None:
-        self.pressure += 2
+        self._shift(2)
 
     def note_job_ok(self) -> None:
-        self.pressure = max(0, self.pressure - 1)
+        self._shift(-1)
 
     # -- state and effective limits --------------------------------------
 

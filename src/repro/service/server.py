@@ -81,7 +81,6 @@ class _ServerState:
         service = self.service
         hub_snapshot = None
         if service.hub is not None:
-            service.hub.ingest_registry(service.metrics)
             hub_snapshot = service.hub.snapshot()
         return render_prometheus(
             [service.metrics, service.engine_metrics], hub_snapshot)
@@ -245,6 +244,8 @@ async def _handle_connection(state: _ServerState, reader, writer) -> None:
                     json.JSONDecodeError) as error:
                 response = _bad_request(str(error))
             await _reply(writer, response)
+            if state.shutdown.is_set():
+                return
     except (ConnectionError, asyncio.IncompleteReadError):
         return
     finally:

@@ -5,8 +5,7 @@ post-hoc half (tracer -> JSONL -> ``repro trace summarize``) answers
 "what happened"; the hub answers "what is happening *now*" without
 waiting for a trace file to flush. Data flows one way::
 
-    Tracer span closes ──► MetricsHub.on_span ──────► sliding windows
-    MetricsRegistry ─────► MetricsHub.ingest_registry ──► counter rates
+    Tracer span closes ──► MetricsHub.on_span ──► sliding windows
                              │
                              ├──► Subscription (bounded queues)
                              └──► snapshot() ──► Prometheus / repro top
@@ -35,7 +34,7 @@ import threading
 
 from ..errors import TelemetryError
 from . import clock as _clock_module
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 
 #: Quantiles every window reports (seconds, from the µs histograms).
 WINDOW_QUANTILES = (0.50, 0.95, 0.99)
@@ -197,7 +196,7 @@ class _TenantWindow:
 
 
 class MetricsHub:
-    """Thread-safe streaming aggregator of spans and registry snapshots.
+    """Thread-safe streaming aggregator of completed spans.
 
     Parameters
     ----------
@@ -222,10 +221,6 @@ class MetricsHub:
         self._phases: dict[str, _SlidingWindow] = {}
         self._tenants: dict[str, _TenantWindow] = {}
         self._subscriptions: tuple[Subscription, ...] = ()
-        self._counter_snapshot: dict[str, int] = {}
-        self._gauge_snapshot: dict[str, float] = {}
-        self._counter_rates: dict[str, float] = {}
-        self._snapshot_t: float | None = None
         self._n_spans = 0
 
     # -- wiring ----------------------------------------------------------
@@ -304,28 +299,10 @@ class MetricsHub:
         for subscription in subscriptions:
             subscription.deliver(event)
 
-    def ingest_registry(self, registry: MetricsRegistry) -> None:
-        """Snapshot a registry; successive snapshots yield counter
-        rates (counter delta over the wall-clock gap between them)."""
-        counters = dict(registry.counters)
-        gauges = dict(registry.gauges)
-        now = self._clock.monotonic()
-        with self._lock:
-            previous = self._counter_snapshot
-            previous_t = self._snapshot_t
-            if previous_t is not None and now > previous_t:
-                elapsed = now - previous_t
-                self._counter_rates = {
-                    name: (value - previous.get(name, 0)) / elapsed
-                    for name, value in counters.items()}
-            self._counter_snapshot = counters
-            self._gauge_snapshot = gauges
-            self._snapshot_t = now
-
     # -- reads -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-safe view of every window, rollup, counter and rate."""
+        """JSON-safe view of every window, rollup and subscriber."""
         now = self._clock.monotonic()
         with self._lock:
             for window in self._categories.values():
@@ -349,9 +326,6 @@ class MetricsHub:
                     "latency": rollup.latency.stats(now),
                     "wait": rollup.wait.stats(now),
                 } for tenant, rollup in sorted(self._tenants.items())},
-                "counters": dict(self._counter_snapshot),
-                "gauges": dict(self._gauge_snapshot),
-                "rates": dict(self._counter_rates),
                 "subscribers": [
                     {"delivered": entry.delivered,
                      "dropped": entry.dropped,

@@ -496,8 +496,7 @@ class TestSupervisorCrashSurfacing:
         monkeypatch.setattr("repro.service.core.run_campaign", explode)
 
         async def _run():
-            service = CampaignService(
-                config=ServiceConfig(poll_interval=0.005))
+            service = CampaignService(config=ServiceConfig())
             await service.start()
             job = service.submit(self._request(lv_model, lv_batch))
             job = await service.wait(job.job_id, timeout=10.0)
@@ -515,8 +514,7 @@ class TestSupervisorCrashSurfacing:
     def test_dispatcher_crash_quarantines_queued_jobs(
             self, lv_model, lv_batch):
         async def _run():
-            service = CampaignService(
-                config=ServiceConfig(poll_interval=0.005))
+            service = CampaignService(config=ServiceConfig())
             await service.start()
             job = service.submit(self._request(lv_model, lv_batch))
 

@@ -139,20 +139,6 @@ class TestMetricsHub:
         assert stats["lifetime_n"] == 3
         assert stats["p50"] is None
 
-    def test_counter_rates_from_successive_snapshots(self):
-        clock = FakeClock(tick=0.0)
-        hub = MetricsHub(clock=clock)
-        registry = MetricsRegistry()
-        registry.count("service.jobs.admitted", 10)
-        hub.ingest_registry(registry)
-        registry.count("service.jobs.admitted", 30)
-        clock.now = 10.0
-        hub.ingest_registry(registry)
-        snapshot = hub.snapshot()
-        assert snapshot["counters"]["service.jobs.admitted"] == 40
-        assert snapshot["rates"]["service.jobs.admitted"] == \
-            pytest.approx(3.0)
-
     def test_rejects_degenerate_window(self):
         with pytest.raises(TelemetryError):
             MetricsHub(window_seconds=0.0)

@@ -594,8 +594,9 @@ class TestCancellationAndDeadlines:
 
     def test_ladder_preempts_and_requeues(self, lv_model, lv_batch):
         # Both jobs hang on their first attempt; once both are running
-        # the ladder is forced to SERIAL, so the dispatcher preempts
-        # the weaker job back to the queue. Everything still completes.
+        # further job faults push the ladder to SERIAL, so the
+        # dispatcher preempts the weaker job back to the queue.
+        # Everything still completes.
         plan = FaultPlan(sched_hang_jobs=(0, 1))
         config = ServiceConfig(max_running_jobs=2, attempt_timeout=0.3,
                                overload_pressure=3, serial_pressure=6)
@@ -608,7 +609,8 @@ class TestCancellationAndDeadlines:
             while not (first.state == JobState.RUNNING
                        and second.state == JobState.RUNNING):
                 await asyncio.sleep(0.005)
-            service.ladder.pressure = config.serial_pressure
+            while service.ladder.state != LADDER_SERIAL:
+                service.ladder.note_job_fault()
             await service.drain()
             await service.stop()
             return service, first, second
@@ -643,6 +645,43 @@ class TestCancellationAndDeadlines:
         assert queued.state == JobState.SHED
         assert queued.reason == "shutdown"
         assert running.state == JobState.CANCELLED
+        conservation(service)
+
+
+class TestWakeUps:
+    def test_service_never_sleeps_on_a_tick(self, lv_model, lv_batch,
+                                            monkeypatch):
+        # Every waiter wakes on a change the service announces or on
+        # its own deadline; a fixed-tick sleep anywhere fails the test.
+        def no_tick(*args, **kwargs):
+            pytest.fail("the service slept on a fixed tick")
+        monkeypatch.setattr(asyncio, "sleep", no_tick)
+        plan = FaultPlan(sched_hang_jobs=(1,))
+
+        async def _run():
+            service = CampaignService(
+                config=ServiceConfig(max_running_jobs=1,
+                                     attempt_timeout=0.5),
+                fault_plan=plan)
+            await service.start()
+            first = service.submit(request_for(lv_model, lv_batch))
+            await service.wait(first.job_id, timeout=30.0)
+            # Job 1 hangs in the only slot; job 2's deadline expires
+            # while it is still queued behind it.
+            hanging = service.submit(request_for(lv_model, lv_batch))
+            doomed = service.submit(
+                request_for(lv_model, lv_batch, deadline_seconds=0.05))
+            await service.drain()
+            await service.stop()
+            return service, first, hanging, doomed
+
+        service, first, hanging, doomed = asyncio.run(_run())
+        assert first.state == JobState.COMPLETED
+        assert hanging.state == JobState.COMPLETED
+        assert (doomed.state, doomed.reason) == (JobState.SHED,
+                                                 "deadline")
+        # The dispatcher woke at the deadline, not when the slot freed.
+        assert doomed.finished_at < hanging.finished_at
         conservation(service)
 
 

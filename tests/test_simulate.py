@@ -85,6 +85,15 @@ def test_grid_starting_below_the_span_by_rounding(engine):
     assert np.array_equal(result.y[0, 0], model.initial_state())
 
 
+@pytest.mark.parametrize("engine", SEQUENTIAL_ENGINES + ("batched",))
+def test_grid_below_the_span_is_saved_at_t0(engine):
+    """Every engine clips an overhanging save grid into the span: the
+    returned times are the ones the states were saved at."""
+    result = simulate(decay_chain(3), (0.0, 1.0),
+                      np.array([-1e-16, 0.5, 1.0]), None, engine)
+    assert result.t.tobytes() == np.array([0.0, 0.5, 1.0]).tobytes()
+
+
 class TestTimeBudget:
     def test_budget_cuts_off_batch(self):
         model = robertson()
