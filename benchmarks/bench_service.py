@@ -9,7 +9,7 @@ then audits the wreckage::
 
     PYTHONPATH=src python benchmarks/bench_service.py [--smoke]
 
-Three assertions gate the run (the CI ``service-chaos`` job executes
+Four assertions gate the run (the CI ``service-chaos`` job executes
 ``--smoke``, a 48-job variant of the same storm):
 
 * **no job lost** — every admitted job sits in exactly one terminal
@@ -18,10 +18,14 @@ Three assertions gate the run (the CI ``service-chaos`` job executes
 * **fair shares** — Jain's fairness index over the symmetric tenants'
   weight-normalized granted rows stays >= 0.9;
 * **every fault observed** — the injected kill/hang count is reflected
-  in ``service.jobs.faults``.
+  in ``service.jobs.faults``;
+* **launches shared** — jobs started together still share engine
+  launches (``service.launches.shared`` > 0) through the kills, hangs,
+  cancels and sheds.
 
 The numbers land in ``benchmarks/out/BENCH_service.json``: per-state
-counts, Jain index, p50/p99 queue-wait seconds and throughput.
+counts, Jain index, p50/p99 queue-wait seconds, throughput, shared
+launches and engine launches per completed job.
 """
 
 from __future__ import annotations
@@ -173,6 +177,11 @@ def audit(service, admitted, rejections, n_jobs, elapsed):
     if fairness < MIN_JAIN:
         failures.append(f"Jain index {fairness:.3f} < {MIN_JAIN}")
 
+    shared = counters.get("service.launches.shared", 0)
+    if not shared:
+        failures.append("no engine launch was shared between jobs")
+    launches = service.engine_metrics.counters.get("campaign.launches", 0)
+
     waits = sorted(job.wait_seconds for job in admitted
                    if job.wait_seconds is not None)
     p50, p99 = (float(np.percentile(waits, 50)),
@@ -195,6 +204,8 @@ def audit(service, admitted, rejections, n_jobs, elapsed):
     print(f"queue wait: p50 {p50 * 1e3:.1f} ms, p99 {p99 * 1e3:.1f} ms")
     print(f"throughput: {completed / elapsed:.1f} completed jobs/s "
           f"({elapsed:.2f} s wall)")
+    print(f"launches: {launches} ({shared} shared), "
+          f"{launches / max(completed, 1):.2f} per completed job")
 
     payload = {
         "workload": {"model": MODEL.name, "n_jobs": n_jobs,
@@ -214,6 +225,8 @@ def audit(service, admitted, rejections, n_jobs, elapsed):
         "wait_seconds": {"p50": p50, "p99": p99},
         "elapsed_seconds": elapsed,
         "jobs_per_second": completed / elapsed,
+        "shared_launches": shared,
+        "launches_per_completed_job": launches / max(completed, 1),
         "conserved": not failures,
     }
     return failures, payload

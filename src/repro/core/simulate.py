@@ -195,6 +195,9 @@ class SequentialSimulator:
                                  _SEQUENTIAL_METHOD_CODES[self.engine])
         result.y[0, :single.y.shape[0]] = single.y
         result.status_codes[0] = OK if single.status == SUCCESS else BROKEN
+        result.n_steps[0] = single.stats.n_steps
+        result.n_accepted[0] = single.stats.n_accepted
+        result.n_rejected[0] = single.stats.n_rejected
         return result
 
 

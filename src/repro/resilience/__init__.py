@@ -15,7 +15,8 @@ thread together:
 * :func:`run_campaign` / :class:`CampaignConfig` — chunked campaign
   execution with a JSON journal
   (:class:`~repro.io.checkpoint.CampaignCheckpoint`) for crash
-  resume and a wall-clock deadline that degrades to a partial result.
+  resume and a wall-clock deadline that degrades to a partial result;
+  :class:`CampaignPeer` campaigns share its engine launches.
 * :class:`FaultPlan` — deterministic fault injection (NaN rows, forced
   launch failures, simulated crashes, deadlines and worker-process
   kills/hangs) proving every degradation path end-to-end.
@@ -38,8 +39,8 @@ from .policy import (DEFAULT_RETRY_LADDER, RETRY_METHODS, RetryPolicy,
 from .quarantine import (FailureRecord, QuarantineLog, RetryAttempt,
                          WorkerFailure)
 
-_CAMPAIGN_NAMES = ("CampaignConfig", "CampaignResult", "run_campaign",
-                   "campaign_fingerprint")
+_CAMPAIGN_NAMES = ("CampaignConfig", "CampaignPeer", "CampaignResult",
+                   "run_campaign", "campaign_fingerprint")
 _EXECUTOR_NAMES = ("ShardSupervisor", "run_sharded")
 
 __all__ = [

@@ -17,6 +17,10 @@ result is returned with ``incomplete=True`` instead of raising.
 With ``workers``, the shard executor (:mod:`repro.resilience.executor`)
 runs the same launch groups in worker processes, and every finished
 group, in-process or not, takes the same journal, trace and merge path.
+Further campaigns of the same model, span, grid and numerics can ride
+along (:class:`CampaignPeer`): one serial loop then fills each
+launch with chunks from every campaign, while each keeps its own
+journal, gate, cancel event, spans and result.
 
 PSA-1D/2D and Sobol SA accept a :class:`CampaignConfig` directly
 (``campaign=`` keyword); parameter estimation journals its multi-start
@@ -30,6 +34,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -147,6 +152,28 @@ class CampaignConfig:
                 f"{self.slow_chunk_seconds}")
 
 
+@dataclass(frozen=True)
+class CampaignPeer:
+    """A further campaign for :func:`run_campaign` to run in the
+    leading campaign's launches.
+
+    A peer shares the leading call's model, span, grid, engine,
+    options, retry policy and engine keywords; it brings its own batch
+    (``parameters``), :class:`CampaignConfig` (chunking and journal),
+    ``chunk_gate``, ``cancel_event`` and ``trace_parent``. ``deliver``
+    is called once, on the campaign's thread, with the peer's
+    :class:`CampaignResult` as soon as its last chunk is journaled (or
+    it stops on a cancel), or with the exception that failed it.
+    """
+
+    parameters: object
+    config: CampaignConfig
+    deliver: Callable[[object], None]
+    chunk_gate: object = None
+    cancel_event: object = None
+    trace_parent: object = None
+
+
 @dataclass
 class CampaignResult:
     """Outcome of :func:`run_campaign`.
@@ -260,7 +287,7 @@ def run_campaign(model, t_span: tuple[float, float],
                  retry_policy: RetryPolicy | None = None,
                  fault_plan: FaultPlan | None = None,
                  telemetry=None, chunk_gate=None, cancel_event=None,
-                 trace_parent=None,
+                 trace_parent=None, peers=(), deliver=None,
                  **engine_kwargs) -> CampaignResult:
     """Run a batch as a resilient, journaled, chunked campaign.
 
@@ -289,58 +316,91 @@ def run_campaign(model, t_span: tuple[float, float],
     ``trace_parent`` nests the campaign's root span under a service
     ``job`` span.
 
+    ``peers`` (:class:`CampaignPeer`) run in the same serial loop and
+    share its launches: each launch is led by the first campaign with
+    work left, whose first chunk takes the blocking grant; its own
+    following chunks, then the other campaigns' next chunks, join while
+    the launch cap, the fault rules and each campaign's ``try_acquire``
+    admit them. Rows do not depend on launch width, so every campaign's
+    result and chunk archives are the bytes it would produce alone. An
+    error opening or resuming a campaign fails only that campaign; an
+    error raised by a launch fails every campaign in it; a cancel drops
+    one campaign before the next launch. Peers need the batched engine
+    and, for every campaign, no ``fault_plan``, ``workers`` or
+    ``deadline_seconds``. The call returns (or raises) the leading
+    campaign's outcome; each peer's goes to its ``deliver``, and the
+    leading campaign's also to ``deliver``, when given, as soon as it
+    settles.
+
     ``telemetry`` enables tracing: a trace-file path (JSONL, appended),
     a :class:`~repro.telemetry.Tracer`, or ``None``. Every chunk gets a
     ``chunk-<i>`` span whose ``launch`` attribute names the first chunk
-    of its launch; the engine's spans nest under that first chunk.
+    of its launch; the engine's spans nest under that first chunk. A
+    chunk that rode in another campaign's launch also carries
+    ``shared_launch``, the span id of that launch's first chunk.
     Span sinks flush right after each launch is journaled and the
     ``campaign`` root span is written only when the campaign
     completes, so a crashed-and-resumed campaign (each run passing the
     *same trace path*) appends into one coherent tree with stable
     structural ids — no duplicate roots, no orphaned chunks. Each
-    launch's engine metrics are journaled as one checkpoint payload
-    and rehydrated once on resume, so :attr:`CampaignResult.metrics`
-    always aggregates the whole batch; ``campaign.launches`` counts
-    the launches this run executed.
+    launch's engine metrics are journaled once, as a checkpoint payload
+    of the campaign that led it, and rehydrated once on resume, so
+    :attr:`CampaignResult.metrics` aggregates every launch the
+    campaign led; ``campaign.launches`` counts the launches this run
+    led and ``campaign.launches.shared`` those of them that carried
+    another campaign's chunks.
     """
-    from ..core.simulate import _normalize
     from ..solvers.base import DEFAULT_OPTIONS
     from .worker import WorkerSpec
 
     options = DEFAULT_OPTIONS if options is None else options
     config = CampaignConfig() if config is None else config
-    batch = _normalize(model, parameters)
     if t_eval is None:
         t_eval = np.array([float(t_span[0]), float(t_span[1])])
     t_eval = np.asarray(t_eval, dtype=np.float64)
-
-    checkpoint = None
-    if config.checkpoint_path is not None:
-        from ..io.checkpoint import CampaignCheckpoint
-        checkpoint = CampaignCheckpoint.open(
-            config.checkpoint_path,
-            campaign_fingerprint(model, batch, config.chunk_size,
-                                 t_span, t_eval, engine, options,
-                                 retry_policy))
+    if peers and (engine != "batched" or fault_plan is not None or any(
+            member.workers or member.deadline_seconds is not None
+            for member in [config, *(peer.config for peer in peers)])):
+        raise ResilienceError(
+            "campaigns share launches only on the batched engine, "
+            "without a fault plan, workers or a deadline")
     spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,
                       engine=engine, options=options,
                       retry_policy=retry_policy, fault_plan=fault_plan,
                       heartbeat_interval=config.heartbeat_interval,
                       engine_kwargs=dict(engine_kwargs))
-    runner = _Runner(spec, batch, config, checkpoint, as_tracer(telemetry),
-                     trace_parent, chunk_gate, cancel_event)
+    tracer = as_tracer(telemetry)
+    outcome: list = []
 
-    # Pass 1 — resume everything the journal already holds (cheap, no
-    # integration), leaving a work-list of chunks still to execute.
-    remaining = runner.resume()
-    # Pass 2 — the serial loop runs the work-list. With workers, the
-    # shard executor runs its launch groups first and hands back only
-    # what a collapsed pool left undone.
-    if config.workers > 0 and remaining:
-        from .executor import run_sharded
-        remaining = run_sharded(runner, remaining)
-    runner.serial(remaining)
-    return runner.outcome()
+    def keep(settled) -> None:
+        outcome.append(settled)
+        if deliver is not None:
+            deliver(settled)
+
+    lead = CampaignPeer(parameters, config, keep, chunk_gate, cancel_event,
+                        trace_parent)
+    runners = []
+    for member in (lead, *peers):
+        # Pass 1 — resume everything the journal already holds (cheap,
+        # no integration), leaving a work-list of chunks still to
+        # execute. With workers, the shard executor runs its launch
+        # groups first and hands back only what a collapsed pool left.
+        try:
+            runner = _Runner(spec, member, tracer)
+            runner.work = runner.resume()
+            if member.config.workers > 0 and runner.work:
+                from .executor import run_sharded
+                runner.work = run_sharded(runner, runner.work)
+        except Exception as error:
+            member.deliver(error)
+            continue
+        runners.append(runner)
+    # Pass 2 — the serial loop runs every work-list and settles every
+    # campaign.
+    _serial(runners)
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 # ----------------------------------------------------------------------
@@ -376,22 +436,32 @@ class _Runner:
     A *unit* is a list of contiguous ``(index, start, stop)`` pieces in
     campaign rows: whole chunks that :meth:`group` joined into one
     launch, or a single piece of one chunk that the shard executor
-    split off. The serial loop (:meth:`serial`) and the shard executor
+    split off. The serial loop (:func:`_serial`) and the shard executor
     (:mod:`repro.resilience.executor`) both form units with
     :meth:`group` and land them through :meth:`finish`.
     """
 
-    def __init__(self, spec, batch, config: CampaignConfig, checkpoint,
-                 tracer, trace_parent, chunk_gate, cancel_event) -> None:
+    def __init__(self, spec, member: CampaignPeer, tracer) -> None:
+        from ..core.simulate import _normalize
         from ..gpu.engine import MAX_BATCH_PER_LAUNCH
 
+        config = member.config
+        batch = _normalize(spec.model, member.parameters)
+        self.checkpoint = None
+        if config.checkpoint_path is not None:
+            from ..io.checkpoint import CampaignCheckpoint
+            self.checkpoint = CampaignCheckpoint.open(
+                config.checkpoint_path,
+                campaign_fingerprint(spec.model, batch, config.chunk_size,
+                                     spec.t_span, spec.t_eval, spec.engine,
+                                     spec.options, spec.retry_policy))
         self.spec = spec
         self.batch = batch
         self.config = config
-        self.checkpoint = checkpoint
         self.tracer = tracer
-        self.chunk_gate = chunk_gate
-        self.cancel_event = cancel_event
+        self.chunk_gate = member.chunk_gate
+        self.cancel_event = member.cancel_event
+        self.deliver = member.deliver
         self.total_chunks = -(-batch.size // config.chunk_size)
         # Consecutive pending chunks share one launch of up to the
         # engine's launch cap. Only the batched engine coalesces, and
@@ -408,8 +478,13 @@ class _Runner:
         self.partial: dict[int, _Partial] = {}
         self.completed = self.resumed = self.executed = 0
         self.deadline_hit = self.degraded = self.cancelled = False
+        self.settled = False
+        #: The serial loop's work-list and how far it got.
+        self.work: list[tuple[int, int, int]] = []
+        self.position = 0
+        self.min_launch_seconds: float | None = None
         self.campaign_span = tracer.start(
-            "campaign", "campaign", parent=trace_parent,
+            "campaign", "campaign", parent=member.trace_parent,
             model=spec.model.name, batch=int(batch.size),
             chunks=int(self.total_chunks))
         self.started = clock.monotonic()
@@ -464,114 +539,123 @@ class _Runner:
             self.metrics.count("campaign.chunks.resumed")
         return remaining
 
-    def group(self, work, position: int, started: int) -> list:
-        """The unit that starts at ``work[position]``.
+    def group(self, work, position: int, started: int, room: int,
+              granted: bool = True) -> list:
+        """The unit that starts at ``work[position]``, in a launch with
+        ``room`` rows left.
 
-        Its first piece already holds its gate grant. Following whole
-        chunks join while :func:`_joins_launch` admits them
-        (``started`` counts the chunks started before the unit); a
-        piece of a chunk runs alone.
+        With ``granted`` its first piece already holds its gate grant
+        (it leads the launch); otherwise that piece joins like the rest.
+        Whole chunks join while :func:`_joins_launch` admits them
+        (``started`` counts the chunks started before the unit); a piece
+        of a chunk runs alone.
         """
-        unit = [work[position]]
-        if not self.whole(unit[0]):
+        unit = [work[position]] if granted else []
+        if unit and not self.whole(unit[0]):
             return unit
         while position + len(unit) < len(work):
             candidate = work[position + len(unit)]
             if not self.whole(candidate) or not _joins_launch(
-                    unit, candidate, self.launch_cap, self.spec.fault_plan,
-                    started + len(unit), self.chunk_gate):
+                    unit, candidate, room - _width(unit),
+                    self.spec.fault_plan, started + len(unit),
+                    self.chunk_gate):
                 break
             unit.append(candidate)
         return unit
 
-    def serial(self, work) -> None:
-        """Run the work-list in-process, one unit per launch."""
+    def takes_part(self, now: float) -> bool:
+        """Whether the campaign takes part in the next launch. One that
+        is out of work, cancelled or out of time settles instead; an
+        injected crash raises."""
+        if self.settled:
+            return False
         config, plan = self.config, self.spec.fault_plan
-        gate, tracer = self.chunk_gate, self.tracer
-        min_launch_seconds: float | None = None
-        position = 0
-        while position < len(work):
-            index, start, stop = work[position]
-            now = clock.monotonic()
-            if self.cancel_event is not None and self.cancel_event.is_set():
-                self.cancelled = True
-                break
-            if _deadline_exceeded(config, plan, self.started, self.executed,
-                                  now):
-                self.deadline_hit = True
-                break
-            # Predictive budget check: even with wall-clock budget left,
-            # starting a launch the fastest launch so far could not
-            # finish within would only burn time past the deadline —
-            # skip straight to the incomplete result instead.
-            if config.deadline_seconds is not None and \
-                    min_launch_seconds is not None and \
-                    config.deadline_seconds - (now - self.started) \
-                    < min_launch_seconds:
-                self.deadline_hit = True
-                break
-            if plan is not None and plan.crashes_before_launch(self.executed):
-                raise self.interrupted(
-                    f"injected crash before campaign chunk {index}")
+        if self.position == len(self.work):
+            self.settle()
+            return False
+        if self.cancel_event is not None and self.cancel_event.is_set():
+            self.cancelled = True
+            self.settle()
+            return False
+        # Besides the deadline itself, a predictive budget check: even
+        # with wall-clock budget left, starting a launch the fastest
+        # launch so far could not finish within would only burn time
+        # past the deadline — skip straight to the incomplete result.
+        if _deadline_exceeded(config, plan, self.started, self.executed,
+                              now) or (
+                config.deadline_seconds is not None
+                and self.min_launch_seconds is not None
+                and config.deadline_seconds - (now - self.started)
+                < self.min_launch_seconds):
+            self.deadline_hit = True
+            self.settle()
+            return False
+        if plan is not None and plan.crashes_before_launch(self.executed):
+            raise self.interrupted(f"injected crash before campaign chunk "
+                                   f"{self.work[self.position][0]}")
+        return True
 
-            if gate is not None:
-                if not gate.acquire(stop - start, self.cancel_event):
-                    self.cancelled = True
-                    break
-                # The gate may have blocked for a while; restart the
-                # launch timer so the wait is not billed as compute.
-                now = clock.monotonic()
-            # Every chunk of the unit holds one gate grant.
-            unit = self.group(work, position, self.executed)
-            chunk_span = tracer.start(self.span_name(unit[0]), "chunk",
-                                      parent=self.campaign_span,
-                                      rows=int(stop - start),
-                                      launch=int(index))
-            try:
-                try:
-                    result, launch_quarantine, report = _run_chunk(
-                        self.spec, self.batch, unit, tracer, chunk_span)
-                finally:
-                    if gate is not None:
-                        for _, begin, end in unit:
-                            gate.release(end - begin)
-                tracer.end(chunk_span)
-                self.finish(unit, result, launch_quarantine,
-                            None if report is None else report.metrics,
-                            self.campaign_span)
-            except KeyboardInterrupt:
-                raise self.interrupted(
-                    f"campaign interrupted during chunk {index}; "
-                    f"{self.completed} chunk(s) already journaled") from None
+    def release(self, unit) -> None:
+        """Return the gate grants ``unit``'s pieces hold."""
+        if self.chunk_gate is not None:
+            for _, start, stop in unit:
+                self.chunk_gate.release(stop - start)
+
+    def land(self, unit, result: BatchSolveResult,
+             launch_quarantine: QuarantineLog,
+             launch_metrics: MetricsRegistry | None, shared: dict | None,
+             launched_at: float) -> None:
+        """Finish the serial loop's ``unit`` of a launch that started at
+        ``launched_at``: ``launch_metrics`` is ``None`` unless this
+        campaign led the launch, and ``shared`` holds the span
+        attributes of a launch another campaign led."""
+        try:
+            self.finish(unit, result, launch_quarantine, launch_metrics,
+                        self.campaign_span, shared)
+        except Exception as error:
+            self.settle(error)
+            return
+        if shared is None:
             self.metrics.count("campaign.launches")
-            position += len(unit)
-            after = clock.monotonic()
-            duration = after - now
-            if min_launch_seconds is None or duration < min_launch_seconds:
-                min_launch_seconds = duration
-            # Post-launch wall-clock check: a launch that overshot the
-            # deadline mid-flight must mark the result, not wait for
-            # the next pre-launch check that may never come.
-            if config.deadline_seconds is not None and \
-                    after - self.started > config.deadline_seconds \
-                    and self.completed < self.total_chunks:
-                self.deadline_hit = True
-                break
+        self.position += len(unit)
+        after = clock.monotonic()
+        duration = after - launched_at
+        if self.min_launch_seconds is None \
+                or duration < self.min_launch_seconds:
+            self.min_launch_seconds = duration
+        # Post-launch wall-clock check: a launch that overshot the
+        # deadline mid-flight must mark the result, not wait for the
+        # next pre-launch check that may never come.
+        if self.config.deadline_seconds is not None and \
+                after - self.started > self.config.deadline_seconds \
+                and self.completed < self.total_chunks:
+            self.deadline_hit = True
+        if self.deadline_hit or self.position == len(self.work):
+            self.settle()
+
+    def settle(self, error: BaseException | None = None) -> None:
+        """Hand the caller this campaign's result, or the error that
+        failed it — once."""
+        if not self.settled:
+            self.settled = True
+            self.deliver(self.outcome() if error is None else error)
 
     def finish(self, unit, result: BatchSolveResult,
                launch_quarantine: QuarantineLog,
-               launch_metrics: MetricsRegistry | None, parent) -> None:
+               launch_metrics: MetricsRegistry | None, parent,
+               shared: dict | None = None) -> None:
         """Journal, trace and merge one finished unit.
 
         ``result`` and ``launch_quarantine`` cover the unit's rows, the
         quarantine in unit-local rows; chunk spans after the first hang
-        off ``parent``. A unit of whole chunks commits them with its
-        launch's metrics in one journal write. A piece of a chunk is
-        held until the chunk's pieces cover it; the chunk then commits
-        with the metrics of all of them.
+        off ``parent``, with the ``shared`` span attributes when another
+        campaign led the launch. A unit of whole chunks commits them
+        with its launch's metrics in one journal write. A piece of a
+        chunk is held until the chunk's pieces cover it; the chunk then
+        commits with the metrics of all of them.
         """
         entries = _split_launch(result, launch_quarantine, unit,
-                                self.tracer, parent)
+                                self.tracer, parent, shared)
         index, start, stop = unit[0]
         rows = np.arange(start, unit[-1][2])
         if not self.whole(unit[0]):
@@ -639,22 +723,126 @@ class _Runner:
             self.metrics, self.degraded, self.cancelled)
 
 
-def _joins_launch(group, candidate, launch_cap: int,
+def _serial(runners) -> None:
+    """The serial loop: run every campaign's work-list in-process.
+
+    Each launch is led by the first campaign still taking part; its
+    first chunk takes the blocking gate grant. Its own following
+    chunks join, then each other campaign's next chunks, while
+    :func:`_joins_launch` admits them within the lead's launch cap. A
+    campaign with a fault plan shares no launch.
+    """
+    while True:
+        now = clock.monotonic()
+        active = [runner for runner in runners if runner.takes_part(now)]
+        if not active:
+            return
+        lead = active[0]
+        _, start, stop = lead.work[lead.position]
+        if lead.chunk_gate is not None:
+            if not lead.chunk_gate.acquire(stop - start, lead.cancel_event):
+                lead.cancelled = True
+                lead.settle()
+                continue
+            # The gate may have blocked for a while; restart the
+            # launch timer so the wait is not billed as compute.
+            now = clock.monotonic()
+        # Every chunk of the launch holds one gate grant.
+        unit = lead.group(lead.work, lead.position, lead.executed,
+                          lead.launch_cap)
+        parts = [(lead, unit)]
+        room = 0 if lead.spec.fault_plan is not None \
+            else lead.launch_cap - _width(unit)
+        for peer in active[1:]:
+            unit = peer.group(peer.work, peer.position, peer.executed, room,
+                              granted=False)
+            if unit:
+                parts.append((peer, unit))
+                room -= _width(unit)
+        _launch(parts, now)
+
+
+def _launch(parts, now: float) -> None:
+    """Run one launch of ``(runner, unit)`` parts and land each part.
+
+    The engine's spans nest under the lead's first chunk span, and
+    every other part's chunk spans name it in ``shared_launch``. The
+    launch's engine metrics go to the lead alone, so a shared launch
+    is counted once.
+    """
+    lead, unit = parts[0]
+    index, start, stop = unit[0]
+    tracer = lead.tracer
+    lead_span = tracer.start(lead.span_name(unit[0]), "chunk",
+                             parent=lead.campaign_span,
+                             rows=int(stop - start), launch=int(index))
+    shared = {"launch": int(index), "shared_launch": lead_span.span_id}
+    spans = [lead_span] + [
+        tracer.start(runner.span_name(unit[0]), "chunk",
+                     parent=runner.campaign_span,
+                     rows=int(unit[0][2] - unit[0][1]), **shared)
+        for runner, unit in parts[1:]]
+    try:
+        try:
+            result, launch_quarantine, report = _run_chunk(
+                lead.spec, [(runner.batch, unit) for runner, unit in parts],
+                tracer, lead_span)
+        except Exception as error:
+            # A failed launch fails the attempt of every campaign in it.
+            for runner, _ in parts:
+                runner.settle(error)
+            return
+        finally:
+            for runner, unit in parts:
+                runner.release(unit)
+        for span in spans:
+            tracer.end(span)
+        if len(parts) > 1:
+            lead.metrics.count("campaign.launches.shared")
+        metrics = None if report is None else report.metrics
+        offset = 0
+        for runner, unit in parts:
+            width = _width(unit)
+            part_result, part_quarantine = result, launch_quarantine
+            if len(parts) > 1:
+                part_result = result.take_rows(np.arange(offset,
+                                                         offset + width))
+                part_quarantine = QuarantineLog()
+                part_quarantine.merge(QuarantineLog(
+                    [record for record in launch_quarantine
+                     if offset <= record.row < offset + width]), -offset)
+            offset += width
+            led = runner is lead
+            runner.land(unit, part_result, part_quarantine,
+                        metrics if led else None, None if led else shared,
+                        now)
+    except KeyboardInterrupt:
+        raise lead.interrupted(
+            f"campaign interrupted during chunk {index}; "
+            f"{lead.completed} chunk(s) already journaled") from None
+
+
+def _width(unit) -> int:
+    return unit[-1][2] - unit[0][1] if unit else 0
+
+
+def _joins_launch(unit, candidate, room: int,
                   fault_plan: FaultPlan | None, executed: int,
                   chunk_gate) -> bool:
-    """Whether the pending ``candidate`` chunk may join ``group``'s launch.
+    """Whether the pending ``candidate`` chunk may join ``unit`` in a
+    launch with ``room`` rows left.
 
-    It must follow the group's last chunk, fit the launch cap, not be
-    the chunk at which an injected crash or deadline fires (``executed``
+    It must follow the unit's last chunk, fit the room, not be the
+    chunk at which an injected crash or deadline fires (``executed``
     counts the chunks run before it) and, last, win a gate grant. A
     chunk with an injected launch failure, memory pressure or worker
     fault runs alone, so no clean chunk's rows share its retry rungs or
     its worker's fate.
     """
     index, start, stop = candidate
-    first = group[0][0]
-    if index != group[-1][0] + 1 or stop - group[0][1] > launch_cap:
+    if unit and index != unit[-1][0] + 1 or stop - start > room:
         return False
+    first = unit[0][0] if unit else index
     if fault_plan is not None and (
             fault_plan.crashes_before_launch(executed)
             or fault_plan.expires_before_chunk(executed)
@@ -668,14 +856,16 @@ def _joins_launch(group, candidate, launch_cap: int,
 
 
 def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
-                  group, tracer, parent) -> list:
+                  group, tracer, parent, shared: dict | None = None) -> list:
     """Per-piece ``(index, result, quarantine)`` slices of a launch.
 
     Quarantine rows move to campaign space. Every chunk after the first
     gets its own (empty) ``chunk-<i>`` span under ``parent``, naming
-    the launch it shared.
+    the launch it shared (``shared`` holds those attributes when
+    another campaign led the launch).
     """
     first, offset, _ = group[0]
+    attrs = {"launch": int(first)} if shared is None else shared
     shifted = QuarantineLog()
     shifted.merge(launch_quarantine, row_offset=offset)
     entries = []
@@ -683,8 +873,7 @@ def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
         if index != first:
             tracer.end(tracer.start(f"chunk-{index}", "chunk",
                                     parent=parent,
-                                    rows=int(stop - start),
-                                    launch=int(first)))
+                                    rows=int(stop - start), **attrs))
         records = [record for record in shifted
                    if start <= record.row < stop]
         entries.append((index,
@@ -694,12 +883,16 @@ def _split_launch(result: BatchSolveResult, launch_quarantine: QuarantineLog,
     return entries
 
 
-def _run_chunk(spec, batch, unit, tracer=None, parent=None):
-    """Run one unit's rows: the launch body of the serial loop and of
-    every worker process. Returns ``(result, quarantine, report)``
-    with the quarantine in unit-local rows."""
+def _run_chunk(spec, parts, tracer=None, parent=None):
+    """Run one launch: the rows of every ``(batch, unit)`` part, in
+    order. The launch body of the serial loop and of every worker
+    process. Returns ``(result, quarantine, report)`` with the
+    quarantine in launch-local rows. A fault plan addresses the first
+    part's campaign (a campaign with one shares no launch)."""
     from ..core.simulate import simulate
+    from ..model import ParameterizationBatch
 
+    batch, unit = parts[0]
     index, start, _ = unit[0]
     stop = unit[-1][2]
     kwargs = dict(spec.engine_kwargs)
@@ -711,9 +904,16 @@ def _run_chunk(spec, batch, unit, tracer=None, parent=None):
         if tracer is not None:
             kwargs["tracer"] = tracer
             kwargs["trace_parent"] = parent
-    result = simulate(spec.model, spec.t_span, spec.t_eval,
-                      batch.subset(np.arange(start, stop)), spec.engine,
-                      spec.options, **kwargs)
+    rows = batch.subset(np.arange(start, stop))
+    if len(parts) > 1:
+        pieces = [rows] + [other.subset(np.arange(piece[0][1],
+                                                  piece[-1][2]))
+                           for other, piece in parts[1:]]
+        rows = ParameterizationBatch(
+            np.concatenate([piece.rate_constants for piece in pieces]),
+            np.concatenate([piece.initial_states for piece in pieces]))
+    result = simulate(spec.model, spec.t_span, spec.t_eval, rows,
+                      spec.engine, spec.options, **kwargs)
     report = result.engine_report
     chunk_quarantine = (report.quarantine if report is not None
                         else QuarantineLog())

@@ -341,8 +341,7 @@ class ShardSupervisor:
             unit = self.retry[0]
             for held, (_, start, stop) in enumerate(unit):
                 if gate is not None and not gate.try_acquire(stop - start):
-                    for _, begin, end in unit[:held]:
-                        gate.release(end - begin)
+                    campaign.release(unit[:held])
                     return None
             return self.retry.popleft()
         plan = campaign.spec.fault_plan
@@ -356,7 +355,7 @@ class ShardSupervisor:
         if gate is not None and not gate.try_acquire(stop - start):
             return None
         unit = tuple(campaign.group(self.work, self.position,
-                                    self.position))
+                                    self.position, campaign.launch_cap))
         self.position += len(unit)
         return unit
 
@@ -366,9 +365,7 @@ class ShardSupervisor:
         slot.task = None
         slot.deadline_at = None
         self.campaign.tracer.end(slot.span, outcome=outcome)
-        if self.campaign.chunk_gate is not None:
-            for _, start, stop in unit:
-                self.campaign.chunk_gate.release(stop - start)
+        self.campaign.release(unit)
         return unit
 
     def _attempt_failed(self, slot: _Slot, reason: str) -> None:

@@ -116,7 +116,7 @@ def _execute_task(spec: WorkerSpec, batch, token, task,
     try:
         if plan is not None and plan.slows_worker(chunk_index, attempt):
             time.sleep(plan.worker_slow_seconds)
-        result, quarantine, report = _run_chunk(spec, batch, unit)
+        result, quarantine, report = _run_chunk(spec, [(batch, unit)])
     except Exception as error:  # noqa: BLE001 — forwarded, not dropped
         stop_event.set()
         beat.join()

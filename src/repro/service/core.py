@@ -24,17 +24,28 @@ Campaign execution is delegated unchanged to
 :func:`repro.resilience.run_campaign` on a worker thread
 (``asyncio.to_thread``), so journaling, resume, quarantine, sharding
 and telemetry behave exactly as they do standalone — the job's spans
-simply nest under ``service/job-<id>/``.
+simply nest under ``service/job-<id>/``. Jobs that one dispatcher
+pass starts together and that can share engine launches (same model
+object, batched engine, span, grid bytes, options and retry policy;
+first attempt; no deadline, fault plan or workers) run their first
+attempt as one launch group: one worker thread, one ``run_campaign``
+call with the later jobs as peers
+(:class:`~repro.resilience.CampaignPeer`), each job keeping its own
+journal, gate, cancel event, spans and result.
 """
 
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
+
+import numpy as np
 
 from ..errors import (QueueFull, QuotaExceeded, ReproError, ServiceError,
                       WorkingSetExceeded)
+from ..gpu.engine import MAX_BATCH_PER_LAUNCH
 from ..gpu.perfmodel import memory_footprint_doubles
-from ..resilience.campaign import CampaignConfig, run_campaign
+from ..resilience.campaign import CampaignConfig, CampaignPeer, run_campaign
 from ..telemetry import clock
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.prometheus import labeled
@@ -316,10 +327,13 @@ class CampaignService:
             self._shed_expired()
             self._preempt_excess()
             limit = self.ladder.effective_max_running()
-            while self._queue and len(self._running) < limit:
+            starting = []
+            while self._queue and len(self._running) + len(starting) < limit:
                 job = self._pick_next()
                 self._queue.remove(job)
-                task = asyncio.create_task(self._run_job(job))
+                starting.append(job)
+            for job, group in self._launch_groups(starting):
+                task = asyncio.create_task(self._run_job(job, group))
                 task.add_done_callback(
                     lambda task, job=job: self._job_task_done(job, task))
                 self._running[job.job_id] = task
@@ -338,6 +352,49 @@ class CampaignService:
                 else lane["granted_rows"] / lane["weight"]
             return (consumed, -job.request.priority, job.job_id)
         return min(self._queue, key=tenant_key)
+
+    def _launch_groups(self, jobs: list[JobRecord]) -> list:
+        """Pair each job a dispatcher pass starts with its launch group
+        (``None``: it runs alone). A job joins the first group with its
+        :func:`_launch_key` while the group's rows fit one launch."""
+        keys: dict[int, tuple] = {}
+        rows: dict[int, int] = {}
+        groups: list[list[JobRecord]] = []
+        for job in jobs:
+            if not self._groupable(job):
+                continue
+            try:
+                keys[job.job_id] = _launch_key(job.request)
+                rows[job.job_id] = self._n_rows(job.request)
+            except (ReproError, TypeError, ValueError):
+                continue  # its own attempt reports the malformed request
+            for members in groups:
+                if keys[members[0].job_id] == keys[job.job_id] \
+                        and sum(rows[member.job_id] for member in members) \
+                        + rows[job.job_id] <= MAX_BATCH_PER_LAUNCH:
+                    members.append(job)
+                    break
+            else:
+                groups.append([job])
+        shared = {}
+        for members in groups:
+            if len(members) > 1:
+                group = _LaunchGroup(self.tracer, members)
+                shared.update(dict.fromkeys(group.expected, group))
+        return [(job, shared.get(job.job_id)) for job in jobs]
+
+    def _groupable(self, job: JobRecord) -> bool:
+        """Whether the job's next attempt may share launches: a first
+        attempt of the batched engine with no deadline, fault plan or
+        worker pool, which no scheduler fault kills or hangs."""
+        request, plan = job.request, self.fault_plan
+        return (job.attempts == 0 and request.engine == "batched"
+                and request.deadline_seconds is None
+                and request.fault_plan is None
+                and self.ladder.effective_workers(int(request.workers)) == 0
+                and not (plan is not None and (
+                    plan.kills_job(job.admission_index, 1)
+                    or plan.hangs_job(job.admission_index, 1))))
 
     def _next_expiry(self) -> float | None:
         """When the earliest queued deadline expires (the only timeout)."""
@@ -374,7 +431,7 @@ class CampaignService:
 
     # -- job supervision -------------------------------------------------
 
-    async def _run_job(self, job: JobRecord) -> None:
+    async def _run_job(self, job: JobRecord, group=None) -> None:
         job.state = JobState.RUNNING
         if job.started_at is None:
             job.started_at = clock.monotonic()
@@ -385,8 +442,10 @@ class CampaignService:
                                  tenant=job.request.tenant,
                                  priority=int(job.request.priority))
         try:
-            await self._attempt_loop(job, span)
+            await self._attempt_loop(job, span, group)
         finally:
+            if group is not None:
+                group.leave(job)
             self._running.pop(job.job_id, None)
             requeued = job.state == JobState.QUEUED
             self.tracer.end(span, state=job.state, reason=job.reason,
@@ -402,7 +461,8 @@ class CampaignService:
             # Per-job trace flush does file IO: off the loop.
             await asyncio.to_thread(self.tracer.flush)
 
-    async def _attempt_loop(self, job: JobRecord, span) -> None:
+    async def _attempt_loop(self, job: JobRecord, span,
+                            group=None) -> None:
         while True:
             if job.cancel.is_set() and not job.preempted:
                 self._finish(job, JobState.CANCELLED, "client-cancel")
@@ -425,7 +485,8 @@ class CampaignService:
                 self._finish(job, JobState.SHED, "deadline")
                 self.ladder.note_shed()
                 return
-            outcome = await self._run_attempt(job, remaining, span)
+            outcome = await self._run_attempt(
+                job, remaining, span, group if job.attempts == 1 else None)
             if outcome is not None:
                 return
 
@@ -462,23 +523,29 @@ class CampaignService:
             - (clock.monotonic() - job.submitted_at)
 
     async def _run_attempt(self, job: JobRecord, remaining: float | None,
-                           span) -> str | None:
-        """One real campaign attempt; returns the terminal state it
-        produced, or ``None`` to retry."""
+                           span, group=None) -> str | None:
+        """One real campaign attempt, alone or in its launch ``group``;
+        returns the terminal state it produced, or ``None`` to retry."""
         request = job.request
         ladder_degraded = self.ladder.degrades_results
-        workers = self.ladder.effective_workers(int(request.workers))
+        # A group runs serially: its jobs were grouped on no workers.
+        workers = 0 if group is not None \
+            else self.ladder.effective_workers(int(request.workers))
         config = CampaignConfig(chunk_size=int(request.chunk_size),
                                 checkpoint_path=request.checkpoint_path,
                                 deadline_seconds=remaining,
                                 workers=workers)
         gate = self.scheduler.gate(request.tenant)
-        task = asyncio.ensure_future(asyncio.to_thread(
-            run_campaign, request.model, request.t_span, request.t_eval,
-            request.parameters, request.engine, request.options, config,
-            request.retry_policy, request.fault_plan, self.tracer,
-            chunk_gate=gate, cancel_event=job.cancel,
-            trace_parent=span))
+        if group is not None:
+            task = group.enlist(job, CampaignPeer(
+                request.parameters, config, None, gate, job.cancel, span))
+        else:
+            task = asyncio.ensure_future(asyncio.to_thread(
+                run_campaign, request.model, request.t_span,
+                request.t_eval, request.parameters, request.engine,
+                request.options, config, request.retry_policy,
+                request.fault_plan, self.tracer, chunk_gate=gate,
+                cancel_event=job.cancel, trace_parent=span))
         timed_out = False
         if self.config.attempt_timeout is not None:
             done, _pending = await asyncio.wait(
@@ -495,6 +562,10 @@ class CampaignService:
             if self._attempts_exhausted(job, "campaign-error"):
                 return job.state
             return None
+        shared_launches = result.metrics.counters.get(
+            "campaign.launches.shared", 0)
+        if shared_launches:
+            self.metrics.count("service.launches.shared", shared_launches)
         job.degraded = job.degraded or ladder_degraded or result.degraded
         if result.degraded:
             self.ladder.note_pool_collapse()
@@ -584,6 +655,89 @@ class CampaignService:
     def _finish_queued(self, job: JobRecord, state: str,
                        reason: str) -> None:
         self._finish(job, state, reason)
+
+
+def _launch_key(request: JobRequest) -> tuple:
+    """What two jobs must share to share launches: the same model object
+    and equal span, grid bytes, options and retry policy."""
+    grid = None if request.t_eval is None \
+        else np.asarray(request.t_eval, dtype=np.float64).tobytes()
+    return (id(request.model), tuple(map(float, request.t_span)), grid,
+            request.options, request.retry_policy)
+
+
+class _LaunchGroup:
+    """The first attempts of jobs one dispatcher pass started to share
+    engine launches.
+
+    Each job's supervisor joins with its campaign as a
+    :class:`~repro.resilience.CampaignPeer` (or leaves without one).
+    Once every job has, one worker thread runs them all through
+    :func:`~repro.resilience.run_campaign`: the first to join leads,
+    the others ride along as peers. Each job's future resolves with its
+    own :class:`~repro.resilience.CampaignResult` as soon as the
+    campaign settles, or with the error that failed its attempt.
+    """
+
+    def __init__(self, tracer, jobs: list[JobRecord]) -> None:
+        self.tracer = tracer
+        self.expected = {job.job_id for job in jobs}
+        self.members: list[tuple[JobRecord, CampaignPeer,
+                                 asyncio.Future]] = []
+        self.task: asyncio.Future | None = None
+
+    def enlist(self, job: JobRecord, peer: CampaignPeer) -> asyncio.Future:
+        future = asyncio.get_running_loop().create_future()
+        self.members.append((job, peer, future))
+        self.leave(job)
+        return future
+
+    def leave(self, job: JobRecord) -> None:
+        """The job is in (or out of) the group for good; the last one
+        starts the launch thread."""
+        if job.job_id in self.expected:
+            self.expected.remove(job.job_id)
+            if not self.expected and self.members:
+                self._start()
+
+    def _start(self) -> None:
+        loop = asyncio.get_running_loop()
+        (lead, first, future), *others = self.members
+        request = lead.request
+
+        def deliver_to(target: asyncio.Future):
+            return lambda outcome: loop.call_soon_threadsafe(
+                _resolve, target, outcome)
+
+        peers = [replace(peer, deliver=deliver_to(target))
+                 for _, peer, target in others]
+        self.task = asyncio.ensure_future(asyncio.to_thread(
+            run_campaign, request.model, request.t_span, request.t_eval,
+            first.parameters, request.engine, request.options,
+            first.config, request.retry_policy, None, self.tracer,
+            chunk_gate=first.chunk_gate, cancel_event=first.cancel_event,
+            trace_parent=first.trace_parent, peers=peers,
+            deliver=deliver_to(future)))
+
+        def resolve_all(task: asyncio.Future) -> None:
+            # A campaign the thread never settled (it raised past the
+            # loop) shares the thread's error.
+            error = ServiceError("launch group cancelled") \
+                if task.cancelled() else task.exception()
+            for _, _, target in self.members:
+                _resolve(target, error or ServiceError(
+                    "launch group ended without a result"))
+
+        self.task.add_done_callback(resolve_all)
+
+
+def _resolve(future: asyncio.Future, outcome) -> None:
+    if future.done():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 def submit_campaign(model, t_span, t_eval=None, parameters=None,

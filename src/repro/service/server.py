@@ -62,12 +62,22 @@ def _load_model(path: Path):
 
 
 class _ServerState:
-    """One running server: the service plus the model cache."""
+    """One running server: the service, the model cache and the open
+    connections."""
 
     def __init__(self, service: CampaignService) -> None:
         self.service = service
         self.models: dict[str, object] = {}
         self.shutdown = asyncio.Event()
+        #: Live connection handlers and their writers.
+        self.connections: dict[asyncio.Task, object] = {}
+
+    async def close_connections(self) -> None:
+        """End every open connection on EOF: close its writer, then
+        wait for its handler, so none is cancelled mid-read."""
+        for writer in self.connections.values():
+            writer.close()
+        await asyncio.gather(*self.connections, return_exceptions=True)
 
     def model(self, path_text: str):
         model = self.models.get(path_text)
@@ -213,6 +223,8 @@ async def _read_line(reader) -> bytes | None:
 
 
 async def _handle_connection(state: _ServerState, reader, writer) -> None:
+    handler = asyncio.current_task()
+    state.connections[handler] = writer
     try:
         first = True
         while True:
@@ -249,6 +261,7 @@ async def _handle_connection(state: _ServerState, reader, writer) -> None:
     except (ConnectionError, asyncio.IncompleteReadError):
         return
     finally:
+        del state.connections[handler]
         writer.close()
 
 
@@ -284,6 +297,7 @@ async def serve_async(host: str = "127.0.0.1", port: int = 8753,
         ready(bound)
     async with server:
         await state.shutdown.wait()
+        await state.close_connections()
     await service.stop()
 
 

@@ -30,7 +30,13 @@ class _CountingFunction:
 
 
 class _ScipyOdeSolver:
-    """Common driver for the scipy.integrate.ode integrators."""
+    """Common wrapper around the scipy.integrate.ode integrators.
+
+    Step counts come from ODEPACK's integer work array: ``n_steps`` and
+    ``n_accepted`` are NST (``IWORK(11)``), the steps taken so far.
+    LSODA's work array holds no rejected-step count, so ``n_rejected``
+    stays 0 for both integrators.
+    """
 
     integrator_name = ""
     integrator_kwargs: dict = {}
@@ -73,6 +79,8 @@ class _ScipyOdeSolver:
                 break
             output[save_index] = state
             save_index += 1
+        stats.n_steps = stats.n_accepted = int(
+            integrator._integrator.iwork[10])
         stats.n_rhs_evaluations = counting_fun.count
         if counting_jac is not None:
             stats.n_jacobian_evaluations = counting_jac.count

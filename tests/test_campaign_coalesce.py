@@ -1,26 +1,32 @@
 """Coalesced campaign launches: consecutive pending chunks share one
 engine launch, and each launch is journaled in one atomic commit.
+Campaigns run together share launches too, each with the bytes it
+gives alone.
 
 The reference for every byte comparison is the same campaign run with
 ``max_batch_per_launch=chunk_size``, which gives one launch per chunk.
 """
 
 import json
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, ResilienceError, SolverError
 from repro.gpu.engine import BatchSimulator
 from repro.guards import GuardConfig
 from repro.io.checkpoint import CampaignCheckpoint
 from repro.model import ParameterizationBatch, perturbed_batch
 from repro.models import dimerization, lotka_volterra
-from repro.resilience import (CampaignConfig, FaultPlan,
+from repro.resilience import (CampaignConfig, CampaignPeer, FaultPlan,
                               default_retry_policy, run_campaign)
 from repro.rules.library import multisite_cascade
+from repro.solvers import SolverOptions
 from repro.telemetry import Tracer
 
 T_SPAN = (0.0, 2.0)
@@ -29,7 +35,7 @@ T_EVAL = np.linspace(0.0, 2.0, 5)
 #: Counters the campaign runner adds itself; everything else in
 #: ``CampaignResult.metrics`` comes from the journaled launch payloads.
 RUNNER_COUNTERS = ("campaign.chunks.executed", "campaign.chunks.resumed",
-                   "campaign.launches")
+                   "campaign.launches", "campaign.launches.shared")
 
 
 def batch_of(model, size, seed=11):
@@ -298,3 +304,229 @@ class TestNonContiguousResume:
         assert engine_counters(again) == engine_counters(repaired)
         assert again.metrics.counters["steps.accepted"] > \
             first.metrics.counters["steps.accepted"]
+
+
+class TestCampaignsShareLaunches:
+    """Campaigns run together (the leading call plus
+    :class:`CampaignPeer` s) give each campaign the result, chunk
+    archives and quarantine it gives alone."""
+
+    OPTIONS = SolverOptions(max_steps=40)
+
+    @staticmethod
+    def spread_batch(model, size, seed):
+        """Rows at rates up to e^4 times nominal: with ``max_steps=40``
+        the fast ones fail, climb the retry ladder or quarantine."""
+        rng = np.random.default_rng(seed)
+        batch = batch_of(model, size, seed=seed)
+        scale = np.exp(rng.uniform(0.0, 4.0, (size, 1)))
+        return ParameterizationBatch(batch.rate_constants * scale,
+                                     batch.initial_states)
+
+    def run(self, model, batch, config, cap, peers=()):
+        return run_campaign(model, T_SPAN, T_EVAL, batch, config=config,
+                            options=self.OPTIONS,
+                            retry_policy=default_retry_policy(),
+                            peers=peers, max_batch_per_launch=cap)
+
+    @staticmethod
+    def archives(config, chunks) -> list[bytes]:
+        path = Path(config.checkpoint_path)
+        return [(path.parent / f"{path.stem}.chunk{index:05d}.npz")
+                .read_bytes() for index in range(chunks)]
+
+    @given(members=st.lists(st.tuples(st.integers(1, 9),
+                                      st.integers(1, 4),
+                                      st.integers(0, 3)),
+                            min_size=2, max_size=3),
+           cap=st.integers(1, 20))
+    def test_matches_each_campaign_alone(self, members, cap):
+        model = dimerization()
+        with tempfile.TemporaryDirectory() as root:
+            alone, configs, batches = [], [], []
+            for number, (size, chunk_size, resumed) in enumerate(members):
+                batch = self.spread_batch(model, size, seed=number)
+                reference = CampaignConfig(
+                    chunk_size=chunk_size,
+                    checkpoint_path=Path(root) / f"alone-{number}.json")
+                config = CampaignConfig(
+                    chunk_size=chunk_size,
+                    checkpoint_path=Path(root) / f"group-{number}.json")
+                alone.append(self.run(model, batch, reference, cap))
+                # The member resumes its first `resumed` chunks.
+                self.run(model, batch, config, cap)
+                chunks = -(-size // chunk_size)
+                checkpoint = CampaignCheckpoint.open(
+                    config.checkpoint_path, json.loads(Path(
+                        config.checkpoint_path).read_text())["fingerprint"])
+                for index in range(min(resumed, chunks), chunks):
+                    checkpoint.chunk_file(index).unlink()
+                configs.append(config)
+                batches.append(batch)
+            delivered = [[] for _ in members[1:]]
+            lead = self.run(model, batches[0], configs[0], cap, peers=[
+                CampaignPeer(batch, config, outcomes.append)
+                for batch, config, outcomes
+                in zip(batches[1:], configs[1:], delivered)])
+            together = [lead] + [outcomes[0] for outcomes in delivered]
+            assert all(len(outcomes) == 1 for outcomes in delivered)
+            for (size, chunk_size, resumed), one, shared, number in zip(
+                    members, alone, together, range(len(members))):
+                chunks = -(-size // chunk_size)
+                assert not shared.incomplete
+                assert shared.resumed_chunks == min(resumed, chunks)
+                assert result_bytes(shared) == result_bytes(one)
+                assert shared.quarantine.to_dicts() == \
+                    one.quarantine.to_dicts()
+                assert self.archives(configs[number], chunks) == \
+                    self.archives(CampaignConfig(
+                        chunk_size=chunk_size,
+                        checkpoint_path=Path(root) / f"alone-{number}.json"),
+                        chunks)
+
+    def test_one_launch_counted_once_with_its_lead(self, monkeypatch):
+        model = lotka_volterra()
+        counting = CountingSimulate(monkeypatch)
+        delivered, led = [], []
+        lead = run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 6),
+                            config=CampaignConfig(chunk_size=3),
+                            peers=[CampaignPeer(
+                                batch_of(model, 4, seed=5),
+                                CampaignConfig(chunk_size=2),
+                                delivered.append)],
+                            deliver=led.append)
+        peer, = delivered
+        assert led == [lead]
+        assert counting.launches == [1]
+        assert lead.metrics.counters["campaign.launches"] == 1
+        assert lead.metrics.counters["campaign.launches.shared"] == 1
+        assert "campaign.launches" not in peer.metrics.counters
+        assert peer.metrics.counters["campaign.chunks.executed"] == 2
+        assert engine_counters(peer) == {}
+        both = run_campaign(model, T_SPAN, T_EVAL, ParameterizationBatch(
+            np.concatenate([batch_of(model, 6).rate_constants,
+                            batch_of(model, 4, seed=5).rate_constants]),
+            np.concatenate([batch_of(model, 6).initial_states,
+                            batch_of(model, 4, seed=5).initial_states])),
+            config=CampaignConfig(chunk_size=10))
+        assert engine_counters(lead) == engine_counters(both)
+
+    def test_followers_spans_name_the_leading_chunk(self):
+        model = lotka_volterra()
+        tracer = Tracer()
+        lead_span = tracer.start("job-0", "job")
+        peer_span = tracer.start("job-1", "job")
+        run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 4),
+                     config=CampaignConfig(chunk_size=2), telemetry=tracer,
+                     trace_parent=lead_span,
+                     peers=[CampaignPeer(batch_of(model, 4, seed=5),
+                                         CampaignConfig(chunk_size=2),
+                                         lambda outcome: None,
+                                         trace_parent=peer_span)])
+        chunks = {span.span_id: span.attrs for span in tracer.spans
+                  if span.category == "chunk"}
+        assert chunks["job-0/campaign/chunk-1"] == {"rows": 2, "launch": 0}
+        for index in (0, 1):
+            assert chunks[f"job-1/campaign/chunk-{index}"] == {
+                "rows": 2, "launch": 0,
+                "shared_launch": "job-0/campaign/chunk-0"}
+        launches = [span.parent_id for span in tracer.spans
+                    if span.category == "launch"]
+        assert launches == ["job-0/campaign/chunk-0"]
+
+    def test_gate_refusal_defers_a_peer_chunk(self, monkeypatch):
+        model = lotka_volterra()
+        counting = CountingSimulate(monkeypatch)
+        gate = RecordingGate(capacity=1)
+        delivered = []
+        run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 2),
+                     config=CampaignConfig(chunk_size=2),
+                     peers=[CampaignPeer(batch_of(model, 2, seed=5),
+                                         CampaignConfig(chunk_size=2),
+                                         delivered.append,
+                                         chunk_gate=gate)])
+        # The lead is ungated; the peer's own gate refuses nothing, so
+        # both run in one launch.
+        assert counting.launches == [1]
+        lead_gate = RecordingGate(capacity=1)
+        counting.launches.clear()
+        run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 2),
+                     config=CampaignConfig(chunk_size=2),
+                     chunk_gate=lead_gate,
+                     peers=[CampaignPeer(batch_of(model, 2, seed=5),
+                                         CampaignConfig(chunk_size=2),
+                                         delivered.append,
+                                         chunk_gate=lead_gate)])
+        # One shared gate with one grant: the peer's chunk waits for
+        # the next launch, which it leads.
+        assert counting.launches == [1, 1]
+        assert [call[0] for call in lead_gate.calls] == [
+            "acquire", "try_acquire", "release", "acquire", "release"]
+        assert len(delivered) == 2 and not delivered[1].incomplete
+
+    def test_a_failed_open_fails_only_that_member(self, tmp_path):
+        model = lotka_volterra()
+        journal = tmp_path / "j.json"
+        run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 4),
+                     config=CampaignConfig(chunk_size=2,
+                                           checkpoint_path=journal))
+        delivered = []
+        lead = run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 4),
+                            config=CampaignConfig(chunk_size=2),
+                            peers=[CampaignPeer(
+                                batch_of(model, 4, seed=5),
+                                CampaignConfig(chunk_size=2,
+                                               checkpoint_path=journal),
+                                delivered.append)])
+        error, = delivered
+        assert isinstance(error, ResilienceError)
+        assert not lead.incomplete
+
+    def test_a_failed_launch_fails_every_member_in_it(self, monkeypatch):
+        from repro.resilience import campaign
+
+        def explode(spec, parts, tracer=None, parent=None):
+            raise SolverError("launch exploded")
+
+        monkeypatch.setattr(campaign, "_run_chunk", explode)
+        model = lotka_volterra()
+        delivered = []
+        with pytest.raises(SolverError, match="launch exploded"):
+            run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 2),
+                         config=CampaignConfig(chunk_size=2),
+                         peers=[CampaignPeer(batch_of(model, 2, seed=5),
+                                             CampaignConfig(chunk_size=2),
+                                             delivered.append)])
+        error, = delivered
+        assert isinstance(error, SolverError)
+
+    def test_a_cancelled_member_drops_out_before_the_next_launch(self):
+        model = lotka_volterra()
+        cancel = threading.Event()
+        cancel.set()
+        delivered = []
+        lead = run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 4),
+                            config=CampaignConfig(chunk_size=2),
+                            peers=[CampaignPeer(batch_of(model, 4, seed=5),
+                                                CampaignConfig(chunk_size=2),
+                                                delivered.append,
+                                                cancel_event=cancel)])
+        peer, = delivered
+        assert peer.cancelled and peer.completed_chunks == 0
+        alone = run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 4),
+                             config=CampaignConfig(chunk_size=2))
+        assert result_bytes(lead) == result_bytes(alone)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"engine": "lsoda"}, {"fault_plan": FaultPlan(nan_rows=(0,))},
+        {"config": CampaignConfig(chunk_size=2, workers=1)},
+        {"config": CampaignConfig(chunk_size=2, deadline_seconds=5.0)}])
+    def test_unshareable_campaigns_are_refused(self, kwargs):
+        model = lotka_volterra()
+        kwargs.setdefault("config", CampaignConfig(chunk_size=2))
+        with pytest.raises(ResilienceError, match="share launches"):
+            run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 2),
+                         peers=[CampaignPeer(batch_of(model, 2),
+                                             CampaignConfig(chunk_size=2),
+                                             lambda outcome: None)],
+                         **kwargs)

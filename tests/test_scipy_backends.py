@@ -29,6 +29,17 @@ class TestBackends:
                               np.linspace(0, 4, 5))
         assert result.stats.n_rhs_evaluations > 0
 
+    def test_steps_counted_from_odepack(self, backend_class):
+        # NST from the integer work array: every step taken is counted
+        # as accepted, and LSODA's work array has no rejected count.
+        solver = backend_class()
+        result = solver.solve(decay, (0, 4), np.array([1.0]),
+                              np.linspace(0, 4, 5))
+        assert result.stats.n_steps > 0
+        assert result.stats.n_accepted == result.stats.n_steps
+        assert result.stats.n_rejected == 0
+        assert result.stats.n_rhs_evaluations >= result.stats.n_steps
+
     def test_grid_not_starting_at_zero(self, backend_class):
         solver = backend_class()
         grid = np.array([1.0, 2.0])
@@ -40,6 +51,17 @@ class TestBackends:
         solver = backend_class()
         result = solver.solve(decay, (0, 1), np.array([1.0]))
         assert result.method in ("lsoda", "vode")
+
+
+@pytest.mark.parametrize("engine", ["lsoda", "vode"])
+def test_sequential_engines_report_steps(engine):
+    from repro import simulate
+    from repro.models import decay_chain
+    result = simulate(decay_chain(3), (0, 3), np.linspace(0, 3, 4),
+                      engine=engine)
+    assert result.raw.n_steps[0] > 0
+    assert result.raw.n_accepted[0] == result.raw.n_steps[0]
+    assert result.raw.n_rejected[0] == 0
 
 
 class TestStiff:

@@ -29,6 +29,7 @@ from repro.resilience.campaign import CampaignConfig
 from repro.service import (CampaignService, ChunkScheduler,
                            DegradationLadder, JobRequest, JobState,
                            ServiceConfig, TenantQuota, submit_campaign)
+from repro.service.jobs import JobRecord
 from repro.service.scheduler import (LADDER_NORMAL, LADDER_OVERLOADED,
                                      LADDER_SERIAL)
 from repro.service.server import Client, serve_async
@@ -685,6 +686,239 @@ class TestWakeUps:
         conservation(service)
 
 
+def run_jobs(requests, config=None, fault_plan=None, during=None):
+    """Submit every request to a fresh service at once (so one
+    dispatcher pass starts them), run ``during(service, jobs)``, drain
+    and stop."""
+    async def _run():
+        service = CampaignService(config=config, fault_plan=fault_plan)
+        await service.start()
+        jobs = [service.submit(request) for request in requests]
+        if during is not None:
+            await during(service, jobs)
+        await service.drain()
+        await service.stop()
+        return service, jobs
+
+    return asyncio.run(_run())
+
+
+def batch_of(model, size, seed):
+    return perturbed_batch(model.nominal_parameterization(), size,
+                           np.random.default_rng(seed))
+
+
+def alone(model, batch, chunk_size):
+    return run_campaign(model, T_SPAN, T_EVAL, batch,
+                        config=CampaignConfig(chunk_size=chunk_size))
+
+
+def same_rows(job, reference) -> bool:
+    ours, theirs = job.result.result, reference.result
+    return all(getattr(ours, name).tobytes() == getattr(theirs, name)
+               .tobytes() for name in ("y", "status_codes", "method_codes",
+                                       "n_steps", "n_accepted",
+                                       "n_rejected"))
+
+
+async def until_running(service, jobs):
+    while not all(job.state == JobState.RUNNING for job in jobs):
+        await asyncio.sleep(0.005)
+
+
+class TestLaunchGroups:
+    """Jobs one dispatcher pass starts share engine launches when the
+    merge key matches; each keeps the bytes it gets alone."""
+
+    def test_two_compatible_jobs_share_one_launch(self, lv_model):
+        batches = [batch_of(lv_model, 6, seed) for seed in (1, 2)]
+        service, jobs = run_jobs([
+            JobRequest(model=lv_model, t_span=T_SPAN, t_eval=T_EVAL,
+                       parameters=batch, chunk_size=3, tenant=tenant)
+            for batch, tenant in zip(batches, ("a", "b"))])
+        assert [job.state for job in jobs] == [JobState.COMPLETED] * 2
+        assert service.metrics.counters["service.launches.shared"] == 1
+        assert service.engine_metrics.counters["campaign.launches"] == 1
+        for job, batch in zip(jobs, batches):
+            assert same_rows(job, alone(lv_model, batch, 3))
+        conservation(service)
+
+    def test_member_counters_sum_to_the_one_launch(self, lv_model):
+        from repro.gpu.engine import BatchSimulator
+        from repro.model import ParameterizationBatch
+        batches = [batch_of(lv_model, 4, seed) for seed in (1, 2)]
+        service, jobs = run_jobs([request_for(lv_model, batch,
+                                              chunk_size=2)
+                                  for batch in batches])
+        summed = {}
+        for job in jobs:
+            for name, value in job.result.metrics.counters.items():
+                if not name.startswith("campaign."):
+                    summed[name] = summed.get(name, 0) + value
+        simulator = BatchSimulator(lv_model)
+        simulator.simulate(T_SPAN, T_EVAL, ParameterizationBatch(
+            np.concatenate([batch.rate_constants for batch in batches]),
+            np.concatenate([batch.initial_states for batch in batches])))
+        assert summed == simulator.last_report.metrics.counters
+        assert {name: value for name, value
+                in service.engine_metrics.counters.items()
+                if not name.startswith("campaign.")} == summed
+
+    @pytest.mark.parametrize("kind", [
+        "deadline", "request-fault-plan", "workers", "sched-kill",
+        "sched-hang", "retry", "other-model", "other-grid", "options",
+        "retry-policy", "engine", "too-wide"])
+    def test_ineligible_job_runs_alone(self, lv_model, lv_batch, kind):
+        from repro.models import lotka_volterra as another
+        from repro.resilience import default_retry_policy
+        from repro.solvers import SolverOptions
+        changes = {
+            "deadline": {"deadline_seconds": 60.0},
+            "request-fault-plan": {"fault_plan": FaultPlan()},
+            "workers": {"workers": 1},
+            "other-model": {"model": another()},
+            "other-grid": {"t_eval": T_EVAL[:-1]},
+            "options": {"options": SolverOptions(rtol=1e-7)},
+            "retry-policy": {"retry_policy": default_retry_policy()},
+            "engine": {"engine": "lsoda"},
+            "too-wide": {"parameters": batch_of(lv_model, 510, 3)},
+        }
+        plan = {"sched-kill": FaultPlan(sched_kill_jobs=(1,)),
+                "sched-hang": FaultPlan(sched_hang_jobs=(1,))}.get(kind)
+        service = CampaignService(fault_plan=plan)
+        jobs = []
+        for number in range(3):
+            request = request_for(lv_model, lv_batch)
+            if number == 1:
+                for name, value in changes.get(kind, {}).items():
+                    setattr(request, name, value)
+            job = JobRecord(number, request, admission_index=number)
+            if number == 1 and kind == "retry":
+                job.attempts = 1
+            jobs.append(job)
+        groups = service._launch_groups(jobs)
+        assert [job for job, _ in groups] == jobs
+        first, second, third = (group for _, group in groups)
+        assert second is None
+        assert first is third and first is not None
+
+    def test_equal_request_fields_share_a_group(self, lv_model,
+                                                lv_batch):
+        # Equal values, not the same objects: the grid as a list, a
+        # second options instance, another tenant and chunking.
+        from repro.solvers import SolverOptions
+        service = CampaignService()
+        requests = [request_for(lv_model, lv_batch,
+                                options=SolverOptions()),
+                    request_for(lv_model, batch_of(lv_model, 5, 4),
+                                options=SolverOptions(), chunk_size=2,
+                                tenant="other")]
+        requests[1].t_eval = list(T_EVAL)
+        jobs = [JobRecord(number, request, admission_index=number)
+                for number, request in enumerate(requests)]
+        (_, first), (_, second) = service._launch_groups(jobs)
+        assert first is second and first is not None
+
+    def test_deadline_job_runs_alone_end_to_end(self, lv_model, lv_batch):
+        service, jobs = run_jobs([
+            request_for(lv_model, lv_batch),
+            request_for(lv_model, lv_batch, deadline_seconds=60.0)])
+        assert [job.state for job in jobs] == [JobState.COMPLETED] * 2
+        assert "service.launches.shared" not in service.metrics.counters
+        # One launch for the first job, one per chunk under a deadline.
+        assert service.engine_metrics.counters["campaign.launches"] == 3
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_cancelled_member_leaves_the_other_running(self, lv_model,
+                                                       victim):
+        # One grant at a time: the leader's chunks run one launch each
+        # and the peer's wait, so the cancel lands between launches.
+        batches = [batch_of(lv_model, 40, 1), batch_of(lv_model, 3, 2)]
+
+        async def cancel_one(service, jobs):
+            await until_running(service, jobs)
+            service.cancel(jobs[victim].job_id)
+
+        service, jobs = run_jobs(
+            [request_for(lv_model, batch, chunk_size=1, tenant=tenant)
+             for batch, tenant in zip(batches, ("a", "b"))],
+            config=ServiceConfig(max_inflight_chunks=1),
+            during=cancel_one)
+        survivor = 1 - victim
+        assert jobs[victim].state == JobState.CANCELLED
+        assert jobs[survivor].state == JobState.COMPLETED
+        # The cancelled job's result reached it when it dropped out,
+        # not when the group's thread ended.
+        assert jobs[victim].finished_at < jobs[survivor].finished_at
+        assert same_rows(jobs[survivor],
+                         alone(lv_model, batches[survivor], 1))
+        conservation(service)
+
+    def test_preempted_member_requeues_alone(self, lv_model):
+        batches = [batch_of(lv_model, 40, 1), batch_of(lv_model, 3, 2)]
+        config = ServiceConfig(max_inflight_chunks=1, overload_pressure=3,
+                               serial_pressure=6)
+
+        async def go_serial(service, jobs):
+            await until_running(service, jobs)
+            while service.ladder.state != LADDER_SERIAL:
+                service.ladder.note_job_fault()
+
+        service, jobs = run_jobs(
+            [request_for(lv_model, batch, chunk_size=1, tenant=tenant)
+             for batch, tenant in zip(batches, ("a", "b"))],
+            config=config, during=go_serial)
+        assert service.metrics.counters["service.jobs.preempted"] == 1
+        for job, batch in zip(jobs, batches):
+            assert job.state == JobState.COMPLETED
+            assert same_rows(job, alone(lv_model, batch, 1))
+        # The newer job was preempted and ran its second attempt alone.
+        assert jobs[1].attempts == 2
+        conservation(service)
+
+    def test_timed_out_member_retries_alone(self, lv_model):
+        # The small leader finishes in the first launch; the wide
+        # follower is still running when its attempt times out.
+        batches = [batch_of(lv_model, 1, 1), batch_of(lv_model, 400, 2)]
+        service, jobs = run_jobs(
+            [request_for(lv_model, batch, chunk_size=1, tenant=tenant)
+             for batch, tenant in zip(batches, ("a", "b"))],
+            config=ServiceConfig(attempt_timeout=0.15, max_job_attempts=2))
+        small, wide = jobs
+        assert small.state == JobState.COMPLETED
+        assert same_rows(small, alone(lv_model, batches[0], 1))
+        assert wide.attempts == 2
+        if wide.state == JobState.COMPLETED:
+            assert same_rows(wide, alone(lv_model, batches[1], 1))
+        else:
+            assert (wide.state, wide.reason) == (JobState.QUARANTINED,
+                                                 "attempt-timeout")
+        conservation(service)
+
+    def test_failed_shared_launch_retries_each_member_alone(
+            self, lv_model, monkeypatch):
+        from repro.errors import SolverError
+        from repro.resilience import campaign
+        original = campaign._run_chunk
+
+        def shared_launches_fail(spec, parts, tracer=None, parent=None):
+            if len(parts) > 1:
+                raise SolverError("shared launch exploded")
+            return original(spec, parts, tracer, parent)
+
+        monkeypatch.setattr(campaign, "_run_chunk", shared_launches_fail)
+        batches = [batch_of(lv_model, 4, seed) for seed in (1, 2)]
+        service, jobs = run_jobs([request_for(lv_model, batch)
+                                  for batch in batches])
+        assert service.metrics.counters["service.jobs.faults"] == 2
+        for job, batch in zip(jobs, batches):
+            assert job.state == JobState.COMPLETED
+            assert job.attempts == 2
+            assert same_rows(job, alone(lv_model, batch, 3))
+        assert "service.launches.shared" not in service.metrics.counters
+        conservation(service)
+
+
 class TestServer:
     @pytest.fixture()
     def model_folder(self, lv_model, tmp_path):
@@ -833,6 +1067,28 @@ class TestServer:
         request = _request_from_payload(state, {"model": "lv",
                                                 "workers": cpus})
         assert request.workers == cpus
+
+    def test_shutdown_ends_idle_connections_on_eof(self, caplog):
+        """Another client's open connection is closed before the server
+        returns, so ``asyncio.run`` never cancels its handler mid-read
+        (which logs a ``CancelledError`` traceback from the stream
+        protocol's callback)."""
+        ports = queue.Queue()
+        thread = threading.Thread(
+            target=lambda: asyncio.run(serve_async(
+                port=0, ready=lambda bound: ports.put(bound[1]))),
+            daemon=True)
+        with caplog.at_level("ERROR", logger="asyncio"):
+            thread.start()
+            port = ports.get(timeout=30.0)
+            with Client(port=port) as idle:
+                idle.stats()
+                with Client(port=port) as closer:
+                    closer.shutdown()
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
 
     def test_admission_errors_cross_the_wire(self, model_folder):
         ports = queue.Queue()
