@@ -350,7 +350,7 @@ class BatchBDF:
         failed = xp.zeros(b, dtype=bool)
         n_iterations = xp.zeros(b, dtype=xp.int64)
         previous = xp.full(b, -1.0)
-        for _ in range(NEWTON_MAXITER):
+        for k in range(NEWTON_MAXITER):
             live = xp.flatnonzero(~converged & ~failed)
             if live.size == 0:
                 break
@@ -369,8 +369,12 @@ class BatchBDF:
                 rate = xp.where(have_prev,
                                 norms / xp.maximum(previous[live], 1e-300),
                                 xp.nan)
-                hopeless = have_prev & ((rate >= 1.0)
-                                        | (rate / (1 - rate) * norms > tol))
+                # SciPy's test: the rate projected over the iterations
+                # left cannot bring the norm below ``tol``.
+                hopeless = have_prev & (
+                    (rate >= 1.0)
+                    | (rate ** (NEWTON_MAXITER - k) / (1 - rate) * norms
+                       > tol))
             failed[live[hopeless]] = True
             keep = ~hopeless
             live, delta, norms, rate = (live[keep], delta[keep], norms[keep],

@@ -129,9 +129,10 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
     base = problem.fun(times, states)
     scale = 1e-7 * (xp.norm(states, axis=1, keepdims=True) + 1.0)
 
-    def jacobian_action(directions: Array) -> Array:
-        probes = states + scale * directions
-        return (problem.fun(times, probes) - base) / scale
+    def jacobian_action(directions: Array, rows: Array) -> Array:
+        probes = states[rows] + scale[rows] * directions
+        return (problem.fun(times[rows], probes, rows) - base[rows]) \
+            / scale[rows]
 
     radii[probed] = power_iteration_matvec(jacobian_action,
                                            states).spectral_radius

@@ -5,20 +5,30 @@ every completed launch chunk so a crash, ``KeyboardInterrupt`` or
 deadline does not force a full re-run. The journal is one JSON file::
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "fingerprint": {...},          # identity of the campaign
       "chunks": {"0": {"file": "...", "quarantine": [...],
                        "launch": 0}, ...},
       "payloads": {"metrics-0": {...}, "start-0": {...}, ...}
     }
 
-Chunk trajectories live in sibling ``<stem>.chunk<index>.npz`` archives
-(the :mod:`repro.io.results` format); ``payloads`` carries small
+It is written compact (``json.dumps`` with sorted keys, no indent, so
+the C encoder runs) in one write to a temporary file that is then
+renamed over the journal.
+
+Chunk trajectories live in sibling ``<stem>.chunk<index>.npz``
+archives. This module owns their format: one uncompressed ``np.savez``
+with three members, ``t``, ``y`` and ``counts``, the last stacking the
+status, method, steps, accepted and rejected codes as one ``(5, rows)``
+int64 array. No wall-clock time is stored (resume never reads it), so
+identical campaigns leave identical bytes. The user-facing result
+archive stays :func:`repro.io.save_result`. ``payloads`` carries small
 free-form JSON entries (parameter-estimation restarts journal their
 per-start optima there). The fingerprint is compared on open: resuming
 a journal that belongs to a *different* campaign raises
 :class:`~repro.errors.ResilienceError` instead of silently splicing
-mismatched trajectories.
+mismatched trajectories, and so does a journal of another format
+version.
 
 One engine launch may cover several consecutive chunks.
 :meth:`CampaignCheckpoint.commit` journals such a launch atomically:
@@ -34,15 +44,44 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import FormatError, ResilienceError
+import numpy as np
+
+from ..errors import ResilienceError
 from ..gpu.batch_result import BatchSolveResult
 from ..telemetry.metrics import MetricsRegistry
-from .results import load_result, save_result
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
+
+#: Per-row integer fields of a result, in the order of the rows of a
+#: chunk archive's ``counts`` member.
+_COUNT_FIELDS = ("status_codes", "method_codes", "n_steps", "n_accepted",
+                 "n_rejected")
+
+
+def _write_chunk(path: Path, result: BatchSolveResult) -> None:
+    """Atomically write one chunk archive (temp file, then rename)."""
+    counts = np.stack([getattr(result, name) for name in _COUNT_FIELDS]
+                      ).astype(np.int64, copy=False)
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        with temporary.open("wb") as handle:
+            np.savez(handle, t=result.t, y=result.y, counts=counts)
+        os.replace(temporary, path)
+    finally:
+        if temporary.is_file():
+            temporary.unlink()
+
+
+def _read_chunk(path: Path) -> BatchSolveResult:
+    with np.load(path, allow_pickle=False) as archive:
+        t, y, counts = archive["t"], archive["y"], archive["counts"]
+    if y.ndim != 3 or counts.shape != (len(_COUNT_FIELDS), y.shape[0]):
+        raise ValueError(f"counts of shape {counts.shape} do not match "
+                         f"trajectories of shape {y.shape}")
+    return BatchSolveResult(t=t, y=y, **dict(zip(_COUNT_FIELDS, counts)))
 
 
 @dataclass
@@ -97,8 +136,8 @@ class CampaignCheckpoint:
             "payloads": self.payloads,
         }
         temporary = self.path.with_suffix(self.path.suffix + ".tmp")
-        with temporary.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
+        temporary.write_text(json.dumps(payload, sort_keys=True),
+                             encoding="utf-8")
         os.replace(temporary, self.path)
 
     # -- chunk results ---------------------------------------------------
@@ -124,12 +163,10 @@ class CampaignCheckpoint:
 
         ``launch`` is the first chunk of the launch that produced it
         (default: the chunk itself). With ``write=False`` the entry is
-        only staged; the next journal rewrite makes it durable. The
-        archive stores no wall-clock time (resume never reads it), so
-        identical runs leave identical bytes.
+        only staged; the next journal rewrite makes it durable.
         """
-        file = save_result(self.chunk_file(index),
-                           replace(result, elapsed_seconds=0.0))
+        file = self.chunk_file(index)
+        _write_chunk(file, result)
         self.chunks[index] = {"file": file.name,
                               "quarantine": quarantine or [],
                               "launch": index if launch is None
@@ -181,8 +218,8 @@ class CampaignCheckpoint:
                 f"journal {self.path} has no chunk {index}")
         file = self.chunk_file(index)
         try:
-            result, _ = load_result(file)
-        except (FormatError, OSError, EOFError,
+            result = _read_chunk(file)
+        except (OSError, EOFError, KeyError, ValueError,
                 zipfile.BadZipFile) as error:
             raise ResilienceError(
                 f"chunk archive {file} is corrupt or truncated "

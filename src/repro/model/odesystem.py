@@ -97,6 +97,9 @@ class ODESystem:
         # CSR product when the dense path fails the probe.
         self._row_stable_gemm = (self._dense_stoichiometry
                                  and _gemm_rows_are_width_stable(self._net))
+        # Built by the first :meth:`jacobian` call: explicit integrators
+        # never need it.
+        self._jac_operator = None
         self._compile()
 
     # ------------------------------------------------------------------
@@ -166,7 +169,6 @@ class ODESystem:
         self._mm = mm_rows
         self._hill = hill_rows
         self._custom = custom_rows
-        self._compile_partials()
 
     def _compile_partials(self) -> None:
         """Precompute the Jacobian's sparse partial-derivative pattern.
@@ -177,6 +179,8 @@ class ODESystem:
           1: k * x[other]            (order-2, distinct reactants)
           2: 2 k * x[v]              (order-2, repeated reactant)
         MM, Hill and generic monomial partials are evaluated separately.
+        The scatter operator is assigned last, so a thread that sees it
+        also sees the tables it reads.
         """
         react_idx: list[int] = []
         var_idx: list[int] = []
@@ -342,6 +346,8 @@ class ODESystem:
     def jacobian(self, states: np.ndarray,
                  constants: np.ndarray) -> np.ndarray:
         """Batched analytic Jacobian d(dX/dt)/dX, shape (B, N, N)."""
+        if self._jac_operator is None:
+            self._compile_partials()
         states = np.atleast_2d(states)
         batch = states.shape[0]
         n = self.n_species

@@ -228,8 +228,10 @@ class CampaignResult:
 #: runs its stiffness test on every eighth accepted step of a row without
 #: strikes, so stiff rows are handed back a few steps later. Version 5:
 #: the sequential ``dopri5``, ``radau5`` and ``bdf`` engines run the
-#: batched integrators one row at a time.
-NUMERICS_VERSION = 5
+#: batched integrators one row at a time. Version 6: the batched BDF
+#: gives up a Newton iteration by SciPy's projected-rate test, so rows
+#: run its third and fourth iterations.
+NUMERICS_VERSION = 6
 
 
 def _numerics_digest(options, retry_policy) -> str:

@@ -76,8 +76,8 @@ def power_iteration_matvec(matvec, states: np.ndarray,
                            epsilon: float = 1e-7) -> StiffnessEstimate:
     """Matrix-free spectral-radius estimation via Jacobian action.
 
-    ``matvec(directions)`` must return J_b . directions[b] for every
-    simulation b — typically implemented with one batched
+    ``matvec(directions, rows)`` must return J_b . directions[i] for
+    each simulation b = rows[i] — typically implemented with one batched
     finite-difference RHS evaluation per iteration,
     (f(x + eps v) - f(x)) / eps, so the probe never materializes the
     (B, N, N) Jacobians. This is the router's production probe; the
@@ -86,7 +86,9 @@ def power_iteration_matvec(matvec, states: np.ndarray,
     Each simulation's estimate depends on its own Jacobian alone: every
     row starts from the same vector, and a row's estimate and vector
     freeze at its own convergence while slower rows iterate on, so a row
-    gets the estimate of its own width-1 probe in any batch.
+    gets the estimate of its own width-1 probe in any batch. Only the
+    rows still iterating are evaluated, so the probe's work is the sum
+    of its rows' own.
     """
     del epsilon  # the caller's matvec owns the differencing step
     batch, n = states.shape
@@ -98,16 +100,16 @@ def power_iteration_matvec(matvec, states: np.ndarray,
     converged = np.zeros(batch, dtype=bool)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        products = matvec(vectors)
+        live = np.flatnonzero(~converged)
+        products = matvec(vectors[live], live)
         norms = np.linalg.norm(products, axis=1)
-        done = np.abs(norms - estimate) <= tol * np.maximum(norms, 1e-30)
-        active = ~converged
-        converged |= done
-        estimate = np.where(active, norms, estimate)
-        moving = active & (norms > 1e-300)
-        vectors = np.where(moving[:, None],
-                           products / (norms[:, None] + 1e-300), vectors)
-        if np.all(converged):
+        converged[live] = (np.abs(norms - estimate[live])
+                           <= tol * np.maximum(norms, 1e-30))
+        estimate[live] = norms
+        moving = norms > 1e-300
+        vectors[live[moving]] = (products[moving]
+                                 / (norms[moving, None] + 1e-300))
+        if converged.all():
             break
     return StiffnessEstimate(estimate, converged, iterations)
 

@@ -49,6 +49,23 @@ class TestAgainstScalar:
         assert np.all(result.n_steps < 2_000)
         assert np.allclose(result.y[:, -1, :].sum(axis=1), 1.0, atol=1e-5)
 
+    def test_robertson_factorizations_match_scipy(self):
+        """Newton gives up only when SciPy's projected-rate test says so:
+        stopping after two iterations re-factorizes about 40% more."""
+        from scipy.integrate import solve_ivp
+        problem, batch = make_problem(robertson(), 16, seed=0)
+        result = BatchBDF(OPTIONS).solve(problem, (0, 100),
+                                         np.array([0.0, 100.0]))
+        assert result.all_success
+        system = problem.system
+        nlu = [solve_ivp(system.as_scipy_rhs(constants), (0, 100), state,
+                         method="BDF", rtol=OPTIONS.rtol, atol=OPTIONS.atol,
+                         jac=system.as_scipy_jacobian(constants)).nlu
+               for constants, state in zip(batch.rate_constants,
+                                           batch.initial_states)]
+        per_row = problem.counters.factorizations / batch.size
+        assert per_row == pytest.approx(np.mean(nlu), rel=0.1)
+
     def test_accuracy_against_high_precision_reference(self):
         """The truth is SciPy's ``Radau`` at rtol 1e-11, atol 1e-14."""
         problem, batch = make_problem(robertson(), 4, seed=1)

@@ -1,6 +1,7 @@
 """Checkpoint/resume, deadlines and journaled campaign execution."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -49,6 +50,54 @@ class TestCheckpointJournal:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ResilienceError, match="version"):
             CampaignCheckpoint.open(path, {})
+
+    def test_format_one_journal_is_refused(self, tmp_path, lv_model,
+                                           lv_batch):
+        """A journal of the ten-member archive format names its version
+        instead of resuming."""
+        config = CampaignConfig(chunk_size=5,
+                                checkpoint_path=tmp_path / "j.json")
+        run_campaign(lv_model, (0.0, 2.0), T_EVAL, lv_batch, config=config)
+        document = json.loads(config.checkpoint_path.read_text())
+        document["format_version"] = 1
+        config.checkpoint_path.write_text(json.dumps(document))
+        with pytest.raises(ResilienceError,
+                           match=r"journal format version 1 in"):
+            run_campaign(lv_model, (0.0, 2.0), T_EVAL, lv_batch,
+                         config=config)
+
+    def test_chunk_archive_holds_three_uncompressed_members(
+            self, tmp_path, lv_model, lv_batch):
+        raw = simulate(lv_model, (0.0, 2.0), T_EVAL, lv_batch).raw
+        checkpoint = CampaignCheckpoint.open(tmp_path / "j.json", {})
+        checkpoint.save_chunk(0, raw)
+        with zipfile.ZipFile(checkpoint.chunk_file(0)) as archive:
+            members = archive.infolist()
+        assert sorted(member.filename for member in members) == \
+            ["counts.npy", "t.npy", "y.npy"]
+        assert {member.compress_type for member in members} == \
+            {zipfile.ZIP_STORED}
+        with np.load(checkpoint.chunk_file(0)) as archive:
+            counts = archive["counts"]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            getattr(raw, name).tolist() for name in (
+                "status_codes", "method_codes", "n_steps", "n_accepted",
+                "n_rejected")]
+        loaded, _ = checkpoint.load_chunk(0)
+        for name in ("t", "y", "status_codes", "method_codes", "n_steps",
+                     "n_accepted", "n_rejected"):
+            assert getattr(loaded, name).tobytes() == \
+                getattr(raw, name).tobytes(), name
+            assert getattr(loaded, name).dtype == getattr(raw, name).dtype
+
+    def test_journal_is_compact_sorted_json(self, tmp_path):
+        path = tmp_path / "j.json"
+        checkpoint = CampaignCheckpoint.open(path, {"model": "x"})
+        checkpoint.set_payload("start-0", {"b": 1, "a": [1.5, 2]})
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            json.loads(path.read_text(encoding="utf-8")), sort_keys=True)
+        assert "\n" not in path.read_text(encoding="utf-8")
 
     def test_chunk_round_trip_with_quarantine(self, tmp_path, lv_model,
                                               lv_batch):

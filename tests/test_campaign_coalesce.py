@@ -168,6 +168,31 @@ class TestLaunchesAndJournal:
         assert {entry["launch"] for entry in data["chunks"].values()} == {0}
         assert list(data["payloads"]) == ["metrics-0"]
 
+    @pytest.mark.parametrize("peered", [False, True])
+    def test_identical_campaigns_leave_identical_journals(self, tmp_path,
+                                                          peered):
+        """Journal JSON and chunk archives repeat byte for byte, for a
+        campaign alone and for campaigns sharing launches as peers."""
+        model = lotka_volterra()
+        directories = []
+        for run in ("first", "second"):
+            directory = tmp_path / run
+            peers = [CampaignPeer(
+                batch_of(model, 5, seed=5),
+                CampaignConfig(chunk_size=2,
+                               checkpoint_path=directory / "peer.json"),
+                lambda outcome: None)] if peered else []
+            run_campaign(model, T_SPAN, T_EVAL, batch_of(model, 7),
+                         config=CampaignConfig(
+                             chunk_size=3,
+                             checkpoint_path=directory / "lead.json"),
+                         peers=peers)
+            directories.append({path.name: path.read_bytes()
+                                for path in sorted(directory.iterdir())})
+        first, second = directories
+        assert len(first) == (2 + 3 + 3 if peered else 1 + 3)
+        assert first == second
+
     def test_chunk_spans_name_their_launch(self):
         model = lotka_volterra()
         tracer = Tracer()

@@ -590,6 +590,21 @@ class TestCorruptChunkArchive:
                            match="campaign.chunk00002.npz"):
             run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config)
 
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_archive_cut_short_names_file(self, lv_model, lv_batch,
+                                          tmp_path, keep):
+        """Cut inside a member or inside the zip directory, a
+        three-member archive still names the file to delete."""
+        journal = tmp_path / "campaign.json"
+        config = CampaignConfig(chunk_size=3, checkpoint_path=journal)
+        run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config)
+        chunk = tmp_path / "campaign.chunk00001.npz"
+        data = chunk.read_bytes()
+        chunk.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(ResilienceError,
+                           match=r"delete campaign\.chunk00001\.npz"):
+            run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config)
+
     def test_deleting_named_file_reexecutes_chunk(self, lv_model,
                                                   lv_batch, tmp_path,
                                                   serial):

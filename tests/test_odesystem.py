@@ -275,6 +275,65 @@ class TestJacobian:
             single = toy_system.jacobian_single(states[b], constants)
             assert np.allclose(batched[b], single)
 
+    @pytest.mark.parametrize("method", ["dopri5", "auto"])
+    def test_explicit_runs_never_build_the_jacobian(self, method,
+                                                    monkeypatch):
+        """E1 rows on the DOPRI5 path leave the Jacobian tables unbuilt;
+        the first ``jacobian`` call builds them."""
+        from repro.gpu import BatchSimulator
+        from repro.model import perturbed_batch
+
+        def refuse(system):
+            raise AssertionError("Jacobian tables built")
+
+        model = generate_symmetric(32, seed=11)
+        batch = perturbed_batch(model.nominal_parameterization(), 4,
+                                np.random.default_rng(7))
+        build = ODESystem._compile_partials
+        monkeypatch.setattr(ODESystem, "_compile_partials", refuse)
+        engine = BatchSimulator(model, method=method)
+        result = engine.simulate((0.0, 2.0), np.linspace(0.0, 2.0, 11),
+                                 batch)
+        assert result.all_success
+        assert set(result.methods()) == {"dopri5"}
+        system = ODESystem.from_model(model)
+        assert system._jac_operator is None
+        monkeypatch.setattr(ODESystem, "_compile_partials", build)
+        state = model.initial_state()
+        jacobian = system.jacobian_single(state, model.rate_constants())
+        assert system._jac_operator is not None
+        assert np.array_equal(jacobian, ODESystem.from_model(model)
+                              .jacobian_single(state,
+                                               model.rate_constants()))
+
+    def test_concurrent_first_calls_agree(self):
+        """Threads racing to build the tables all get the reference
+        Jacobian: the operator is assigned only after its tables."""
+        import sys
+        import threading
+        model = generate_symmetric(16, seed=2)
+        constants = model.rate_constants()
+        states = np.random.default_rng(5).random((3, model.n_species))
+        reference = ODESystem.from_model(model).jacobian(states, constants)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                system = ODESystem.from_model(model)
+                results = []
+                threads = [threading.Thread(target=lambda: results.append(
+                    system.jacobian(states, constants))) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 6
+                assert all(np.array_equal(result, reference)
+                           for result in results)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_jacobian_operator_is_deterministic(self, toy_system,
                                                 toy_model):
         rng = np.random.default_rng(4)

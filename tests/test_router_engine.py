@@ -306,6 +306,30 @@ class TestWidthIndependentRouting:
         for row in range(batch.size):
             assert row_bytes(split, row) == row_bytes(whole, row), row
 
+    def test_split_and_joined_launches_count_the_same_work(self):
+        """The probe evaluates only the rows still iterating, so E1 rows
+        whose probes converge at different iterations count the same
+        ``kernel.rhs_evals`` in one launch as in two, and route alike."""
+        from repro.synth import generate_symmetric
+        model = generate_symmetric(32, seed=11)
+        batch = perturbed_batch(model.nominal_parameterization(), 16,
+                                np.random.default_rng(7))
+        grid = np.linspace(0.0, 2.0, 11)
+        reports = []
+        for width in (16, 8):
+            engine = BatchSimulator(model, max_batch_per_launch=width)
+            engine.simulate((0.0, 2.0), grid, batch)
+            reports.append(engine.last_report)
+        joined, split = reports
+        assert len(split.routing) == 2
+        assert not joined.routing[0].probe_skipped
+        assert split.metrics.counters["kernel.rhs_evals"] \
+            == joined.metrics.counters["kernel.rhs_evals"]
+        for field in ("stiff_mask", "spectral_radii", "handed_back"):
+            assert np.concatenate(
+                [getattr(decision, field) for decision in split.routing]
+            ).tobytes() == getattr(joined.routing[0], field).tobytes()
+
     def test_probe_estimates_are_those_of_width_one_probes(self):
         scales = np.array([1.0, 40.0, 3.0, 900.0])
         spectra = np.array([[1.0, -0.9, 0.2], [2.0, 1.9, 1.0],
@@ -314,7 +338,7 @@ class TestWidthIndependentRouting:
 
         def probe(rows):
             return power_iteration_matvec(
-                lambda vectors: matrices[rows] * vectors,
+                lambda vectors, live: matrices[rows][live] * vectors,
                 np.ones((rows.size, 3)))
 
         whole = probe(np.arange(4))
