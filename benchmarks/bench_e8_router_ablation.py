@@ -7,13 +7,16 @@ ablates the Radau Jacobian-reuse policy.
 
 Expected shape: the router tracks the better pure method on each
 problem class — it avoids both the explicit method's collapse on stiff
-simulations and the implicit method's overhead on non-stiff ones.
+simulations and the implicit method's overhead on non-stiff ones. Every
+``auto`` row starts on DOPRI5 and a row it stops unfinished continues
+in Radau IIA from where it stopped, so on the stiff Robertson half
+``auto`` factorizes fewer Newton matrices than forcing Radau IIA from
+``t0``.
 
-A third series runs ``auto`` on the stiff_cascade call shape, where one
-row goes to DOPRI5 first and is handed back: the handed-back row joins
-the probe-stiff rows' Radau IIA launch, so each call makes exactly one
-implicit launch. The numbers also go to
-``out/BENCH_e8_router_ablation.json``.
+A third series runs ``auto`` on the stiff_cascade call shape, where
+DOPRI5 carries every row part of the span before its stiffness test
+fires: all 16 rows switch, and each call makes exactly one implicit
+launch. The numbers also go to ``out/BENCH_e8_router_ablation.json``.
 """
 
 import statistics
@@ -64,15 +67,18 @@ def test_router_methods(benchmark, method):
         first = BatchSimulator(nonstiff_model, options,
                                method=method).simulate(
             (0.0, 100.0), GRID, nonstiff)
-        second = BatchSimulator(stiff_model, options,
-                                method=method).simulate(
-            (0.0, 100.0), GRID, stiff)
+        stiff_simulator = BatchSimulator(stiff_model, options,
+                                         method=method)
+        second = stiff_simulator.simulate((0.0, 100.0), GRID, stiff)
+        counters = stiff_simulator.last_report.metrics.counters
         state[method] = {
             "seconds": time.perf_counter() - started,
             "nonstiff_steps": int(first.n_steps.sum()),
             "stiff_steps": int(second.n_steps.sum()),
             "nonstiff_ok": bool(first.all_success),
             "stiff_ok": bool(second.all_success),
+            "stiff_factorizations": counters.get("newton.factorizations",
+                                                 0),
         }
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -89,7 +95,7 @@ def cascade_call():
     return model, ParameterizationBatch(constants, sampled.initial_states)
 
 
-def test_cascade_hand_back(benchmark, monkeypatch):
+def test_cascade_switch(benchmark, monkeypatch):
     model, batch = cascade_call()
     simulator = BatchSimulator(model, CASCADE_OPTIONS)
     implicit_launches = []
@@ -102,20 +108,20 @@ def test_cascade_hand_back(benchmark, monkeypatch):
     monkeypatch.setattr(BatchRadau5, "solve", counting)
 
     def run():
-        seconds, handed_back = [], []
+        seconds, switched = [], []
         for _ in range(CASCADE_ROUNDS):
             implicit_launches.append(0)
             started = time.perf_counter()
             result = simulator.simulate((0.0, 1.0), CASCADE_GRID, batch)
             seconds.append(time.perf_counter() - started)
-            handed_back.append(sum(decision.n_handed_back for decision
-                                   in simulator.last_report.routing))
+            switched.append(sum(decision.n_stiff for decision
+                                in simulator.last_report.routing))
         state["cascade"] = {
             "rows": batch.size,
             "rounds": CASCADE_ROUNDS,
             "median_seconds": statistics.median(seconds),
             "radau5_launches_per_call": implicit_launches,
-            "handed_back_rows_per_call": handed_back,
+            "switched_rows_per_call": switched,
             "ok": bool(result.all_success),
         }
 
@@ -154,7 +160,8 @@ def test_report(benchmark):
                 f"nonstiff steps={data['nonstiff_steps']:6d} "
                 f"(ok={data['nonstiff_ok']})  "
                 f"stiff steps={data['stiff_steps']:6d} "
-                f"(ok={data['stiff_ok']})")
+                f"(ok={data['stiff_ok']}) "
+                f"stiff factorizations={data['stiff_factorizations']:6d}")
         lines.append("")
         lines.append("Radau Jacobian-reuse ablation (8 stiff sims):")
         for reuse in (True, False):
@@ -172,8 +179,8 @@ def test_report(benchmark):
             f"  median time={cascade['median_seconds']:6.2f} s  "
             f"radau5 launches per call="
             f"{cascade['radau5_launches_per_call']}  "
-            f"handed-back rows per call="
-            f"{cascade['handed_back_rows_per_call']}  "
+            f"switched rows per call="
+            f"{cascade['switched_rows_per_call']}  "
             f"(ok={cascade['ok']})")
         return "\n".join(lines)
 
@@ -199,7 +206,10 @@ def test_report(benchmark):
     # Jacobian reuse saves work.
     assert state["jac-reuse-True"]["jacobian_evals"] < \
         state["jac-reuse-False"]["jacobian_evals"]
-    # Rows DOPRI5 hands back join the stiff rows' launch: one Radau5
-    # launch per call, and DOPRI5 hands back the half-rate row only.
+    # Switched rows resume where DOPRI5 stopped them, so the stiff half
+    # factorizes less than Radau IIA run from t0.
+    assert auto["stiff_factorizations"] < \
+        state["radau5"]["stiff_factorizations"]
+    # Every cascade row switches, all in one Radau5 launch per call.
     assert set(state["cascade"]["radau5_launches_per_call"]) == {1}
-    assert set(state["cascade"]["handed_back_rows_per_call"]) == {1}
+    assert set(state["cascade"]["switched_rows_per_call"]) == {16}

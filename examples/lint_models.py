@@ -1,22 +1,17 @@
 """Static analysis of the model zoo (`repro.lint`).
 
 Lints every curated model with the structural rules RBM001-RBM009,
-shows what the linter catches on a deliberately broken model, runs the
-kernel vectorization self-lint (KRN001-KRN005) over the shipped batch
-solvers, and demonstrates the router's stiffness-risk prefilter: a
-benign batch skips the Jacobian power-iteration probe entirely.
+shows what the linter catches on a deliberately broken model, and runs
+the kernel vectorization self-lint (KRN001-KRN005) over the shipped
+batch solvers.
 """
 
-import numpy as np
-
-from repro import ReactionBasedModel, stiffness_risk_score
+from repro import ReactionBasedModel
 from repro.errors import LintError
-from repro.gpu import BatchSimulator
 from repro.lint import lint_gate, lint_kernels, lint_model
 from repro.models import (brusselator, decay_chain, dimerization,
                           goldbeter_mitotic, lotka_volterra, robertson,
                           schloegl)
-from repro.model import perturbed_batch
 
 
 def lint_the_zoo():
@@ -56,24 +51,7 @@ def self_lint_kernels():
     print(lint_kernels().render_text())
 
 
-def router_prefilter_demo():
-    print("\n=== router prefilter ===")
-    for factory, label in ((lambda: decay_chain(4), "decay chain"),
-                           (robertson, "Robertson")):
-        model = factory()
-        batch = perturbed_batch(model.nominal_parameterization(), 32,
-                                np.random.default_rng(0))
-        risk = stiffness_risk_score(batch.rate_constants)
-        engine = BatchSimulator(model)
-        engine.simulate((0.0, 1.0), np.array([0.0, 1.0]), batch)
-        decision = engine.last_report.routing[0]
-        probe = "skipped" if decision.probe_skipped else "ran"
-        print(f"{label:12s}: risk {risk:4.1f} decades -> "
-              f"power-iteration probe {probe}")
-
-
 if __name__ == "__main__":
     lint_the_zoo()
     lint_a_broken_model()
     self_lint_kernels()
-    router_prefilter_demo()

@@ -13,7 +13,7 @@ from .device import DEVICES, GTX_1650, TITAN_X, VirtualDevice
 from .engine import METHODS, BatchSimulator, EngineReport
 from .perfmodel import (DeviceTimeEstimate, estimate_device_time,
                         fits_device, memory_footprint_doubles, occupancy)
-from .router import RoutingDecision, StiffnessRouter, classify_batch
+from .router import RoutingDecision, StiffnessRouter
 
 __all__ = [
     "BatchBDF", "BatchDopri5", "BatchRadau5",
@@ -25,5 +25,5 @@ __all__ = [
     "METHODS", "BatchSimulator", "EngineReport",
     "DeviceTimeEstimate", "estimate_device_time", "fits_device",
     "memory_footprint_doubles", "occupancy",
-    "RoutingDecision", "StiffnessRouter", "classify_batch",
+    "RoutingDecision", "StiffnessRouter",
 ]

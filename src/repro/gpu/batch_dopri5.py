@@ -29,7 +29,7 @@ from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.tableaus import DOPRI5, DOPRI5_DENSE_D
 from .batch_result import METHOD_DOPRI5, RUNNING, STIFF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import Interpolant, Launch, WorkingSet
+from .working_set import Interpolant, Launch, RowStates, WorkingSet
 
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
 _STIFFNESS_BOUNDARY = 3.25
@@ -161,10 +161,10 @@ class BatchDopri5:
 
     With ``abort_on_stiffness`` enabled (the router's configuration),
     simulations whose Hairer stiffness test fires persistently are
-    stopped early with status ``STIFF`` so that the router can hand them
-    back to its one Radau IIA launch (beside the probe-stiff rows)
-    instead of letting them burn the whole step budget near the explicit
-    stability boundary.
+    stopped early with status ``STIFF``, so that the router can continue
+    them in its one Radau IIA launch from where they stopped (``stops``
+    of :meth:`solve`) instead of letting them burn the whole step budget
+    near the explicit stability boundary.
     """
 
     name = "batch-dopri5"
@@ -176,10 +176,16 @@ class BatchDopri5:
         self.abort_on_stiffness = abort_on_stiffness
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None) -> BatchSolveResult:
+              t_eval: Array | None = None,
+              stops: RowStates | None = None) -> BatchSolveResult:
+        """Integrate every row from ``t0``. When ``stops`` is given, each
+        row's last working state (time, state, next save index) is left
+        in it as the row stops.
+        """
         options = self.options
         tableau = DOPRI5
-        launch = Launch(self, problem, t_span, t_eval, tableau.order)
+        launch = Launch(self, problem, t_span, t_eval, tableau.order,
+                        stops=stops)
         result = launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
@@ -284,13 +290,15 @@ class BatchDopri5:
                     guard.after_accept(work.y, moved,
                                        work.problem.row_ids[moved],
                                        t_new[moved], work.status)
-                if violated is not None:
-                    work.count_stiffness(tested, violated)
 
                 # The extension ends at the (possibly guard-clamped)
-                # working state; only rows the guard and the stiffness
-                # test left running are saved.
+                # working state; only rows the guard left running are
+                # saved. A row the stiffness test stops on this step
+                # keeps the saves the step crossed, so its next solve
+                # starts past them.
                 work.record(_quartic_output(t, h, y, work.y, stage_k),
                             result)
+                if violated is not None:
+                    work.count_stiffness(tested, violated)
 
         return launch.finish()

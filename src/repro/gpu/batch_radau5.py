@@ -35,7 +35,7 @@ from ..solvers.radau5 import (MU_COMPLEX, MU_REAL, RADAU_C, RADAU_E, RADAU_T,
 from .batch_dopri5 import _scaled_error_norms
 from .batch_result import METHOD_RADAU5, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-from .working_set import Interpolant, Launch, WorkingSet
+from .working_set import Interpolant, Launch, RowStates, WorkingSet
 
 _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
 
@@ -132,9 +132,24 @@ class BatchRadau5:
         self.reuse_jacobian = reuse_jacobian
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None) -> BatchSolveResult:
+              t_eval: Array | None = None,
+              starts: RowStates | None = None) -> BatchSolveResult:
+        """Integrate every row from ``t0``, or each from its entry of
+        ``starts`` (its own time, state and next save index); the saves
+        before a row's start index stay NaN in the result.
+        """
+        # Diverging rows overflow (their stages, Newton residuals and
+        # error estimates) before they fail or are rejected, and a row
+        # may start from a state DOPRI5 left far out; keep those FP
+        # warnings quiet, as DOPRI5 does.
+        with xp.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self._solve(problem, t_span, t_eval, starts)
+
+    def _solve(self, problem: BatchedODEProblem,
+               t_span: tuple[float, float], t_eval: Array | None,
+               starts: RowStates | None) -> BatchSolveResult:
         options = self.options
-        launch = Launch(self, problem, t_span, t_eval, 5)
+        launch = Launch(self, problem, t_span, t_eval, 5, starts=starts)
         result = launch.result
         max_step = launch.max_step
         batch, n = problem.batch_size, problem.n_species
@@ -200,8 +215,7 @@ class BatchRadau5:
             h_conv = _pick(h, conv)
             # Rows that failed Newton may carry overflowing increments;
             # their values are never selected.
-            with xp.errstate(over="ignore", invalid="ignore"):
-                y_new = work.y + increments[:, 2, :]
+            y_new = work.y + increments[:, 2, :]
             y_new_conv = _pick(y_new, conv)
             stage_error = (xp.einsum("s,bsn->bn", RADAU_E, z)
                            / h_conv[:, None])
@@ -250,12 +264,11 @@ class BatchRadau5:
             if rejected.any():
                 # An accepted row's zero error divides by zero here;
                 # only rejected rows keep the result.
-                with xp.errstate(divide="ignore"):
-                    shrink = xp.where(
-                        xp.isfinite(err),
-                        xp.clip(safety * err ** -0.25,
-                                options.min_step_factor, 1.0),
-                        options.min_step_factor)
+                shrink = xp.where(
+                    xp.isfinite(err),
+                    xp.clip(safety * err ** -0.25,
+                            options.min_step_factor, 1.0),
+                    options.min_step_factor)
                 work.h = xp.where(rejected, h * shrink, work.h)
             if not accepted.any():
                 continue
@@ -416,6 +429,9 @@ class BatchRadau5:
                     stage_derivatives = stage_derivatives[good]
 
             z_rows = _pick(transformed, part)
+            # A diverging row's stages overflow the residual; it fails
+            # on its non-finite stages in the next iteration, or stays
+            # unconverged after the last.
             residual_real = xp.einsum("s,bsn->bn", RADAU_TI[0],
                                       stage_derivatives) \
                 - _pick(shift_real, part) * z_rows[:, 0, :]
@@ -440,20 +456,18 @@ class BatchRadau5:
             have_previous = previous > 0.0
             remaining = max_iterations - iteration - 1
             # A too-large step on a stiff row overflows the rate.
-            with xp.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                current_rates = xp.where(
-                    have_previous,
-                    delta_norms / xp.maximum(previous, 1e-300), xp.inf)
-                diverged = have_previous & (current_rates >= 1.0)
-                hopeless = have_previous & ~diverged & (
-                    current_rates ** remaining / (1.0 - current_rates)
-                    * delta_norms > tol)
-                done = xp.where(
-                    have_previous,
-                    ~diverged & (current_rates / (1.0 - current_rates)
-                                 * delta_norms < tol),
-                    delta_norms < tol)
+            current_rates = xp.where(
+                have_previous,
+                delta_norms / xp.maximum(previous, 1e-300), xp.inf)
+            diverged = have_previous & (current_rates >= 1.0)
+            hopeless = have_previous & ~diverged & (
+                current_rates ** remaining / (1.0 - current_rates)
+                * delta_norms > tol)
+            done = xp.where(
+                have_previous,
+                ~diverged & (current_rates / (1.0 - current_rates)
+                             * delta_norms < tol),
+                delta_norms < tol)
             rates = _scatter(rates, part, xp.where(
                 have_previous, current_rates, _pick(rates, part)))
             stop = diverged | hopeless

@@ -47,8 +47,8 @@ class BatchSolveResult:
         valid up to their recorded save count and NaN afterwards.
     status_codes:
         Shape (B,), values in {OK, EXHAUSTED, BROKEN, STIFF, GUARD}
-        (STIFF only appears transiently: the router re-executes
-        stiff-flagged rows with Radau IIA before returning; GUARD marks
+        (STIFF only appears transiently: the router continues the rows
+        DOPRI5 stops as stiff in Radau IIA before returning; GUARD marks
         rows a numerical-integrity guard deactivated).
     method_codes:
         Shape (B,), which integrator produced each row.

@@ -2,10 +2,10 @@
 
 :class:`BatchSimulator` is the top-level deterministic simulator of
 this reproduction: it compiles a reaction-based model once, splits a
-parameterization batch into device-sized launches, routes every
-simulation to DOPRI5 or Radau IIA (method ``"auto"``), executes the
-batched integrators over the vectorized substrate and merges the
-trajectories. It is the component the parameter-space analyses
+parameterization batch into device-sized launches, runs them on the
+batched integrators over the vectorized substrate (method ``"auto"``
+switches each simulation DOPRI5 cannot finish to Radau IIA) and merges
+the trajectories. It is the component the parameter-space analyses
 (PSA / SA / PE in :mod:`repro.core`) run on.
 """
 
@@ -151,10 +151,9 @@ class EngineReport:
 
 
 def _routing_counts(decisions: list[RoutingDecision]) -> dict[str, int]:
-    """Why rows ran Radau IIA: the rows the probe classified stiff and
-    the rows DOPRI5 handed back, over ``decisions``."""
-    return {"probe_stiff_rows": sum(d.n_stiff for d in decisions),
-            "handed_back_rows": sum(d.n_handed_back for d in decisions)}
+    """The rows that switched from DOPRI5 to Radau IIA over
+    ``decisions``."""
+    return {"switched_rows": sum(d.n_stiff for d in decisions)}
 
 
 class BatchSimulator:
@@ -165,15 +164,16 @@ class BatchSimulator:
     model:
         The reaction-based model to simulate.
     options:
-        Shared numerical options (tolerances, step caps, stiffness
-        threshold).
+        Shared numerical options (tolerances, step caps, controller
+        constants).
     policy:
         Substrate evaluation policy: ``"hybrid"`` (vectorize over batch
         and reactions), ``"coarse"`` or ``"fine"`` — see
         :mod:`repro.model.odesystem`.
     method:
-        ``"auto"`` routes per simulation between DOPRI5 and Radau IIA;
-        ``"dopri5"`` / ``"radau5"`` force one method.
+        ``"auto"`` starts every simulation on DOPRI5 and continues the
+        ones it stops unfinished in Radau IIA; ``"dopri5"`` /
+        ``"radau5"`` force one method.
     max_batch_per_launch:
         Upper bound on simulations per launch; larger batches are split,
         mirroring the paper family's observation that launches beyond

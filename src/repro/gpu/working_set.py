@@ -12,8 +12,14 @@ batched analogue of retiring finished GPU threads.
 the one retire mechanism and the one save path; each integrator
 subclasses it with its own per-row fields and lists them in
 ``ROW_FIELDS``. :class:`Launch` is the start-up every integrator's
-``solve`` shares: the save grid, the result, the first derivative and
-steps, and the solve's phase spans.
+``solve`` shares: the save grid, the result, each row's start, the
+first derivative and steps, and the solve's phase spans.
+
+A launch's rows start where :class:`RowStates` says: each row's own
+time, state and next save index. A row leaving the set leaves its stop
+state in the same type, so one solve's stops are the next solve's
+starts; the ``auto`` router continues the rows DOPRI5 stops unfinished
+in Radau IIA that way.
 
 Steps are clipped only at the end of the span, never onto save points:
 after an accepted step, :meth:`WorkingSet.record` saves every save point
@@ -39,6 +45,27 @@ Interpolant = Callable[[Array, Array], Array]
 
 
 @dataclass
+class RowStates:
+    """Each row's time, working state and index of its next save point:
+    where a launch's rows start, or where they stopped.
+    """
+
+    t: Array
+    y: Array
+    save: Array
+
+    @classmethod
+    def empty(cls, batch: int, n_species: int) -> "RowStates":
+        """Entries for ``batch`` rows, for a solve to write its stops."""
+        return cls(xp.full(batch, xp.nan), xp.full((batch, n_species), xp.nan),
+                   xp.zeros(batch, dtype=xp.int64))
+
+    def take(self, rows: Array) -> "RowStates":
+        """Copy of the entries ``rows``."""
+        return RowStates(self.t[rows], self.y[rows], self.save[rows])
+
+
+@dataclass
 class WorkingSet:
     """Compact state of the simulations still running.
 
@@ -58,6 +85,8 @@ class WorkingSet:
     n_accepted: Array
     status: Array
     grid: Array            # save times
+    # Where the rows that left stopped, by launch row.
+    stops: RowStates | None = field(default=None, kw_only=True)
     n_steps: int = field(default=0, init=False)  # attempts of every row
 
     #: Fields that hold one entry per running simulation.
@@ -68,7 +97,9 @@ class WorkingSet:
         """Write back the rows that stopped running and compact the rest.
 
         Rows still running after ``max_steps`` attempts stop as
-        ``EXHAUSTED``. Returns whether any row is still running.
+        ``EXHAUSTED``. Each leaving row's time, working state and next
+        save index go to ``stops``, when the set has one. Returns
+        whether any row is still running.
         """
         if self.n_steps >= max_steps:
             self.status = xp.where(self.status == RUNNING, EXHAUSTED,
@@ -81,6 +112,10 @@ class WorkingSet:
         result.n_steps[done] = self.n_steps
         result.n_accepted[done] = self.n_accepted[leaving]
         result.n_rejected[done] = self.n_steps - self.n_accepted[leaving]
+        if self.stops is not None:
+            self.stops.t[done] = self.t[leaving]
+            self.stops.y[done] = self.y[leaving]
+            self.stops.save[done] = self.save[leaving]
         keep = xp.flatnonzero(~leaving)
         if keep.size == 0:
             return False
@@ -114,8 +149,7 @@ class WorkingSet:
         the (guard-repaired) working state itself, byte for byte; one
         inside the step records ``interpolant`` there. A step may cross
         several save points, one per pass; rows past the last one are
-        done. Rows the guard (or a stiffness test) stopped on this step
-        are not recorded.
+        done. Rows the guard stopped on this step are not recorded.
         """
         last = self.grid.size - 1
         while True:
@@ -144,16 +178,18 @@ class WorkingSet:
 SetT = TypeVar("SetT", bound=WorkingSet)
 
 
-def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
+def _initial_steps(problem: BatchedODEProblem, t: Array, states: Array,
                    derivatives: Array, order: int,
                    options: SolverOptions, max_step: float) -> Array:
-    """Vectorized Hairer starting-step heuristic (one extra kernel)."""
+    """Vectorized Hairer starting-step heuristic (one extra kernel) from
+    each row's time ``t`` and state.
+    """
     scale = options.atol + xp.abs(states) * options.rtol
     d0 = xp.sqrt(xp.mean((states / scale) ** 2, axis=1))
     d1 = xp.sqrt(xp.mean((derivatives / scale) ** 2, axis=1))
     h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
     probe = states + h0[:, None] * derivatives
-    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe)
+    f1 = problem.fun(t + h0, probe)
     d2 = xp.sqrt(xp.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
     dmax = xp.maximum(d1, d2)
     h1 = xp.where(dmax <= 1e-15, xp.maximum(1e-6, h0 * 1e-3),
@@ -168,10 +204,15 @@ class Launch:
     """The start-up of one integrator ``solve`` and its phase spans.
 
     Construction is the ``compile`` phase every integrator shares: it
-    validates the save grid, allocates the result, saves the ``t0``
-    states, evaluates the first derivative and proposes each row's
-    first step (Hairer's heuristic for a method of order ``order``,
-    unless ``options.first_step`` fixes it). ``solver`` is the
+    validates the save grid, allocates the result, places each row at
+    its start, evaluates the first derivative and proposes each row's
+    first step (Hairer's heuristic for a method of order ``order`` at
+    the row's own time and state, unless ``options.first_step`` fixes
+    it). ``starts`` ``None`` starts every row at ``t0`` from its initial
+    state, saving it when the grid begins there; otherwise each row
+    continues from its entry, and the saves before its save index are
+    left to the solve that made them. Rows that leave the set write
+    their stop states into ``stops``, when given. ``solver`` is the
     integrator, read for its ``options``, ``name`` and ``method_code``.
     The integrator builds its set with :meth:`working_set`, then
     brackets its step loop with :meth:`step_loop` and :meth:`finish`.
@@ -179,10 +220,12 @@ class Launch:
 
     def __init__(self, solver, problem: BatchedODEProblem,
                  t_span: tuple[float, float], t_eval: Array | None,
-                 order: int) -> None:
+                 order: int, starts: RowStates | None = None,
+                 stops: RowStates | None = None) -> None:
         options = solver.options
         self.problem = problem
         self.solver = solver.name
+        self.stops = stops
         self.t_eval = validate_time_grid(t_span, t_eval)
         t0, self.t1 = float(t_span[0]), float(t_span[1])
         batch = problem.batch_size
@@ -191,21 +234,25 @@ class Launch:
                                        parent=problem.trace_span,
                                        solver=self.solver, rows=batch)
 
-        self.y = problem.initial_states()
         self.result = allocate_result(self.t_eval, batch, problem.n_species,
                                       solver.method_code)
-        self.t = xp.full(batch, t0)
-        self.save = xp.zeros(batch, dtype=xp.int64)
-        if self.t_eval[0] == t0:
-            self.result.y[:, 0, :] = self.y
-            self.save[:] = 1
+        if starts is None:
+            self.y = problem.initial_states()
+            self.t = xp.full(batch, t0)
+            self.save = xp.zeros(batch, dtype=xp.int64)
+            if self.t_eval[0] == t0:
+                self.result.y[:, 0, :] = self.y
+                self.save[:] = 1
+        else:
+            # The guard clamps the working state in place.
+            self.t, self.y, self.save = starts.t, starts.y.copy(), starts.save
 
         self.derivative = problem.fun(self.t, self.y)
         self.max_step = min(options.max_step, self.t1 - t0)
         if options.first_step is not None:
             self.h = xp.full(batch, options.first_step)
         else:
-            self.h = _initial_steps(problem, t0, self.y, self.derivative,
+            self.h = _initial_steps(problem, self.t, self.y, self.derivative,
                                     order, options, self.max_step)
 
     def working_set(self, kind: type[SetT], **fields) -> SetT:
@@ -219,7 +266,7 @@ class Launch:
                     n_accepted=xp.zeros(batch, dtype=xp.int64),
                     status=xp.where(self.save >= self.t_eval.size, OK,
                                     RUNNING),
-                    grid=self.t_eval, **fields)
+                    grid=self.t_eval, stops=self.stops, **fields)
 
     def clip(self, t: Array, h: Array) -> Array:
         """Steps of proposed size ``h`` from ``t``, clipped at the span's

@@ -52,8 +52,7 @@ from .deep import (DEFAULT_BASELINE, DeepConfig, lint_deep,
                    package_source_files, write_baseline)
 from .kernel_rules import (KERNEL_RULES, lint_callable, lint_file,
                            lint_kernels, lint_source, shipped_kernel_paths)
-from .model_rules import (MODEL_RULES, STIFFNESS_RISK_DECADES,
-                          STIFFNESS_SAFE_DECADES, lint_model,
+from .model_rules import (MODEL_RULES, STIFFNESS_RISK_DECADES, lint_model,
                           stiffness_risk_score)
 from .registry import (DEEP_RULES, META_RULES, RuleInfo, iter_rules,
                        render_rule_table, rule_info)
@@ -100,7 +99,7 @@ __all__ = [
     "ShapeConfig",
     "LintError", "LintFinding", "LintGateError", "LintReport",
     "RuleInfo", "SEVERITIES", "severity_rank",
-    "STIFFNESS_RISK_DECADES", "STIFFNESS_SAFE_DECADES",
+    "STIFFNESS_RISK_DECADES",
     "iter_rules", "lint_callable", "lint_conc", "lint_deep",
     "lint_file", "lint_gate", "lint_kernels", "lint_model",
     "lint_shapes", "lint_source",

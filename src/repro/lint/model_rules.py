@@ -6,11 +6,6 @@ Every rule operates on a :class:`~repro.model.rbm.ReactionBasedModel`
 integrating anything*: the stoichiometric graph, the null space of S
 and the rate-constant magnitudes are enough to catch the structural
 defects that otherwise surface as silently wrong sweep results.
-
-The stiffness-risk score (rule RBM009) doubles as a cheap prefilter
-hint for :mod:`repro.gpu.router`: batches whose rate constants span
-less than :data:`STIFFNESS_SAFE_DECADES` decades can skip the Jacobian
-power-iteration probe entirely.
 """
 
 from __future__ import annotations
@@ -44,10 +39,6 @@ MODEL_RULES = {
 #: Decades of rate-constant spread above which RBM009 fires.
 STIFFNESS_RISK_DECADES = 4.0
 
-#: Decades of spread below which the router may skip its dynamic
-#: stiffness probe (see :func:`repro.gpu.router.classify_batch`).
-STIFFNESS_SAFE_DECADES = 2.0
-
 #: Relative magnitude below which a rate constant is numerically
 #: invisible next to the fastest reaction's flux (double precision
 #: holds ~15-16 significant digits).
@@ -64,20 +55,11 @@ def stiffness_risk_score(rate_constants: np.ndarray) -> float:
     spread of dynamical timescales: 0 means all reactions run at one
     speed, ~9 is Robertson territory.
     """
-    flat = np.asarray(rate_constants, dtype=np.float64).reshape(1, -1)
-    return float(row_stiffness_risk_scores(flat)[0])
-
-
-def row_stiffness_risk_scores(rate_constants: np.ndarray) -> np.ndarray:
-    """:func:`stiffness_risk_score` of each row of a ``(B, M)`` batch of
-    rate constants, each from that row's constants alone.
-    """
-    k = np.asarray(rate_constants, dtype=np.float64)
-    positive = np.isfinite(k) & (k > 0.0)
-    spread = np.count_nonzero(positive, axis=1) >= 2
-    high = np.max(k, axis=1, where=positive, initial=-np.inf)
-    low = np.min(k, axis=1, where=positive, initial=np.inf)
-    return np.log10(np.where(spread, high, 1.0) / np.where(spread, low, 1.0))
+    k = np.asarray(rate_constants, dtype=np.float64).ravel()
+    k = k[np.isfinite(k) & (k > 0.0)]
+    if k.size < 2:
+        return 0.0
+    return float(np.log10(k.max() / k.min()))
 
 
 def _law_species(reaction) -> set[str]:
@@ -307,7 +289,7 @@ def lint_model(model: ReactionBasedModel,
                        f"{model.name}:conservation",
                        "seed the pool or remove its species")
 
-    # RBM009 — static stiffness risk (also the router prefilter hint).
+    # RBM009 — static stiffness risk.
     risk = stiffness_risk_score(constants)
     report.metadata["stiffness_risk_decades"] = risk
     if risk >= STIFFNESS_RISK_DECADES:

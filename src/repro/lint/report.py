@@ -76,8 +76,8 @@ class LintReport:
     """Collected findings of one lint run over one subject.
 
     ``metadata`` carries analyzer by-products that are useful beyond
-    pass/fail — e.g. the static stiffness-risk score the GPU router
-    consumes as a prefilter hint, or the number of waived findings.
+    pass/fail — e.g. the static stiffness-risk score, or the number of
+    waived findings.
     """
 
     subject: str

@@ -230,8 +230,10 @@ class CampaignResult:
 #: the sequential ``dopri5``, ``radau5`` and ``bdf`` engines run the
 #: batched integrators one row at a time. Version 6: the batched BDF
 #: gives up a Newton iteration by SciPy's projected-rate test, so rows
-#: run its third and fourth iterations.
-NUMERICS_VERSION = 6
+#: run its third and fourth iterations. Version 7: the ``auto`` router
+#: runs every row on DOPRI5 first (no stiffness probe at ``t0``) and
+#: continues each unfinished row in Radau IIA from where it stopped.
+NUMERICS_VERSION = 7
 
 
 def _numerics_digest(options, retry_policy) -> str:

@@ -43,9 +43,8 @@ class SolverOptions:
     newton_max_iterations, newton_tol_factor:
         Implicit-stage Newton controls (Radau).
     stiffness_threshold:
-        Dominant-eigenvalue magnitude above which the batched router's
-        spectral-radius probe sends a row to the implicit method (and
-        ``analyze_model`` reports the model as stiff).
+        Dominant-eigenvalue magnitude above which ``analyze_model``
+        reports the model as stiff.
     """
 
     rtol: float = 1e-6

@@ -1,10 +1,11 @@
 """Stiffness estimation utilities.
 
-The routing heuristic of the simulator family classifies each
-simulation before integrating it: the dominant eigenvalue of the
-Jacobian at the initial state is estimated by power iteration, and
-simulations whose spectral radius exceeds a threshold (default 500) are
-sent to the implicit Radau IIA method, the rest to DOPRI5.
+Dense spectral-radius estimates of Jacobians by power iteration, a
+threshold classification over them (default 500) and the exact
+stiffness ratio, for reports and diagnostics. The batched engine does
+not classify up front: its router starts every simulation on DOPRI5
+and switches a row to Radau IIA when Hairer's in-loop test finds it
+stiff (:mod:`repro.gpu.router`).
 """
 
 from __future__ import annotations
@@ -66,50 +67,6 @@ def power_iteration(matrices: np.ndarray, max_iterations: int = 50,
         vectors = np.where(safe[:, None], products / (norms[:, None] + 1e-300),
                            vectors)
         if np.all(converged):
-            break
-    return StiffnessEstimate(estimate, converged, iterations)
-
-
-def power_iteration_matvec(matvec, states: np.ndarray,
-                           max_iterations: int = 20, tol: float = 5e-2,
-                           seed: int = 0,
-                           epsilon: float = 1e-7) -> StiffnessEstimate:
-    """Matrix-free spectral-radius estimation via Jacobian action.
-
-    ``matvec(directions, rows)`` must return J_b . directions[i] for
-    each simulation b = rows[i] — typically implemented with one batched
-    finite-difference RHS evaluation per iteration,
-    (f(x + eps v) - f(x)) / eps, so the probe never materializes the
-    (B, N, N) Jacobians. This is the router's production probe; the
-    dense :func:`power_iteration` remains as the reference.
-
-    Each simulation's estimate depends on its own Jacobian alone: every
-    row starts from the same vector, and a row's estimate and vector
-    freeze at its own convergence while slower rows iterate on, so a row
-    gets the estimate of its own width-1 probe in any batch. Only the
-    rows still iterating are evaluated, so the probe's work is the sum
-    of its rows' own.
-    """
-    del epsilon  # the caller's matvec owns the differencing step
-    batch, n = states.shape
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal((1, n))
-    start /= np.linalg.norm(start, axis=1, keepdims=True) + 1e-300
-    vectors = np.repeat(start, batch, axis=0)
-    estimate = np.zeros(batch)
-    converged = np.zeros(batch, dtype=bool)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        live = np.flatnonzero(~converged)
-        products = matvec(vectors[live], live)
-        norms = np.linalg.norm(products, axis=1)
-        converged[live] = (np.abs(norms - estimate[live])
-                           <= tol * np.maximum(norms, 1e-30))
-        estimate[live] = norms
-        moving = norms > 1e-300
-        vectors[live[moving]] = (products[moving]
-                                 / (norms[moving, None] + 1e-300))
-        if converged.all():
             break
     return StiffnessEstimate(estimate, converged, iterations)
 

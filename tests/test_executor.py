@@ -565,6 +565,13 @@ class TestFingerprintNumerics:
         is refused."""
         self._refuses_numerics_version(4, lv_model, lv_batch, tmp_path)
 
+    def test_journal_of_numerics_version_6_does_not_resume(
+            self, lv_model, lv_batch, tmp_path):
+        """A journal written while the ``auto`` router probed stiffness
+        at ``t0`` and restarted handed-back rows there (numerics version
+        6) is refused."""
+        self._refuses_numerics_version(6, lv_model, lv_batch, tmp_path)
+
     def test_same_numerics_resume_fine(self, lv_model, lv_batch,
                                        tmp_path):
         journal = tmp_path / "campaign.json"

@@ -320,8 +320,8 @@ class TestEngineIntegration:
         assert restored.guard_log.n_clamped_steps == \
             report.guard_log.n_clamped_steps
         assert restored.metrics.to_dict() == report.metrics.to_dict()
-        assert np.array_equal(restored.routing[0].stiff_mask,
-                              report.routing[0].stiff_mask)
+        assert np.array_equal(restored.routing[0].switched,
+                              report.routing[0].switched)
         # The registry is the only store of kernel and retry counts...
         removed = {"counters", "n_retried_rows", "n_recovered_rows"}
         assert not removed & set(exported)
