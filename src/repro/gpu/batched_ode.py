@@ -109,6 +109,10 @@ class BatchedODEProblem:
     guard: "KernelGuard | None" = None
     tracer: "Tracer | None" = None
     trace_span: "SpanHandle | None" = None
+    #: The rate constants species-major, (M, B) C-contiguous: bound
+    #: once here (and so on every :meth:`subset`), handed to the system
+    #: as their (B, M) transposed view.
+    constants_t: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -130,6 +134,8 @@ class BatchedODEProblem:
             raise SolverError(
                 f"parameter batch has {self.parameters.n_species} species "
                 f"columns, system has {self.system.n_species} species")
+        self.constants_t = xp.array(self.parameters.rate_constants.T,
+                                    order="C")
 
     @property
     def batch_size(self) -> int:
@@ -149,16 +155,17 @@ class BatchedODEProblem:
         ``rows=None`` means every row of this problem, in order: the
         constants are used as bound, with no gather. This is how an
         integrator evaluates a working set it holds as a
-        :meth:`subset`.
+        :meth:`subset`. Otherwise the selected columns of the bound
+        species-major constants are gathered.
 
         ``times`` is accepted for interface uniformity; RBM dynamics are
         autonomous so it is unused.
         """
         del times
         if rows is None:
-            constants, row_ids = self.parameters.rate_constants, self.row_ids
+            constants, row_ids = self.constants_t.T, self.row_ids
         else:
-            constants = self.parameters.rate_constants[rows]
+            constants = self.constants_t[:, rows].T
             row_ids = self.row_ids[rows]
         self.counters.rhs_kernel_launches += 1
         self.counters.rhs_simulation_evaluations += states.shape[0]

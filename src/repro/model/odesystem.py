@@ -12,6 +12,13 @@ over a *batch* of simulations — the coarse-grained axis of the
 GPU-style substrate — and over species/reactions — the fine-grained
 axis.
 
+The flux is evaluated species-major: one ``(M, B)`` array whose rows
+are reactions and whose columns are the simulations of the batch, the
+CPU form of the simulation-contiguous layout GPU simulators use to
+coalesce memory. Each mass-action row is two row gathers of the
+extended ``(N + 1, B)`` state, and the array feeds the stoichiometric
+product (BLAS gemm, or scipy's CSR kernel) with no layout round trip.
+
 Three evaluation policies mirror the parallelization granularities of
 the GPU simulator family (see DESIGN.md):
 
@@ -25,6 +32,8 @@ the GPU simulator family (see DESIGN.md):
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +45,30 @@ from .rbm import ReactionBasedModel
 
 POLICIES = ("hybrid", "coarse", "fine")
 
-_PROBE_WIDTHS = (2, 3, 5, 9, 17)
+_PROBE_WIDTHS = (1, 2, 3, 5, 9, 17)
+#: Net matrices whose probe verdict :func:`_row_stable_gemm` keeps.
+PROBE_MEMO_SIZE = 64
+_probe_memo: dict[tuple, bool] = {}
+_probe_memo_lock = threading.Lock()
+
+
+def _stoichiometric_gemm(fluxes_t: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """``fluxes_t.T @ net``, shape (B, N): species-major fluxes through
+    one BLAS gemm whose A operand is transposed, with no copy.
+
+    A single row dispatches to gemv, which rounds differently from
+    gemm; it takes the duplicated two-row product instead, so a lone
+    surviving simulation gets the exact bits it would inside a wider
+    batch.
+    """
+    if fluxes_t.shape[1] == 1:
+        return (fluxes_t.repeat(2, axis=1).T @ net)[:1]
+    return fluxes_t.T @ net
 
 
 def _gemm_rows_are_width_stable(net: np.ndarray) -> bool:
-    """Check that each row of ``fluxes @ net`` is bit-independent of
-    the number of rows in ``fluxes``.
+    """Check that each row of :func:`_stoichiometric_gemm` is
+    bit-independent of the number of simulations in the product.
 
     Integrators gather the active subset of a batch before every RHS
     call and the memory governor re-runs arbitrary sub-batches, so row
@@ -49,16 +76,35 @@ def _gemm_rows_are_width_stable(net: np.ndarray) -> bool:
     this depends on the library's row-blocking microkernels (it holds
     for small inner dimensions, breaks somewhere around 8 on common
     builds) — so measure the installed library against the model's own
-    net matrix instead of assuming a threshold.
+    net matrix, in the operand layout the RHS uses, instead of assuming
+    a threshold.
     """
     rng = np.random.default_rng(0x5EED)
-    probe = rng.standard_normal((32, net.shape[0]))
-    reference = probe @ net
-    padded_single = np.concatenate([probe[:1], probe[:1]])
-    if not np.array_equal(reference[:1], (padded_single @ net)[:1]):
-        return False
-    return all(np.array_equal(reference[:w], probe[:w] @ net)
-               for w in _PROBE_WIDTHS)
+    probe = np.ascontiguousarray(rng.standard_normal((32, net.shape[0])).T)
+    reference = _stoichiometric_gemm(probe, net)
+    return all(
+        np.array_equal(reference[:w], _stoichiometric_gemm(
+            np.ascontiguousarray(probe[:, :w]), net))
+        for w in _PROBE_WIDTHS)
+
+
+def _row_stable_gemm(net: np.ndarray) -> bool:
+    """:func:`_gemm_rows_are_width_stable`, memoised on the content of
+    ``net``: compiling an equal network again (every launch compiles
+    its model) reuses the verdict. The memo keeps the newest
+    :data:`PROBE_MEMO_SIZE` networks.
+    """
+    net = np.ascontiguousarray(net)
+    key = (net.shape, hashlib.blake2b(net.data, digest_size=16).digest())
+    with _probe_memo_lock:
+        stable = _probe_memo.get(key)
+    if stable is None:
+        stable = _gemm_rows_are_width_stable(net)
+        with _probe_memo_lock:
+            while len(_probe_memo) >= PROBE_MEMO_SIZE:
+                del _probe_memo[next(iter(_probe_memo))]
+            _probe_memo[key] = stable
+    return stable
 
 
 @dataclass(frozen=True)
@@ -75,7 +121,11 @@ class ODESystem:
 
     Build instances with :meth:`from_model`. All evaluators take the
     state with a leading batch axis: ``X`` of shape (B, N) and rate
-    constants ``K`` of shape (B, M) or (M,) (broadcast over the batch).
+    constants ``K`` of shape (B, M), (1, M) or (M,) (broadcast over the
+    batch). The flux reads ``K`` through its transpose, so a (B, M)
+    view of C-contiguous (M, B) constants, as a bound
+    :class:`~repro.gpu.BatchedODEProblem` passes them, is multiplied
+    with no strided access.
     """
 
     def __init__(self, model: ReactionBasedModel) -> None:
@@ -96,7 +146,7 @@ class ODESystem:
         # actual net matrix and fall back to the (row-deterministic)
         # CSR product when the dense path fails the probe.
         self._row_stable_gemm = (self._dense_stoichiometry
-                                 and _gemm_rows_are_width_stable(self._net))
+                                 and _row_stable_gemm(self._net))
         # Built by the first :meth:`jacobian` call: explicit integrators
         # never need it.
         self._jac_operator = None
@@ -237,42 +287,49 @@ class ODESystem:
     # flux evaluation
 
     def flux(self, states: np.ndarray, constants: np.ndarray) -> np.ndarray:
-        """Reaction flux vector, shape (B, M).
-
-        Every :meth:`rhs` policy evaluates this one body. A constant-1
-        column appended to the state lets mass action of orders 0-2
-        share two gathers; the other rate laws overwrite their columns
-        in place, so a mass-action-only model pays for the gathers and
-        the constants multiply alone.
+        """Reaction flux vector, shape (B, M): a transposed view of the
+        species-major fluxes every :meth:`rhs` policy evaluates.
         """
         if states.ndim != 2:
             states = np.atleast_2d(states)
+        return self._species_major_flux(states, constants).T
+
+    def _species_major_flux(self, states: np.ndarray,
+                            constants: np.ndarray) -> np.ndarray:
+        """Reaction fluxes species-major, shape (M, B), C-contiguous.
+
+        A constant-1 row appended to the transposed state lets mass
+        action of orders 0-2 share two row gathers; the other rate laws
+        overwrite their reaction rows in place, so a mass-action-only
+        model pays for the gathers and the constants multiply alone.
+        """
         batch = states.shape[0]
-        extended = np.empty((batch, self.n_species + 1))
-        extended[:, :-1] = states
-        extended[:, -1] = 1.0
-        fluxes = extended[:, self._idx1] * extended[:, self._idx2]
+        extended = np.empty((self.n_species + 1, batch))
+        extended[:-1] = states.T
+        extended[-1] = 1.0
+        fluxes = extended[self._idx1]
+        fluxes *= extended[self._idx2]
         for monomial in self._generic:
-            fluxes[:, monomial.reaction] = np.prod(
+            fluxes[monomial.reaction] = np.prod(
                 states[:, monomial.species] ** monomial.powers, axis=1)
         for i, substrate, km in self._mm:
             s = states[:, substrate]
-            fluxes[:, i] = s / (km + s)
+            fluxes[i] = s / (km + s)
         for i, substrate, km, hill_n in self._hill:
             s = np.maximum(states[:, substrate], 0.0)
             s_n = s ** hill_n
-            fluxes[:, i] = s_n / (km ** hill_n + s_n)
-        # Out of place, so (M,) and (1, M) constants broadcast.
-        fluxes = fluxes * constants
-        if self._custom:
-            constants_2d = np.broadcast_to(np.atleast_2d(constants),
-                                           (batch, self.n_reactions))
-            for i, law, _, binding in self._custom:
-                environment = {name: states[:, j]
-                               for name, j in binding.items()}
-                environment["k"] = constants_2d[:, i]
-                fluxes[:, i] = np.broadcast_to(
-                    law.expression.evaluate(environment), (batch,))
+            fluxes[i] = s_n / (km ** hill_n + s_n)
+        # (M, B) or (M, 1): (B, M), (1, M) and (M,) constants all
+        # broadcast against the species-major fluxes.
+        constants_t = (constants.T if constants.ndim == 2
+                       else constants[:, None])
+        fluxes *= constants_t
+        for i, law, _, binding in self._custom:
+            environment = {name: states[:, j]
+                           for name, j in binding.items()}
+            environment["k"] = np.broadcast_to(constants_t[i], (batch,))
+            fluxes[i] = np.broadcast_to(
+                law.expression.evaluate(environment), (batch,))
         return fluxes
 
     # ------------------------------------------------------------------
@@ -294,18 +351,13 @@ class ODESystem:
 
     def _rhs_hybrid(self, states: np.ndarray,
                     constants: np.ndarray) -> np.ndarray:
-        fluxes = self.flux(states, constants)
+        fluxes_t = self._species_major_flux(states, constants)
         if self._row_stable_gemm:
-            if fluxes.shape[0] == 1:
-                # A single row dispatches to gemv, which rounds
-                # differently from gemm; evaluate the duplicated
-                # two-row product so a lone surviving simulation gets
-                # the exact same bits it would inside a wider batch.
-                return (np.concatenate([fluxes, fluxes]) @ self._net)[:1]
-            return fluxes @ self._net                    # BLAS (B,M)@(M,N)
-        # (N, M) sparse @ (M, B) -> (N, B); scipy's CSR product is a
-        # fixed-order accumulation, so rows are width-independent.
-        return self._net_csc_t.dot(fluxes.T).T
+            return _stoichiometric_gemm(fluxes_t, self._net)
+        # (N, M) sparse @ (M, B) -> (N, B); the C-ordered fluxes reach
+        # scipy's CSR kernel uncopied, and its fixed-order accumulation
+        # keeps rows width-independent.
+        return self._net_csc_t.dot(fluxes_t).T
 
     def _rhs_coarse(self, states: np.ndarray,
                     constants: np.ndarray) -> np.ndarray:

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.gpu.batched_ode import BatchedODEProblem
 from repro.model import (CustomLaw, Hill, MichaelisMenten, ODESystem,
-                         ReactionBasedModel)
+                         ParameterizationBatch, ReactionBasedModel)
+from repro.model import odesystem
+from repro.rules import multisite_cascade
 from repro.synth import generate_symmetric
 
 from .conftest import finite_difference_jacobian
@@ -222,6 +225,178 @@ class TestOneFluxBody:
             _gathered_rhs(system, state, k).tobytes()
         assert system.rhs_single(state, k).tobytes() == \
             _gathered_rhs(system, state, k)[0].tobytes()
+
+
+def _cascade_model():
+    """The rule-expanded 34x160 cascade."""
+    return multisite_cascade(5, kinase_rate=1e3).expand()
+
+
+def _system_on(model, branch):
+    """``model`` compiled, on the stoichiometric product ``branch``
+    names: ``"csr"`` forces scipy's CSR kernel, ``"gemm"`` needs the
+    installed BLAS to pass the width probe."""
+    system = ODESystem.from_model(model)
+    if branch == "csr":
+        system._row_stable_gemm = False
+    elif not system._row_stable_gemm:
+        pytest.skip("this BLAS fails the gemm width probe on this net")
+    return system
+
+
+class TestSpeciesMajorProducts:
+    """Both stoichiometric products are byte-equal to the former
+    gather-then-multiply formulation, whatever the constants' form and
+    however a bound problem hands them over."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 16, 17, 256])
+    def test_cascade_rhs_and_flux(self, width):
+        model = _cascade_model()
+        system = _system_on(model, "csr")
+        states, constants = TestOneFluxBody._inputs(model, width)
+        for k in (constants, constants[0], constants[:1]):
+            assert system.flux(states, k).tobytes() == \
+                _gathered_flux(system, states, k).tobytes()
+            assert system.rhs(states, k).tobytes() == \
+                _gathered_rhs(system, states, k).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 16, 17, 256])
+    @pytest.mark.parametrize("build, branch", [
+        (_cascade_model, "csr"),
+        (lambda: generate_symmetric(32, seed=11), "csr"),
+        (lambda: generate_symmetric(32, seed=11), "gemm")],
+        ids=["cascade-csr", "mass-action-csr", "mass-action-gemm"])
+    def test_bound_problem(self, build, branch, width):
+        model = build()
+        system = _system_on(model, branch)
+        states, constants = TestOneFluxBody._inputs(model, width)
+        problem = BatchedODEProblem(system, ParameterizationBatch(
+            constants, np.ones_like(states)))
+        assert problem.constants_t.flags.c_contiguous
+        assert problem.fun(0.0, states).tobytes() == \
+            _gathered_rhs(system, states, constants).tobytes()
+        for rows in (np.arange(0, width, 2), np.arange(width)[::-1][:3]):
+            expected = _gathered_rhs(system, states[rows],
+                                     constants[rows]).tobytes()
+            assert problem.fun(0.0, states[rows], rows).tobytes() == expected
+            assert problem.subset(rows).fun(0.0, states[rows]).tobytes() \
+                == expected
+
+
+class TestWidthProbe:
+    @pytest.mark.parametrize("build", [
+        _cascade_model, lambda: generate_symmetric(32, seed=11)],
+        ids=["cascade", "mass-action"])
+    def test_rows_equal_their_width_32_bytes(self, build):
+        """On a net that passes the probe, a bound problem's rows at
+        every width are the bytes of the same rows at width 32."""
+        model = build()
+        system = _system_on(model, "gemm")
+        states, constants = TestOneFluxBody._inputs(model, 256)
+        problem = BatchedODEProblem(system, ParameterizationBatch(
+            constants, np.ones_like(states)))
+        reference = problem.subset(np.arange(32)).fun(0.0, states[:32])
+        for width in [*range(1, 18), 256]:
+            rows = problem.subset(np.arange(width)).fun(0.0,
+                                                         states[:width])
+            shared = min(width, 32)
+            assert rows[:shared].tobytes() == reference[:shared].tobytes()
+
+    def test_probe_runs_the_production_product(self, monkeypatch):
+        """The probe and the hybrid RHS reach BLAS through the same
+        product, with the same operand layouts, at width 1 and wider."""
+        calls = {"probe": set(), "rhs": set()}
+        product = odesystem._stoichiometric_gemm
+        caller = ["probe"]
+
+        def recording(fluxes_t, net):
+            calls[caller[0]].add((fluxes_t.shape[1] == 1,
+                                  fluxes_t.flags.c_contiguous,
+                                  fluxes_t.dtype.str, net.flags.c_contiguous,
+                                  net.dtype.str))
+            return product(fluxes_t, net)
+
+        model = generate_symmetric(32, seed=11)
+        system = _system_on(model, "gemm")
+        monkeypatch.setattr(odesystem, "_stoichiometric_gemm", recording)
+        assert odesystem._gemm_rows_are_width_stable(system._net)
+        caller[0] = "rhs"
+        for width in (1, 5):
+            states, constants = TestOneFluxBody._inputs(model, width)
+            system.rhs(states, constants)
+            BatchedODEProblem(system, ParameterizationBatch(
+                constants, states)).fun(0.0, states)
+        assert calls["rhs"] == calls["probe"]
+        assert {single for single, *_ in calls["rhs"]} == {True, False}
+
+    def test_equal_network_is_probed_once(self, monkeypatch):
+        probes = []
+
+        def counting(net):
+            probes.append(net.shape)
+            return True
+
+        monkeypatch.setattr(odesystem, "_probe_memo", {})
+        monkeypatch.setattr(odesystem, "_gemm_rows_are_width_stable",
+                            counting)
+        first = ODESystem.from_model(generate_symmetric(32, seed=11))
+        second = ODESystem.from_model(generate_symmetric(32, seed=11))
+        assert first is not second and first.model is not second.model
+        assert probes == [(32, 32)]
+        ODESystem.from_model(generate_symmetric(32, seed=12))
+        assert len(probes) == 2
+
+    def test_memo_stays_at_its_bound(self, monkeypatch):
+        probes = []
+        monkeypatch.setattr(odesystem, "_probe_memo", {})
+        monkeypatch.setattr(odesystem, "PROBE_MEMO_SIZE", 3)
+        monkeypatch.setattr(odesystem, "_gemm_rows_are_width_stable",
+                            lambda net: probes.append(1) or True)
+        nets = [np.full((2, 3), float(i)) for i in range(5)]
+        for net in nets:
+            assert odesystem._row_stable_gemm(net)
+        assert len(odesystem._probe_memo) == 3
+        odesystem._row_stable_gemm(nets[-1])      # newest: remembered
+        assert len(probes) == 5
+        odesystem._row_stable_gemm(nets[0])       # oldest: evicted
+        assert len(probes) == 6
+        assert len(odesystem._probe_memo) == 3
+
+    def test_concurrent_compiles_share_the_memo(self, monkeypatch):
+        """Threads compiling equal and distinct networks at once get
+        the probe's own verdicts, and the memo never passes its bound."""
+        import sys
+        import threading
+        monkeypatch.setattr(odesystem, "_probe_memo", {})
+        monkeypatch.setattr(odesystem, "PROBE_MEMO_SIZE", 2)
+        nets = [ODESystem.from_model(generate_symmetric(8, seed=seed))._net
+                for seed in range(4)]
+        expected = [odesystem._gemm_rows_are_width_stable(net)
+                    for net in nets]
+        results, sizes = [], []
+
+        def compile_all(offset):
+            for i in range(12):
+                index = (i + offset) % len(nets)
+                results.append((index, odesystem._row_stable_gemm(
+                    nets[index])))
+                sizes.append(len(odesystem._probe_memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_all, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 72
+        assert all(stable == expected[index] for index, stable in results)
+        assert max(sizes) <= 2
 
 
 class TestJacobian:
