@@ -1,15 +1,15 @@
-"""Budget check: the static analyzers must stay fast enough for CI.
+"""Budget check: the project analysis must stay fast enough for CI.
 
-``repro lint --deep --shapes --conc`` (three passes) runs on every
-push (and the pre-commit loop), so the full-package analyses have a
-hard combined wall-clock budget. The dataflow engine memoizes per
-definition and caches per-function scopes — and the concurrency model
-is built once per index and shared by its nine rules — which keeps
-every pass near-linear in the source size; this check pins that
-property so an accidentally exponential rule (an interpreter
-recursion without the visiting-set guard, a per-use re-walk of the
-def-use graph, an uncached call-graph closure) fails CI instead of
-silently turning the lint gate into the slowest job.
+``repro lint --deep --shapes --conc`` (one pass: one project index,
+every rule family over it) runs on every push (and the pre-commit
+loop), so the full-package analysis has a hard wall-clock budget. The
+dataflow engine memoizes per definition and caches per-function scopes
+— and the concurrency model is built once per index and shared by its
+nine rules — which keeps the pass near-linear in the source size; this
+check pins that property so an accidentally exponential rule (an
+interpreter recursion without the visiting-set guard, a per-use
+re-walk of the def-use graph, an uncached call-graph closure) fails CI
+instead of silently turning the lint gate into the slowest job.
 
 Timing goes through the sanctioned wall-clock boundary
 (:mod:`repro.telemetry.clock`), not raw ``time.*`` — the package's
@@ -24,57 +24,43 @@ from __future__ import annotations
 
 import sys
 
-from repro.lint import lint_conc, lint_deep, lint_shapes
+from repro.lint import lint_project
 from repro.telemetry.clock import REAL_CLOCK
 
 from common import write_bench_json
 
-#: Combined full-package budget (deep + shapes + conc), seconds.
+#: Full-package budget of the project analysis (every family), seconds.
 #: Measured a few seconds on the CI class of machine; the headroom
 #: absorbs slow runners without masking a complexity regression
 #: (which shows up as 10-100x, not 2x).
 BUDGET_SECONDS = 12.0
 REPEATS = 3
 
-#: The three full-package analyzers the CI lint gate runs.
-ANALYZERS = (("deep", lint_deep), ("shapes", lint_shapes),
-             ("conc", lint_conc))
-
 
 def main() -> int:
     samples = []
-    per_pass: dict[str, list[float]] = {name: [] for name, _ in ANALYZERS}
     n_files = 0
     for _ in range(REPEATS):
-        total = 0.0
-        for name, analyzer in ANALYZERS:
-            started = REAL_CLOCK.monotonic()
-            report = analyzer()
-            elapsed = REAL_CLOCK.monotonic() - started
-            per_pass[name].append(elapsed)
-            total += elapsed
-            n_files = len(report.metadata["files"])
-            if report.at_or_above("warning"):
-                print(f"FAIL: the package no longer {name}-lints clean")
-                return 1
-        samples.append(total)
+        started = REAL_CLOCK.monotonic()
+        report = lint_project()
+        samples.append(REAL_CLOCK.monotonic() - started)
+        n_files = len(report.metadata["files"])
+        if report.at_or_above("warning"):
+            print("FAIL: the package no longer lints clean")
+            return 1
     best = min(samples)
     print(f"files analyzed: {n_files}")
-    for name, _ in ANALYZERS:
-        print(f"  {name:<7}: best {min(per_pass[name]):6.2f} s")
-    print(f"best of {REPEATS} : {best:6.2f} s combined "
+    print(f"best of {REPEATS} : {best:6.2f} s "
           f"(budget {BUDGET_SECONDS:.0f} s)")
     write_bench_json("lint_runtime", {
         "budget_seconds": BUDGET_SECONDS,
         "repeats": REPEATS,
         "samples_seconds": samples,
         "best_seconds": best,
-        "per_pass_seconds": {name: times
-                             for name, times in per_pass.items()},
         "n_files": n_files,
     })
     if best > BUDGET_SECONDS:
-        print("FAIL: full-package lint analyses exceed their combined "
+        print("FAIL: the full-package project analysis exceeds its "
               "budget")
         return 1
     print("OK")

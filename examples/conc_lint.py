@@ -1,7 +1,8 @@
 """Concurrency-safety static analysis (`repro lint --conc`).
 
-Self-applies the concurrency analyzer to the installed package (clean
-against the committed EMPTY baseline), then seeds a deliberately
+Self-applies the project analysis (every rule family over one project
+index) to the installed package (clean against the committed EMPTY
+baseline), then runs the ``conc`` family alone: it seeds a deliberately
 broken toy campaign service — a coroutine that runs a whole blocking
 campaign on the event-loop thread, a supervisor that swallows
 ``asyncio.CancelledError``, a shared counter written from the loop
@@ -15,7 +16,9 @@ import tempfile
 import textwrap
 from pathlib import Path
 
-from repro.lint import CONC_RULES, iter_rules, lint_conc
+from repro.lint import CONC_RULES, iter_rules, lint_project
+
+CONC = ("conc",)
 
 
 def show_registry():
@@ -28,7 +31,7 @@ def show_registry():
 
 def self_apply():
     print("\n=== self-application ===")
-    report = lint_conc()
+    report = lint_project()
     print(report.render_text())
     print(f"files analyzed : {len(report.metadata['files'])}")
     print(f"waived         : {report.metadata['waived']} "
@@ -86,7 +89,8 @@ def broken_toy_service(root: Path):
             journal.write()
             _LOCK.release()
     """)
-    report = lint_conc(sorted(root.rglob("*.py")), root=root)
+    report = lint_project(sorted(root.rglob("*.py")), families=CONC,
+                          root=root)
     for finding in report.findings:
         print(f"  {finding.render()}")
     fired = {finding.rule_id for finding in report.findings}
@@ -109,7 +113,7 @@ def waivers(root: Path):
         def benign():  # lint: skip=CNC006 -- excused wait is long gone
             return 1
     """)
-    report = lint_conc([path], root=root)
+    report = lint_project([path], families=CONC, root=root)
     print(f"  waived: {report.metadata['waived']} finding(s)")
     for finding in report.by_rule("LNT000"):
         print(f"  {finding.render()}")

@@ -1,21 +1,25 @@
-"""Dataflow-level determinism & contract analysis (`repro.lint.deep`).
+"""Dataflow-level determinism & contract analysis (`repro lint --deep`).
 
-Self-applies the deep analyzer to the installed package (clean against
-the committed baseline), then seeds a scratch tree with the classic
-regressions the rules exist for — the width-dependent ``tensordot``
-stage combination, an unseeded RNG draw on the campaign path, wall
-clock flowing into a result fingerprint, a dropped status handler —
-and watches DET/CON findings fire. Finishes with the baseline ratchet:
-an accepted finding is subtracted, and once the defect is fixed the
-leftover baseline entry resurfaces as an ``LNT001`` staleness warning.
+Self-applies the project analysis (every rule family over one project
+index) to the installed package (clean against the committed
+baseline), then runs the ``deep`` family alone: it seeds a scratch
+tree with the classic regressions the rules exist for — the
+width-dependent ``tensordot`` stage combination, an unseeded RNG draw
+on the campaign path, wall clock flowing into a result fingerprint, a
+dropped status handler — and watches DET/CON findings fire. Finishes
+with the baseline ratchet: an accepted finding is subtracted, and once
+the defect is fixed the leftover baseline entry resurfaces as an
+``LNT001`` staleness warning.
 """
 
 import tempfile
 import textwrap
 from pathlib import Path
 
-from repro.lint import (DeepConfig, iter_rules, lint_deep,
+from repro.lint import (LintConfig, iter_rules, lint_project,
                         render_rule_table, write_baseline)
+
+DEEP = ("deep",)
 
 
 def show_registry():
@@ -28,7 +32,7 @@ def show_registry():
 
 def self_apply():
     print("\n=== self-application ===")
-    report = lint_deep()
+    report = lint_project()
     print(report.render_text())
     print(f"files analyzed : {len(report.metadata['files'])}")
     print(f"baselined      : {report.metadata.get('baselined', 0)} "
@@ -67,7 +71,8 @@ def seeded_regressions(root: Path):
         STATUS_NAMES = {DROPPED: "dropped"}
         DROPPED = 7
     """)
-    report = lint_deep(sorted(root.rglob("*.py")), root=root)
+    report = lint_project(sorted(root.rglob("*.py")), families=DEEP,
+                          root=root)
     for finding in report.findings:
         print(f"  {finding.render()}")
     fired = {finding.rule_id for finding in report.findings}
@@ -83,17 +88,19 @@ def baseline_ratchet(root: Path):
             return np.dot(weights, stages)
     """)
     files = [kernel]
-    dirty = lint_deep(files, root=root)
+    dirty = lint_project(files, families=DEEP, root=root)
     baseline = root / "baseline.json"
-    count = write_baseline(dirty, baseline)
+    count = write_baseline(dirty, baseline, DEEP)
     print(f"accepted {count} finding(s) into {baseline.name}")
-    accepted = lint_deep(files, root=root, baseline_path=baseline)
+    accepted = lint_project(files, families=DEEP, root=root,
+                            baseline_path=baseline)
     print(f"with baseline  : {len(accepted.findings)} finding(s), "
           f"{accepted.metadata['baselined']} baselined")
     # Fix the defect; the baseline entry now matches nothing and the
     # ratchet reports it: a baseline may only shrink.
     kernel.write_text("def combine(w, s):\n    return w[0] * s[0]\n")
-    stale = lint_deep(files, root=root, baseline_path=baseline)
+    stale = lint_project(files, families=DEEP, root=root,
+                         baseline_path=baseline)
     for finding in stale.by_rule("LNT001"):
         print(f"  {finding.render()}")
 
@@ -107,8 +114,8 @@ def stale_waivers(root: Path):
             # lint: skip=DET001 -- the loop this excused is gone
             return (weights[:, None] * stages).sum(axis=0)
     """)
-    report = lint_deep([waived], root=root,
-                       config=DeepConfig(kernel_globs=("gpu/*.py",)))
+    report = lint_project([waived], families=DEEP, root=root,
+                          config=LintConfig(kernel_globs=("gpu/*.py",)))
     for finding in report.by_rule("CON004"):
         print(f"  {finding.render()}")
 

@@ -7,6 +7,7 @@ model folders; this module reproduces that UX::
     python -m repro simulate  MODEL --t-end 10 --points 51 --out dyn.csv
     python -m repro lint      MODEL --format json --fail-on warning
     python -m repro lint      --self
+    python -m repro lint      --deep --shapes --conc --fail-on warning
     python -m repro convert   SRC DST
     python -m repro generate  DST --species 32 --reactions 32 --seed 0
 
@@ -112,8 +113,8 @@ def _command_analyze(args) -> int:
 
 
 def _command_lint(args) -> int:
-    from .lint import (iter_rules, lint_conc, lint_deep, lint_file,
-                       lint_gate, lint_kernels, lint_model, lint_shapes,
+    from .lint import (DEFAULT_BASELINE, FAMILIES, iter_rules, lint_file,
+                       lint_gate, lint_kernels, lint_model, lint_project,
                        render_rule_table, write_baseline)
     import json as json_module
 
@@ -125,28 +126,27 @@ def _command_lint(args) -> int:
             print(render_rule_table())
         return 0
 
-    if args.deep or args.shapes or args.conc:
-        if args.conc:
-            analyzer = lint_conc
-        elif args.shapes:
-            analyzer = lint_shapes
-        else:
-            analyzer = lint_deep
+    families = [name for name in FAMILIES if getattr(args, name)]
+    if families:
         paths, root = _deep_subject(args)
         if args.write_baseline:
             # Analyze without subtracting, then persist what's left
             # after waivers as the new accepted set.
-            report = analyzer(
-                paths, root=root,
+            report = lint_project(
+                paths, families=families, root=root,
                 baseline_path=Path("/nonexistent-baseline"))
-            target = args.baseline or _default_baseline_path(
-                shapes=args.shapes, conc=args.conc)
-            count = write_baseline(report, target)
+            target = args.baseline or DEFAULT_BASELINE
+            count = write_baseline(report, target, families)
             print(f"wrote {count} baseline entr"
                   f"{'y' if count == 1 else 'ies'} to {target}")
             return 0
-        report = analyzer(paths, root=root,
-                          baseline_path=args.baseline)
+        report = lint_project(paths, families=families, root=root,
+                              baseline_path=args.baseline)
+        if args.self:
+            kernels = lint_kernels()
+            report.subject += f" + {kernels.subject}"
+            report.findings.extend(kernels.findings)
+            report.metadata["waived"] += kernels.metadata["waived"]
     elif args.self:
         report = lint_kernels()
     elif args.model is None:
@@ -169,8 +169,8 @@ def _command_lint(args) -> int:
 
 
 def _deep_subject(args) -> tuple[list[Path] | None, Path | None]:
-    """(files, report root) of a deep/shapes analysis; (None, None)
-    means the installed package."""
+    """(files, report root) of a project analysis; (None, None) means
+    the installed package."""
     if args.model is None:
         return None, None
     path = Path(args.model)
@@ -195,15 +195,6 @@ def _package_root(path: Path) -> Path:
             and (root.parent / "__init__.py").exists():
         root = root.parent
     return root
-
-
-def _default_baseline_path(shapes: bool = False,
-                           conc: bool = False) -> Path:
-    from .lint import (DEFAULT_BASELINE, DEFAULT_CONC_BASELINE,
-                       DEFAULT_SHAPES_BASELINE)
-    if conc:
-        return DEFAULT_CONC_BASELINE
-    return DEFAULT_SHAPES_BASELINE if shapes else DEFAULT_BASELINE
 
 
 def _command_convert(args) -> int:
@@ -538,31 +529,31 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit 1 when any finding is at or above this "
                            "severity (default: error)")
     lint.add_argument("--self", action="store_true",
-                      help="lint the package's own shipped batch kernels")
+                      help="lint the package's own shipped batch kernels "
+                           "(with --deep/--shapes/--conc: in the same "
+                           "report)")
     lint.add_argument("--deep", action="store_true",
-                      help="run the dataflow determinism/contract "
-                           "analyzer (DET0xx/CON0xx) over the package "
-                           "source (or MODEL when it is a .py file or "
-                           "a directory)")
-    lint.add_argument("--shapes", action="store_true",
-                      help="run the symbolic shape/dtype and backend-"
-                           "conformance analyzer (SHP0xx/BKD0xx) over "
+                      help="add the dataflow determinism/contract rules "
+                           "(DET0xx/CON0xx) to the project analysis of "
                            "the package source (or MODEL when it is a "
                            ".py file or a directory)")
+    lint.add_argument("--shapes", action="store_true",
+                      help="add the symbolic shape/dtype and backend-"
+                           "conformance rules (SHP0xx/BKD0xx) to the "
+                           "project analysis")
     lint.add_argument("--conc", action="store_true",
-                      help="run the concurrency-safety analyzer "
-                           "(CNC0xx: async/thread/process boundary "
-                           "rules) over the package source (or MODEL "
-                           "when it is a .py file or a directory)")
+                      help="add the concurrency-safety rules (CNC0xx: "
+                           "async/thread/process boundaries) to the "
+                           "project analysis; any combination of "
+                           "--deep/--shapes/--conc runs as one pass")
     lint.add_argument("--baseline", metavar="PATH",
                       help="baseline JSON to subtract from --deep/"
                            "--shapes/--conc findings (default: the "
-                           "committed package baseline of that "
-                           "analyzer)")
+                           "committed package baseline)")
     lint.add_argument("--write-baseline", action="store_true",
                       help="with --deep/--shapes/--conc: persist the "
-                           "current findings as the new baseline "
-                           "instead of reporting them")
+                           "current findings as the selected families' "
+                           "baseline entries instead of reporting them")
     lint.add_argument("--list-rules", action="store_true",
                       help="print every registered rule (id, family, "
                            "severity, summary) and exit")

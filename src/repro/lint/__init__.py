@@ -1,6 +1,6 @@
 """Static model, kernel and dataflow analysis (`repro lint`).
 
-Three analyzers with flake8-style rule IDs and a shared report layer:
+Three analyses with flake8-style rule IDs and a shared report layer:
 
 * :func:`lint_model` — structural rules ``RBM0xx`` over a
   :class:`~repro.model.rbm.ReactionBasedModel` (+ optional
@@ -14,28 +14,26 @@ Three analyzers with flake8-style rule IDs and a shared report layer:
   per-simulation scalar extraction, narrow dtypes, writes through
   subscript-derived arrays and scalar scipy calls. Stale waiver
   pragmas are reported as ``LNT000``.
-* :func:`lint_deep` — the dataflow analyzer (``repro lint --deep``):
-  per-function CFGs, def-use chains, alias sets and a project call
-  graph (:mod:`repro.lint.dataflow`) power the determinism rules
-  ``DET001``–``DET006`` and cross-layer contract rules
-  ``CON001``–``CON004``, gated by a committed baseline
-  (:data:`~repro.lint.deep.DEFAULT_BASELINE`) that may only shrink.
-* :func:`lint_shapes` — the symbolic shape/dtype analyzer
-  (``repro lint --shapes``): an abstract interpreter over the same
-  dataflow engine propagates symbolic axis lengths (B batch, S
-  species, R reactions, K stages) and dtypes through def-use chains,
-  powering the shape rules ``SHP001``–``SHP006`` and the
-  backend-conformance rules ``BKD001``–``BKD003``, gated by
-  :data:`~repro.lint.shapes.DEFAULT_SHAPES_BASELINE` (committed
-  empty).
-* :func:`lint_conc` — the concurrency-safety analyzer
-  (``repro lint --conc``): a sync-primitive registry, call-only call
-  graph, execution-context closures (event loop, thread targets,
-  ``to_thread`` offloads) and a lexical lock-held abstract state
-  power the async/thread/process rules ``CNC001``–``CNC009`` over
-  the serving stack, gated by
-  :data:`~repro.lint.concurrency.DEFAULT_CONC_BASELINE` (committed
-  empty).
+* :func:`lint_project` — the project analysis (``repro lint --deep
+  --shapes --conc``): one :class:`~repro.lint.dataflow.ProjectIndex`
+  (per-function CFGs, def-use chains, alias sets, a project call
+  graph) over the package source, and the check tables of the
+  selected rule families run over it, configured by one
+  :class:`LintConfig` and gated by one committed baseline
+  (:data:`DEFAULT_BASELINE`, empty) that may only shrink:
+
+  - ``deep`` — determinism rules ``DET001``–``DET006`` and
+    cross-layer contract rules ``CON001``–``CON004``;
+  - ``shapes`` — an abstract interpreter propagating symbolic axis
+    lengths (B batch, S species, R reactions, K stages) and dtypes
+    through def-use chains powers the shape rules
+    ``SHP001``–``SHP006``, next to the backend-conformance rules
+    ``BKD001``–``BKD003``;
+  - ``conc`` — a sync-primitive registry, call-only call graph,
+    execution-context closures (event loop, thread targets,
+    ``to_thread`` offloads) and a lexical lock-held abstract state
+    power the async/thread/process rules ``CNC001``–``CNC009`` over
+    the serving stack.
 
 :func:`lint_gate` is the one-call pre-sweep guard used by the PSA / SA
 / PE hooks: it raises :class:`~repro.errors.LintGateError` when a
@@ -46,19 +44,15 @@ from __future__ import annotations
 
 from ..errors import LintError, LintGateError
 from ..model import Parameterization, ReactionBasedModel
-from .concurrency import (CONC_RULES, ConcConfig, DEFAULT_CONC_BASELINE,
-                          lint_conc)
-from .deep import (DEFAULT_BASELINE, DeepConfig, lint_deep,
-                   package_source_files, write_baseline)
 from .kernel_rules import (KERNEL_RULES, lint_callable, lint_file,
                            lint_kernels, lint_source, shipped_kernel_paths)
 from .model_rules import (MODEL_RULES, STIFFNESS_RISK_DECADES, lint_model,
                           stiffness_risk_score)
-from .registry import (DEEP_RULES, META_RULES, RuleInfo, iter_rules,
-                       render_rule_table, rule_info)
+from .project import (DEFAULT_BASELINE, FAMILIES, LintConfig,
+                      lint_project, package_source_files, write_baseline)
+from .registry import (CONC_RULES, DEEP_RULES, META_RULES, SHAPE_RULES,
+                       RuleInfo, iter_rules, render_rule_table, rule_info)
 from .report import (SEVERITIES, LintFinding, LintReport, severity_rank)
-from .shapes import (DEFAULT_SHAPES_BASELINE, SHAPE_RULES, ShapeConfig,
-                     lint_shapes)
 
 #: Every shipped rule ID -> (default severity, one-line description).
 ALL_RULES = {**MODEL_RULES, **KERNEL_RULES, **DEEP_RULES, **SHAPE_RULES,
@@ -94,15 +88,12 @@ def lint_gate(model: ReactionBasedModel,
 __all__ = [
     "ALL_RULES", "CONC_RULES", "DEEP_RULES", "KERNEL_RULES",
     "META_RULES", "MODEL_RULES", "SHAPE_RULES",
-    "DEFAULT_BASELINE", "DEFAULT_CONC_BASELINE",
-    "DEFAULT_SHAPES_BASELINE", "ConcConfig", "DeepConfig",
-    "ShapeConfig",
+    "DEFAULT_BASELINE", "FAMILIES", "LintConfig",
     "LintError", "LintFinding", "LintGateError", "LintReport",
     "RuleInfo", "SEVERITIES", "severity_rank",
     "STIFFNESS_RISK_DECADES",
-    "iter_rules", "lint_callable", "lint_conc", "lint_deep",
-    "lint_file", "lint_gate", "lint_kernels", "lint_model",
-    "lint_shapes", "lint_source",
+    "iter_rules", "lint_callable", "lint_file", "lint_gate",
+    "lint_kernels", "lint_model", "lint_project", "lint_source",
     "package_source_files", "render_rule_table", "rule_info",
     "shipped_kernel_paths", "stiffness_risk_score", "write_baseline",
 ]

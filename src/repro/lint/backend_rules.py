@@ -16,7 +16,7 @@ rules keep that boundary from eroding:
   truth.
 
 Each rule is a function ``rule(index, config, emit)``; ``config`` is a
-:class:`repro.lint.shapes.ShapeConfig`.
+:class:`repro.lint.project.LintConfig`.
 """
 
 from __future__ import annotations

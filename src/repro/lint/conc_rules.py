@@ -4,7 +4,7 @@ Every rule consumes the shared :class:`~repro.lint.concurrency
 .ConcurrencyModel` (sync-primitive registry, call-only call graph,
 execution-context closures, lock-held abstract state) and follows the
 deep-rule calling convention: ``rule(index, config, emit)`` with the
-waiver-aware emitter from :mod:`repro.lint.deep`.
+waiver-aware emitter from :mod:`repro.lint.project`.
 
 The family polices the three boundaries of the serving stack:
 
@@ -329,7 +329,7 @@ def rule_cnc005_unlocked_shared_write(index: ProjectIndex, config,
             continue
         # Trigger 2: writes reachable from >= 2 execution contexts.
         # Scoped to the subsystems whose instances actually span
-        # contexts (ConcConfig.shared_state_modules).
+        # contexts (LintConfig.shared_state_modules).
         if not module_relpath.startswith(
                 tuple(config.shared_state_modules)):
             continue
@@ -502,7 +502,7 @@ def rule_cnc007_unpicklable_across_fork(index: ProjectIndex, config,
 
 def _risky_classes(index: ProjectIndex, config) -> set[str]:
     """Classes any of whose ``self.x = <ctor>`` attributes hold a
-    live resource from :attr:`ConcConfig.unpicklable_ctors`."""
+    live resource from :attr:`LintConfig.unpicklable_ctors`."""
     risky_ctors = set(config.unpicklable_ctors)
     risky: set[str] = set()
     for module in index.modules:

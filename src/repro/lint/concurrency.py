@@ -1,4 +1,4 @@
-"""Concurrency abstract state + driver of ``repro lint --conc``.
+"""Concurrency abstract state of ``repro lint --conc``.
 
 The concurrency analyzer polices the three boundaries the serving
 stack crosses constantly — the asyncio event loop, worker threads and
@@ -29,107 +29,21 @@ abstract state those rules consume:
   call site of its (helper) function in the module does — the pattern
   ``def _grant(self): ...`` called only under ``with self._cond:``.
 
-The driver :func:`lint_conc` mirrors ``--deep``/``--shapes``: waiver
-pragmas (``# lint: skip=CNC00x``), stale waivers as ``LNT000``, and
-the committed :data:`DEFAULT_CONC_BASELINE` (shipped empty — the
-serving stack carries no accepted concurrency findings) under the
-shrink-only ``LNT001`` ratchet.
+The ``conc`` family of :func:`repro.lint.project.lint_project` runs
+these rules with the shared waiver pragmas (``# lint: skip=CNC00x``),
+stale waivers as ``LNT000``, and the committed (empty) baseline under
+the shrink-only ``LNT001`` ratchet.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import Path
 
-from .conc_rules import CNC_CHECKS, CNC_RULES
 from .dataflow import (FunctionRecord, ModuleInfo, ProjectIndex,
                        attr_chain)
-from .deep import (_apply_baseline, _common_parent, _Emitter,
-                   package_source_files, write_baseline)
-from .report import LintReport
+from .project import DEFAULT_CONFIG, LintConfig
 
-__all__ = ["CONC_RULES", "ConcConfig", "ConcurrencyModel",
-           "DEFAULT_CONC_BASELINE", "PrimitiveRegistry", "conc_model",
-           "lint_conc", "write_baseline"]
-
-#: Every concurrency rule: id -> (default severity, one-line doc).
-CONC_RULES = dict(CNC_RULES)
-
-#: Baseline shipped next to this module, applied by default when the
-#: analysis root is the repro package itself. Committed empty.
-DEFAULT_CONC_BASELINE = (Path(__file__).resolve().parent
-                         / "conc_baseline.json")
-
-#: Prefixes of rule IDs the conc analyzer owns (stale-waiver scope).
-_CONC_PREFIXES = ("CNC",)
-
-
-@dataclass(frozen=True)
-class ConcConfig:
-    """Project-shape knobs of the concurrency analyzer.
-
-    The defaults encode this repository's conventions; tests override
-    them to point the rules at synthetic trees.
-    """
-
-    #: Call terminals that move a callable off the event loop; their
-    #: callable argument does not become a call edge (CNC001) and
-    #: roots a worker-thread context (CNC005).
-    offload_wrappers: tuple[str, ...] = ("to_thread", "run_in_executor")
-    #: Constructor terminals whose ``target=`` keyword roots a thread
-    #: context instead of creating a call edge.
-    thread_spawners: tuple[str, ...] = ("Thread",)
-    #: Constructor terminals whose ``target=`` runs in a *separate
-    #: address space*: no call edge, and no racing context either —
-    #: a child process's writes cannot race the parent's memory.
-    process_spawners: tuple[str, ...] = ("Process",)
-    #: Call terminals that legitimately consume a coroutine object
-    #: without an immediate ``await`` (CNC004 escapes).
-    task_wrappers: tuple[str, ...] = (
-        "create_task", "ensure_future", "gather", "wait", "wait_for",
-        "shield", "run", "run_until_complete",
-        "run_coroutine_threadsafe", "as_completed", "to_thread")
-    #: Project entry points that run a whole blocking campaign; calling
-    #: one directly from a coroutine stalls the loop for its duration.
-    loop_blocking_calls: tuple[str, ...] = ("run_campaign",
-                                            "run_sharded")
-    #: Call terminals that block on the filesystem or a socket. The
-    #: set is deliberately high-signal: generic ``.write``/``.read``/
-    #: ``.close`` terminals are everywhere in non-blocking APIs
-    #: (``StreamWriter.write``) and would drown the rule in noise.
-    blocking_io_calls: tuple[str, ...] = (
-        "open", "mkdir", "unlink", "rmtree", "read_text", "write_text",
-        "read_bytes", "write_bytes", "urlopen", "accept", "recv",
-        "recv_into", "getaddrinfo", "create_connection", "loadtxt",
-        "savetxt", "parse")
-    #: Module-path prefixes CNC005's multi-context trigger applies to:
-    #: the subsystems whose objects genuinely span the event loop,
-    #: worker threads and offloads. Outside them, cross-context
-    #: reachability of a constructor-style method (building a model on
-    #: two different worker threads) says nothing about *sharing one
-    #: instance*, and the trigger would drown in false positives. The
-    #: lock-discipline trigger stays global.
-    shared_state_modules: tuple[str, ...] = ("service/", "resilience/",
-                                             "telemetry/", "io/")
-    #: Parameter names identifying the executor message protocol's
-    #: routing token and its payload (CNC008).
-    protocol_token_params: tuple[str, ...] = ("token",)
-    protocol_payload_params: tuple[str, ...] = ("payload",
-                                                "task_message")
-    #: Name fragment of the staleness field a protocol consumer must
-    #: compare before touching the payload.
-    protocol_guard_names: tuple[str, ...] = ("generation",)
-    #: Constructor terminals that make an object unsafe to send across
-    #: a multiprocessing queue / fork boundary when a class closes
-    #: over one (CNC007): live handles, sockets, locks, tracers.
-    unpicklable_ctors: tuple[str, ...] = (
-        "open", "Lock", "RLock", "Condition", "Event", "Semaphore",
-        "BoundedSemaphore", "create_connection", "socket", "Tracer",
-        "JsonlSink")
-
-
-DEFAULT_CONFIG = ConcConfig()
+__all__ = ["ConcurrencyModel", "PrimitiveRegistry", "conc_model"]
 
 
 # ======================================================================
@@ -178,7 +92,7 @@ class PrimitiveRegistry:
     """
 
     def __init__(self, module: ModuleInfo,
-                 config: ConcConfig = DEFAULT_CONFIG) -> None:
+                 config: LintConfig = DEFAULT_CONFIG) -> None:
         self.kinds: dict[str, str] = {}
         #: (class name, attribute) -> kind, for class-owned primitives.
         self.class_kinds: dict[tuple[str, str], str] = {}
@@ -274,7 +188,7 @@ class ConcurrencyModel:
     """
 
     def __init__(self, index: ProjectIndex,
-                 config: ConcConfig = DEFAULT_CONFIG) -> None:
+                 config: LintConfig = DEFAULT_CONFIG) -> None:
         self.index = index
         self.config = config
         self.registries: dict[str, PrimitiveRegistry] = {
@@ -703,7 +617,7 @@ def _annotation_type(annotation: ast.AST | None) -> str | None:
 
 
 def conc_model(index: ProjectIndex,
-               config: ConcConfig = DEFAULT_CONFIG) -> ConcurrencyModel:
+               config: LintConfig = DEFAULT_CONFIG) -> ConcurrencyModel:
     """The per-run :class:`ConcurrencyModel`, cached on the index so
     the nine rules share one graph construction."""
     cached = getattr(index, "_conc_model", None)
@@ -711,65 +625,3 @@ def conc_model(index: ProjectIndex,
         cached = ConcurrencyModel(index, config)
         index._conc_model = cached
     return cached
-
-
-# ======================================================================
-# driver
-
-
-def lint_conc(paths: list[str | Path] | None = None, *,
-              root: Path | None = None,
-              baseline_path: str | Path | None = None,
-              config: ConcConfig = DEFAULT_CONFIG) -> LintReport:
-    """Run the concurrency analysis and return a
-    :class:`~repro.lint.report.LintReport`.
-
-    Parameters
-    ----------
-    paths:
-        Files to analyze. Default: every module of the installed
-        ``repro`` package.
-    root:
-        Directory findings are reported relative to. Default: the
-        package directory (or the common parent of ``paths``).
-    baseline_path:
-        Baseline JSON to subtract. Defaults to the committed
-        :data:`DEFAULT_CONC_BASELINE` when analyzing the package
-        itself; pass an explicit path (or a missing one) to disable.
-    config:
-        Project-shape configuration for the rules.
-    """
-    analyzing_package = paths is None
-    if analyzing_package:
-        package_root = Path(__file__).resolve().parent.parent
-        files = package_source_files(package_root)
-        root = package_root if root is None else Path(root)
-    else:
-        files = [Path(p) for p in paths]
-        if root is None:
-            root = (files[0].parent if len(files) == 1
-                    else Path(_common_parent(files)))
-    index = ProjectIndex(files, root=root)
-    report = LintReport(
-        subject=f"concurrency analysis: {len(files)} file(s)",
-        metadata={"files": [module.relpath for module in index.modules]})
-    emit = _Emitter(report, severities=dict(CONC_RULES))
-    for check in CNC_CHECKS.values():
-        check(index, config, emit)
-    # Stale CNC waivers surface as LNT000, after every rule has had
-    # its chance to consume them.
-    for module in index.modules:
-        for lineno, rule in module.waivers.stale(
-                lambda r: r.startswith(_CONC_PREFIXES)):
-            report.add("LNT000", "warning",
-                       f"stale waiver: the {rule} pragma on line "
-                       f"{lineno} suppresses nothing",
-                       f"{module.relpath}:{lineno}",
-                       "remove the pragma")
-    report.metadata["waived"] = emit.waived
-    if baseline_path is None and analyzing_package:
-        baseline_path = DEFAULT_CONC_BASELINE
-    if baseline_path is not None and Path(baseline_path).exists():
-        _apply_baseline(report, Path(baseline_path))
-    report.findings.sort(key=lambda f: (f.location, f.rule_id))
-    return report

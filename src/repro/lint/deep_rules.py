@@ -3,7 +3,7 @@
 Each rule is a function ``rule(index, config, emit)`` over a
 :class:`~repro.lint.dataflow.ProjectIndex`; ``emit(rule_id, module,
 lineno, message, hint)`` routes findings through waiver and baseline
-handling in :mod:`repro.lint.deep`.
+handling in :mod:`repro.lint.project`.
 
 The family statically guards the two reproducibility invariants earlier
 work hand-established: bit-identical results under memory-governor

@@ -27,7 +27,7 @@ import textwrap
 from pathlib import Path
 
 from ..errors import LintError
-from .dataflow import WaiverIndex
+from .dataflow import WaiverIndex, is_basic_slice
 from .report import LintReport
 
 #: Rule registry: rule ID -> (default severity, one-line description).
@@ -85,17 +85,6 @@ def _attr_chain(node: ast.AST) -> list[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
     return parts[::-1]
-
-
-def _is_basic_slice(index: ast.AST) -> bool:
-    """True for basic (view-returning) indexing, False for fancy."""
-    if isinstance(index, ast.Slice):
-        return True
-    if isinstance(index, ast.Constant):
-        return True
-    if isinstance(index, ast.Tuple):
-        return all(_is_basic_slice(element) for element in index.elts)
-    return False
 
 
 class _KernelVisitor(ast.NodeVisitor):
@@ -281,7 +270,7 @@ class _KernelVisitor(ast.NodeVisitor):
         value = node.value
         if isinstance(value, ast.Subscript) \
                 and isinstance(value.value, ast.Name):
-            basic = _is_basic_slice(value.slice)
+            basic = is_basic_slice(value.slice)
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.subscript_bindings[-1][target.id] = \

@@ -185,8 +185,10 @@ RULE_DOCS = {
               "run: regenerate the baseline so it only shrinks.",
 }
 
-#: Deep-analyzer rules (dataflow + contract families).
+#: Rules of the project-analysis families (:mod:`repro.lint.project`).
 DEEP_RULES = {**DET_RULES, **CON_RULES}
+SHAPE_RULES = {**SHP_RULES, **BKD_RULES}
+CONC_RULES = CNC_RULES
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ lets the pass run over the whole package at ``--fail-on warning`` with
 an empty baseline.
 
 Each rule is a function ``rule(index, config, emit)`` like the DET/CON
-families; ``config`` is a :class:`repro.lint.shapes.ShapeConfig`.
+families; ``config`` is a :class:`repro.lint.project.LintConfig`.
 """
 
 from __future__ import annotations

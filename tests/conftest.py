@@ -75,6 +75,14 @@ def metabolic_model() -> ReactionBasedModel:
     return metabolic_network()
 
 
+@pytest.fixture(scope="session")
+def package_lint_report():
+    """One project analysis of the whole package (every rule family),
+    shared by the self-gate tests instead of one analysis each."""
+    from repro.lint import lint_project
+    return lint_project()
+
+
 @pytest.fixture
 def tight_options() -> SolverOptions:
     return SolverOptions(rtol=1e-8, atol=1e-10)

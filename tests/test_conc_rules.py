@@ -29,8 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.errors import LintError
-from repro.lint import (CONC_RULES, ConcConfig, DEFAULT_CONC_BASELINE,
-                        lint_conc, write_baseline)
+from repro.lint import (CONC_RULES, DEFAULT_BASELINE, LintConfig,
+                        lint_project, write_baseline)
 from repro.model import perturbed_batch
 from repro.models import lotka_volterra
 from repro.service import (CampaignService, JobRequest, JobState,
@@ -39,7 +39,7 @@ from repro.service import (CampaignService, JobRequest, JobState,
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def analyze(tmp_path, files, config=ConcConfig(), baseline=None):
+def analyze(tmp_path, files, config=LintConfig(), baseline=None):
     """Write ``{relpath: source}`` under a synthetic root and run the
     concurrency analysis over it."""
     root = tmp_path / "proj"
@@ -47,8 +47,8 @@ def analyze(tmp_path, files, config=ConcConfig(), baseline=None):
         path = root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return lint_conc(sorted(root.rglob("*.py")), root=root,
-                     config=config, baseline_path=baseline)
+    return lint_project(sorted(root.rglob("*.py")), families=("conc",),
+                        root=root, config=config, baseline_path=baseline)
 
 
 def rule_ids(report):
@@ -56,20 +56,21 @@ def rule_ids(report):
 
 
 class TestSelfGate:
-    def test_package_conc_lint_is_clean(self):
-        report = lint_conc()
+    def test_package_conc_lint_is_clean(self, package_lint_report):
+        report = package_lint_report
         offending = report.at_or_above("warning")
         assert offending == [], "\n" + "\n".join(
             finding.render() for finding in offending)
 
     def test_committed_baseline_is_empty(self):
-        payload = json.loads(DEFAULT_CONC_BASELINE.read_text())
+        payload = json.loads(DEFAULT_BASELINE.read_text())
         assert payload["format_version"] == 1
         assert payload["entries"] == [], \
             "the conc baseline must stay empty: fix or waive findings"
 
-    def test_analysis_covers_the_serving_stack(self):
-        report = lint_conc()
+    def test_analysis_covers_the_serving_stack(self,
+                                               package_lint_report):
+        report = package_lint_report
         covered = set(report.metadata["files"])
         for expected in ("service/core.py", "service/server.py",
                          "service/scheduler.py", "resilience/executor.py",
@@ -401,21 +402,24 @@ class TestBaselineMachinery:
 
     def test_baseline_subtracts_known_findings(self, tmp_path):
         root, path = self._tree(tmp_path)
-        dirty = lint_conc([path], root=root)
+        dirty = lint_project([path], families=("conc",), root=root)
         assert dirty.by_rule("CNC009")
         baseline = tmp_path / "baseline.json"
         count = write_baseline(dirty, baseline)
         assert count >= 1
-        clean = lint_conc([path], root=root, baseline_path=baseline)
+        clean = lint_project([path], families=("conc",), root=root,
+                             baseline_path=baseline)
         assert clean.findings == []
         assert clean.metadata["baselined"] == count
 
     def test_stale_baseline_entry_becomes_lnt001(self, tmp_path):
         root, path = self._tree(tmp_path)
         baseline = tmp_path / "baseline.json"
-        write_baseline(lint_conc([path], root=root), baseline)
+        write_baseline(lint_project([path], families=("conc",), root=root),
+                                    baseline)
         path.write_text("def risky(update):\n    update()\n")
-        report = lint_conc([path], root=root, baseline_path=baseline)
+        report = lint_project([path], families=("conc",), root=root,
+                              baseline_path=baseline)
         hits = report.by_rule("LNT001")
         assert hits
         assert any("CNC009" in hit.message for hit in hits)
@@ -426,7 +430,8 @@ class TestBaselineMachinery:
         baseline = tmp_path / "baseline.json"
         baseline.write_text("{not json")
         with pytest.raises(LintError, match="valid JSON"):
-            lint_conc([path], root=root, baseline_path=baseline)
+            lint_project([path], families=("conc",), root=root,
+                         baseline_path=baseline)
 
 
 class TestConcCLI:
@@ -582,7 +587,7 @@ class TestNeverCrashes:
             (root / "service").mkdir(parents=True)
             path = root / "service" / "gen.py"
             path.write_text(source)
-            report = lint_conc([path], root=root)
+            report = lint_project([path], families=("conc",), root=root)
             known = set(CONC_RULES) | {"LNT000", "LNT001"}
             for finding in report.findings:
                 assert finding.rule_id in known

@@ -16,19 +16,20 @@ import textwrap
 import pytest
 
 from repro.errors import LintError
-from repro.lint import (DEEP_RULES, DEFAULT_BASELINE, lint_deep,
+from repro.lint import (DEEP_RULES, DEFAULT_BASELINE, lint_project,
                         package_source_files, write_baseline)
 
 
 class TestSelfGate:
-    def test_package_deep_lint_is_clean(self):
-        report = lint_deep()
+    def test_package_deep_lint_is_clean(self, package_lint_report):
+        report = package_lint_report
         offending = report.at_or_above("warning")
         assert offending == [], "\n" + "\n".join(
             finding.render() for finding in offending)
 
-    def test_analysis_covers_the_critical_modules(self):
-        report = lint_deep()
+    def test_analysis_covers_the_critical_modules(self,
+                                                  package_lint_report):
+        report = package_lint_report
         covered = set(report.metadata["files"])
         for expected in ("gpu/batch_dopri5.py", "gpu/batch_radau5.py",
                          "gpu/batch_bdf.py", "gpu/engine.py",
@@ -37,10 +38,11 @@ class TestSelfGate:
                          "errors.py"):
             assert expected in covered
 
-    def test_committed_baseline_is_valid_and_not_stale(self):
+    def test_committed_baseline_is_valid_and_not_stale(
+            self, package_lint_report):
         payload = json.loads(DEFAULT_BASELINE.read_text())
         assert payload["format_version"] == 1
-        report = lint_deep()
+        report = package_lint_report
         assert report.by_rule("LNT001") == [], \
             "baseline entries no longer match: shrink the baseline"
 
@@ -64,23 +66,25 @@ class TestBaselineMachinery:
 
     def test_baseline_subtracts_known_findings(self, tmp_path):
         root, path = self._tree(tmp_path, self.DIRTY)
-        dirty = lint_deep([path], root=root)
+        dirty = lint_project([path], families=("deep",), root=root)
         assert dirty.by_rule("DET001")
         baseline = tmp_path / "baseline.json"
         count = write_baseline(dirty, baseline)
         assert count == len(dirty.findings)
-        clean = lint_deep([path], root=root, baseline_path=baseline)
+        clean = lint_project([path], families=("deep",), root=root,
+                             baseline_path=baseline)
         assert clean.findings == []
         assert clean.metadata["baselined"] == count
 
     def test_stale_baseline_entry_becomes_lnt001(self, tmp_path):
         root, path = self._tree(tmp_path, self.DIRTY)
-        dirty = lint_deep([path], root=root)
+        dirty = lint_project([path], families=("deep",), root=root)
         baseline = tmp_path / "baseline.json"
         write_baseline(dirty, baseline)
         # Fix the defect: the baseline entry now matches nothing.
         path.write_text("def combine(w, k):\n    return w[0] * k[0]\n")
-        report = lint_deep([path], root=root, baseline_path=baseline)
+        report = lint_project([path], families=("deep",), root=root,
+                              baseline_path=baseline)
         hits = report.by_rule("LNT001")
         assert len(hits) == 1
         assert "DET001" in hits[0].message
@@ -89,11 +93,11 @@ class TestBaselineMachinery:
 
     def test_write_baseline_excludes_meta_findings(self, tmp_path):
         root, path = self._tree(tmp_path, self.DIRTY)
-        dirty = lint_deep([path], root=root)
+        dirty = lint_project([path], families=("deep",), root=root)
         stale_source = tmp_path / "baseline1.json"
         write_baseline(dirty, stale_source)
         path.write_text("def combine(w, k):\n    return w[0] * k[0]\n")
-        with_stale = lint_deep([path], root=root,
+        with_stale = lint_project([path], families=("deep",), root=root,
                                baseline_path=stale_source)
         assert with_stale.by_rule("LNT001")
         regenerated = tmp_path / "baseline2.json"
@@ -104,14 +108,16 @@ class TestBaselineMachinery:
         baseline = tmp_path / "baseline.json"
         baseline.write_text('{"format_version": 99, "entries": []}')
         with pytest.raises(LintError, match="format_version"):
-            lint_deep([path], root=root, baseline_path=baseline)
+            lint_project([path], families=("deep",), root=root,
+                         baseline_path=baseline)
 
     def test_corrupt_baseline_rejected(self, tmp_path):
         root, path = self._tree(tmp_path, self.DIRTY)
         baseline = tmp_path / "baseline.json"
         baseline.write_text("{not json")
         with pytest.raises(LintError, match="valid JSON"):
-            lint_deep([path], root=root, baseline_path=baseline)
+            lint_project([path], families=("deep",), root=root,
+                         baseline_path=baseline)
 
 
 class TestRuleRegistryContract:

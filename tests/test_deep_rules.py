@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import DeepConfig, lint_deep
+from repro.lint import LintConfig, lint_project
 from repro.lint.deep_rules import _einsum_contracted_operands
 
 REPO_GPU = Path(__file__).resolve().parent.parent / "src" / "repro" / "gpu"
@@ -26,14 +26,14 @@ _SHIPPED_COMBINATION = ("    combined = weights[0] * stages[0]\n"
                         "    return combined")
 
 
-def analyze(tmp_path, files, config=DeepConfig(), baseline=None):
+def analyze(tmp_path, files, config=LintConfig(), baseline=None):
     root = tmp_path / "proj"
     for relpath, source in files.items():
         path = root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return lint_deep(sorted(root.rglob("*.py")), root=root,
-                     config=config, baseline_path=baseline)
+    return lint_project(sorted(root.rglob("*.py")), families=("deep",),
+                        root=root, config=config, baseline_path=baseline)
 
 
 def rule_ids(report):
@@ -486,9 +486,8 @@ class TestCON002:
         })
         assert report.by_rule("CON002") == []
 
-    def test_shipped_fault_plan_fully_consumed(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        report = lint_deep()
+    def test_shipped_fault_plan_fully_consumed(self, package_lint_report):
+        report = package_lint_report
         assert report.by_rule("CON002") == []
 
     def test_orphan_scheduler_fault_field(self, tmp_path):

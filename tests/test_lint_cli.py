@@ -2,9 +2,10 @@
 
 Covers the text and JSON output formats, the ``--fail-on`` exit-code
 contract, ``--self`` (shipped-kernel lint), direct ``.py`` file lint,
-the error path for a missing model, ``--list-rules``, the ``--deep``
-dataflow analyzer and the exit-code contract (0 clean / 1 findings /
-2 crash / 3 lint-gate rejection).
+the error path for a missing model, ``--list-rules``, the project
+analysis (``--deep``/``--shapes``/``--conc`` in one pass, ``--self``
+joining it, family-scoped baselines) and the exit-code contract (0
+clean / 1 findings / 2 crash / 3 lint-gate rejection).
 """
 
 import json
@@ -164,6 +165,88 @@ class TestDeepLint:
         assert main(["lint", "--deep", str(tmp_path),
                      "--baseline", str(baseline)]) == 0
         assert "clean" in capsys.readouterr().out
+
+
+#: One finding per project-analysis family: DET001 and SHP001 on the
+#: axis-0 kernel reduction, CNC009 on the bare acquire.
+_FAMILY_TREE = {
+    "gpu/batch_x.py": """
+        from ..backend import xp
+
+        def total(states):
+            return xp.sum(states, axis=0)
+    """,
+    "service/locks.py": """
+        import threading
+
+        _LOCK = threading.Lock()
+
+        def flush(journal):
+            _LOCK.acquire()
+            journal.write()
+            _LOCK.release()
+    """,
+}
+
+
+def _family_tree(tmp_path, relpaths):
+    root = tmp_path / "proj"
+    for relpath in relpaths:
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(_FAMILY_TREE[relpath]))
+    return root
+
+
+def _json_rules(capsys):
+    payload = json.loads(capsys.readouterr().out)
+    return {finding["rule_id"] for finding in payload["findings"]}
+
+
+class TestProjectFamilies:
+    def test_combined_flags_run_every_family(self, tmp_path, capsys):
+        root = _family_tree(tmp_path, _FAMILY_TREE)
+        assert main(["lint", "--deep", "--shapes", "--conc", str(root),
+                     "--format", "json"]) == 1
+        assert _json_rules(capsys) == {"DET001", "SHP001", "CNC009"}
+
+    def test_self_joins_the_family_report(self, tmp_path, waived_kernel,
+                                          monkeypatch, capsys):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("def step(y, batch_size):\n"
+                         "    for i in range(batch_size):\n"
+                         "        y[i] = 0.0\n")
+        monkeypatch.setattr("repro.lint.kernel_rules.shipped_kernel_paths",
+                            lambda: [waived_kernel, dirty])
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "clean.py").write_text("def f(x):\n    return x\n")
+        # The family pass is clean: the KRN001 error alone sets the exit.
+        assert main(["lint", "--self", "--deep", str(root),
+                     "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule_id"] for f in payload["findings"]] == ["KRN001"]
+        assert payload["metadata"]["waived"] == 1
+        assert payload["metadata"]["files"] == ["clean.py"]
+
+    def test_baseline_is_scoped_to_families(self, tmp_path, capsys):
+        root = _family_tree(tmp_path, ["gpu/batch_x.py"])
+        baseline = tmp_path / "baseline.json"
+        assert main(["lint", "--shapes", str(root), "--write-baseline",
+                     "--baseline", str(baseline)]) == 0
+        capsys.readouterr()
+        assert main(["lint", "--deep", str(root), "--baseline",
+                     str(baseline), "--format", "json"]) == 1
+        assert _json_rules(capsys) == {"DET001"}
+        assert main(["lint", "--shapes", str(root), "--baseline",
+                     str(baseline), "--fail-on", "info"]) == 0
+        assert "clean" in capsys.readouterr().out
+        # Rewriting the deep entries keeps the shapes entry.
+        assert main(["lint", "--deep", str(root), "--write-baseline",
+                     "--baseline", str(baseline)]) == 0
+        entries = json.loads(baseline.read_text())["entries"]
+        assert sorted(entry["rule"] for entry in entries) == \
+            ["DET001", "SHP001"]
 
 
 class TestLintGateExitCode:

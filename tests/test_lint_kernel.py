@@ -136,6 +136,15 @@ class TestViewWrites:
         assert len(hits) == 1
         assert "view" in hits[0].message
 
+    def test_krn004_negative_index_is_a_view(self):
+        hits = findings("""
+            def touch(states):
+                last = states[-1]
+                last[0] = 0.0
+        """, "KRN004")
+        assert len(hits) == 1
+        assert "view" in hits[0].message
+
     def test_krn004_write_through_fancy_copy(self):
         hits = findings("""
             def lost(y, rows):

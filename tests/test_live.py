@@ -13,7 +13,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ServiceError, TelemetryError
 from repro.io import write_model
-from repro.lint import ConcConfig, lint_conc
+from repro.lint import LintConfig, lint_project
 from repro.models import lotka_volterra
 from repro.service import (Client, ServiceConfig, TenantSLO,
                            scrape_metrics)
@@ -208,8 +208,9 @@ class TestHubLockDiscipline:
             class MetricsRegistry:
                 pass
             """))
-        report = lint_conc(sorted(root.rglob("*.py")), root=root,
-                           config=ConcConfig())
+        report = lint_project(sorted(root.rglob("*.py")),
+                              families=("conc",), root=root,
+                              config=LintConfig())
         return {finding.rule_id for finding in report.findings}
 
     def test_shipped_hub_is_clean(self, tmp_path):

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.backend.protocol import REQUIRED_OPS
 from repro.cli import main
 from repro.errors import LintError
-from repro.lint import (DEFAULT_SHAPES_BASELINE, SHAPE_RULES,
-                        lint_shapes, write_baseline)
+from repro.lint import (DEFAULT_BASELINE, SHAPE_RULES, lint_project,
+                        write_baseline)
 
 
 def _tree(tmp_path, source, name="batch_x.py"):
@@ -40,14 +40,15 @@ def _rules(report):
 
 
 class TestSelfGate:
-    def test_package_shapes_lint_is_clean(self):
-        report = lint_shapes()
+    def test_package_shapes_lint_is_clean(self, package_lint_report):
+        report = package_lint_report
         offending = report.at_or_above("warning")
         assert offending == [], "\n" + "\n".join(
             finding.render() for finding in offending)
 
-    def test_analysis_covers_the_kernel_modules(self):
-        report = lint_shapes()
+    def test_analysis_covers_the_kernel_modules(self,
+                                                package_lint_report):
+        report = package_lint_report
         covered = set(report.metadata["files"])
         for expected in ("gpu/batch_dopri5.py", "gpu/batch_radau5.py",
                          "gpu/batch_bdf.py", "gpu/engine.py",
@@ -58,7 +59,7 @@ class TestSelfGate:
     def test_committed_baseline_is_empty(self):
         """Acceptance criterion: the shipped kernels carry no accepted
         shape findings — the ratchet starts at zero."""
-        payload = json.loads(DEFAULT_SHAPES_BASELINE.read_text())
+        payload = json.loads(DEFAULT_BASELINE.read_text())
         assert payload["format_version"] == 1
         assert payload["entries"] == []
 
@@ -71,7 +72,7 @@ class TestSeededShapeRegressions:
             def norms(states):
                 return xp.tensordot(states, states, axes=(0, 0))
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         hits = report.by_rule("SHP001")
         assert len(hits) == 1
         assert "batch" in hits[0].message
@@ -83,7 +84,8 @@ class TestSeededShapeRegressions:
             def total(states):
                 return xp.sum(states, axis=0)
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP001")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP001")
 
     def test_batch_axis_broadcast_is_shp002(self, tmp_path):
         root, path = _tree(tmp_path, """
@@ -92,7 +94,8 @@ class TestSeededShapeRegressions:
             def drift(states, times):
                 return states + times
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP002")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP002")
 
     def test_keepdims_style_broadcast_is_clean(self, tmp_path):
         root, path = _tree(tmp_path, """
@@ -101,7 +104,7 @@ class TestSeededShapeRegressions:
             def drift(states, times):
                 return states + times[:, None]
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("SHP002") == []
 
     def test_float32_state_accumulator_is_shp003(self, tmp_path):
@@ -113,7 +116,8 @@ class TestSeededShapeRegressions:
                 acc = acc + states
                 return acc
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP003")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP003")
 
     def test_shape_unstable_branches_are_shp004(self, tmp_path):
         root, path = _tree(tmp_path, """
@@ -126,7 +130,8 @@ class TestSeededShapeRegressions:
                     value = times
                 return value * 2.0
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP004")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP004")
 
     def test_batch_folding_ravel_is_shp005(self, tmp_path):
         root, path = _tree(tmp_path, """
@@ -135,7 +140,8 @@ class TestSeededShapeRegressions:
             def flat(states):
                 return states.ravel()
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP005")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP005")
 
     def test_batch_preserving_reshape_is_clean(self, tmp_path):
         root, path = _tree(tmp_path, """
@@ -144,7 +150,7 @@ class TestSeededShapeRegressions:
             def rows(states):
                 return states.reshape(states.shape[0], -1)
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("SHP005") == []
 
     def test_narrow_out_target_is_shp006(self, tmp_path):
@@ -156,7 +162,8 @@ class TestSeededShapeRegressions:
                 xp.maximum(states, states, out=out)
                 return out
         """)
-        assert lint_shapes([path], root=root).by_rule("SHP006")
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("SHP006")
 
 
 class TestSeededBackendRegressions:
@@ -167,7 +174,7 @@ class TestSeededBackendRegressions:
             def total(states):
                 return np.sum(states, axis=-1)
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("BKD001")
         assert report.by_rule("BKD002")
 
@@ -178,7 +185,7 @@ class TestSeededBackendRegressions:
             def total(states):
                 return nansum(states)
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("BKD001")
         assert report.by_rule("BKD002")
 
@@ -189,7 +196,8 @@ class TestSeededBackendRegressions:
             def factor(matrices):
                 return xp.fancy_svd(matrices)
         """)
-        hits = lint_shapes([path], root=root).by_rule("BKD003")
+        hits = lint_project([path], families=("shapes",),
+                            root=root).by_rule("BKD003")
         assert len(hits) == 1
         assert "fancy_svd" in hits[0].message
 
@@ -200,14 +208,15 @@ class TestSeededBackendRegressions:
         root, path = _tree(tmp_path,
                            "from ..backend import xp\n\n"
                            f"def touch(states):\n{body}\n    return states\n")
-        assert lint_shapes([path], root=root).by_rule("BKD003") == []
+        assert lint_project([path], families=("shapes",),
+                            root=root).by_rule("BKD003") == []
 
     def test_backend_module_itself_is_exempt(self, tmp_path):
         root = tmp_path / "proj"
         (root / "backend").mkdir(parents=True)
         path = root / "backend" / "numpy_backend.py"
         path.write_text("import numpy as np\nxp = np\n")
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("BKD001") == []
         assert report.by_rule("BKD002") == []
 
@@ -228,7 +237,7 @@ class TestWaiversAndBaseline:
                 # lint: skip=SHP001
                 return xp.tensordot(states, states, axes=(0, 0))
         """)
-        report = lint_shapes([path], root=root)
+        report = lint_project([path], families=("shapes",), root=root)
         assert report.by_rule("SHP001") == []
         assert report.metadata["waived"] >= 1
         assert report.by_rule("LNT000") == []
@@ -240,28 +249,31 @@ class TestWaiversAndBaseline:
             def quiet(states):
                 return states * 2.0  # lint: skip=SHP001
         """)
-        hits = lint_shapes([path], root=root).by_rule("LNT000")
+        hits = lint_project([path], families=("shapes",),
+                            root=root).by_rule("LNT000")
         assert len(hits) == 1
         assert "SHP001" in hits[0].message
 
     def test_baseline_subtracts_known_findings(self, tmp_path):
         root, path = _tree(tmp_path, self.DIRTY)
-        dirty = lint_shapes([path], root=root)
+        dirty = lint_project([path], families=("shapes",), root=root)
         assert dirty.by_rule("SHP001")
         baseline = tmp_path / "baseline.json"
         count = write_baseline(dirty, baseline)
         assert count == len(dirty.findings)
-        clean = lint_shapes([path], root=root, baseline_path=baseline)
+        clean = lint_project([path], families=("shapes",), root=root,
+                             baseline_path=baseline)
         assert clean.findings == []
         assert clean.metadata["baselined"] == count
 
     def test_stale_baseline_entry_becomes_lnt001(self, tmp_path):
         root, path = _tree(tmp_path, self.DIRTY)
-        dirty = lint_shapes([path], root=root)
+        dirty = lint_project([path], families=("shapes",), root=root)
         baseline = tmp_path / "baseline.json"
         write_baseline(dirty, baseline)
         path.write_text("def norms(states):\n    return states * 2.0\n")
-        report = lint_shapes([path], root=root, baseline_path=baseline)
+        report = lint_project([path], families=("shapes",), root=root,
+                              baseline_path=baseline)
         hits = report.by_rule("LNT001")
         assert hits
         assert any("SHP001" in hit.message for hit in hits)
@@ -272,7 +284,8 @@ class TestWaiversAndBaseline:
         baseline = tmp_path / "baseline.json"
         baseline.write_text("{not json")
         with pytest.raises(LintError, match="valid JSON"):
-            lint_shapes([path], root=root, baseline_path=baseline)
+            lint_project([path], families=("shapes",), root=root,
+                         baseline_path=baseline)
 
 
 class TestShapesCLI:
@@ -349,7 +362,7 @@ class TestNeverCrashes:
             (root / "gpu").mkdir(parents=True)
             path = root / "gpu" / "batch_gen.py"
             path.write_text(source)
-            report = lint_shapes([path], root=root)
+            report = lint_project([path], families=("shapes",), root=root)
             known = set(SHAPE_RULES) | {"LNT000", "LNT001"}
             for finding in report.findings:
                 assert finding.rule_id in known
