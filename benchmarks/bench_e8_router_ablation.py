@@ -114,8 +114,8 @@ def test_cascade_switch(benchmark, monkeypatch):
             started = time.perf_counter()
             result = simulator.simulate((0.0, 1.0), CASCADE_GRID, batch)
             seconds.append(time.perf_counter() - started)
-            switched.append(sum(decision.n_stiff for decision
-                                in simulator.last_report.routing))
+            switched.append(simulator.last_report.metrics.counters[
+                "router.switched_rows"])
         state["cascade"] = {
             "rows": batch.size,
             "rounds": CASCADE_ROUNDS,

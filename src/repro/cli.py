@@ -132,9 +132,8 @@ def _command_lint(args) -> int:
         if args.write_baseline:
             # Analyze without subtracting, then persist what's left
             # after waivers as the new accepted set.
-            report = lint_project(
-                paths, families=families, root=root,
-                baseline_path=Path("/nonexistent-baseline"))
+            report = lint_project(paths, families=families, root=root,
+                                  baseline_path=False)
             target = args.baseline or DEFAULT_BASELINE
             count = write_baseline(report, target, families)
             print(f"wrote {count} baseline entr"
@@ -147,6 +146,8 @@ def _command_lint(args) -> int:
             report.subject += f" + {kernels.subject}"
             report.findings.extend(kernels.findings)
             report.metadata["waived"] += kernels.metadata["waived"]
+            report.metadata["files"] = list(dict.fromkeys(
+                report.metadata["files"] + kernels.metadata["files"]))
     elif args.self:
         report = lint_kernels()
     elif args.model is None:

@@ -89,7 +89,8 @@ def time_engine(model: ReactionBasedModel, engine: str, batch_size: int,
 
     Returns (seconds, extrapolated): when a sequential engine hits the
     time budget before finishing the batch, the cost of the full batch
-    is extrapolated from the completed fraction and flagged.
+    is extrapolated from the fraction it ran and flagged. A row that
+    ran and failed counts as run.
     """
     rng = np.random.default_rng(seed)
     batch = perturbed_batch(model.nominal_parameterization(), batch_size,
@@ -108,7 +109,7 @@ def time_engine(model: ReactionBasedModel, engine: str, batch_size: int,
     result = simulator.simulate(t_span, t_eval, batch,
                                 time_budget_seconds=time_budget_seconds)
     elapsed = clock.monotonic() - started
-    completed = sum(s != "failed" for s in result.statuses())
+    completed = sum(s != "running" for s in result.statuses())
     if completed < batch_size:
         if completed == 0:
             return float("inf"), True

@@ -63,9 +63,9 @@ class SimulationResult:
     """Batch trajectories with model-aware accessors.
 
     ``engine_report`` is populated by the batched engine only; it
-    carries routing decisions, the metrics registry (kernel and retry
-    counts) and — when the engine ran with a retry policy — the
-    quarantine log of rows that exhausted the retry ladder.
+    carries the metrics registry (kernel, router and retry counts) and
+    — when the engine ran with a retry policy — the quarantine log of
+    rows that exhausted the retry ladder.
     """
 
     model: ReactionBasedModel
@@ -157,7 +157,8 @@ class SequentialSimulator:
         """Integrate the batch sequentially.
 
         ``time_budget_seconds`` stops the loop once exceeded, leaving
-        remaining simulations BROKEN — this reproduces the paper
+        the remaining simulations ``running`` (never started, so
+        ``failed_mask`` still covers them) — this reproduces the paper
         family's "how many simulations fit in a time budget" runs.
         """
         batch = _normalize(self.model, parameters)
@@ -165,7 +166,6 @@ class SequentialSimulator:
         result = allocate_result(t_eval, batch.size, self.model.n_species,
                                  _SEQUENTIAL_METHOD_CODES[self.engine])
         started = clock.monotonic()
-        completed = 0
         for index in range(batch.size):
             if time_budget_seconds is not None and \
                     clock.monotonic() - started > time_budget_seconds:
@@ -173,8 +173,6 @@ class SequentialSimulator:
             row = np.array([index])
             result.merge_rows(
                 self._solve_row(batch.subset(row), t_span, t_eval), row)
-            completed += 1
-        result.status_codes[completed:] = BROKEN
         result.elapsed_seconds = clock.monotonic() - started
         return result
 

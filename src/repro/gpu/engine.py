@@ -11,8 +11,7 @@ the trajectories. It is the component the parameter-space analyses
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..backend import Array, xp
 from ..errors import CampaignInterrupted, SolverError
@@ -27,7 +26,6 @@ from ..resilience.quarantine import (FailureRecord, QuarantineLog,
                                      RetryAttempt)
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
 from ..telemetry import clock
-from ..telemetry.calibration import LaunchCost
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import SpanHandle, as_tracer
 from .batch_bdf import BatchBDF
@@ -39,7 +37,7 @@ from .batched_ode import BatchedODEProblem, KernelCounters
 from .device import TITAN_X, VirtualDevice
 from .perfmodel import (DeviceTimeEstimate, estimate_device_time,
                         memory_footprint_doubles)
-from .router import RoutingDecision, StiffnessRouter
+from .router import StiffnessRouter
 
 #: The batched integrator that serves each method name: the
 #: fixed-method launches and the retry rungs.
@@ -75,85 +73,22 @@ class EngineReport:
     working-set histograms. It is always populated, and it is
     timestamp-free, so it is safe to embed in campaign checkpoints.
 
-    ``launch_costs`` pairs every launch's perfmodel prediction with
-    its observed wall-clock — the raw material of
-    :mod:`repro.telemetry.calibration`, which reports the model's error
-    and drift and feeds no decision back. Wall-clock lives here (next
-    to ``elapsed_seconds``), never in ``metrics``.
+    Per-launch facts live on the launch spans, not here: each
+    ``launch-<i>`` span carries ``rows``, ``species``, ``reactions``,
+    ``method``, the perfmodel's ``predicted_ms`` and, as its duration,
+    the observed wall-clock (the raw material of
+    :mod:`repro.telemetry.calibration`); each ``rung-0`` span carries
+    the ``switched_rows`` the router moved to Radau IIA, whose run
+    total is the ``router.switched_rows`` counter.
     """
 
     elapsed_seconds: float
     n_launches: int
-    routing: list[RoutingDecision] = field(default_factory=list)
     modeled_device_time: DeviceTimeEstimate | None = None
     quarantine: QuarantineLog = field(default_factory=QuarantineLog)
     guard_log: GuardLog = field(default_factory=GuardLog)
     memory_events: list[MemoryEvent] = field(default_factory=list)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    launch_costs: list[LaunchCost] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """Lossless JSON-safe form (see :meth:`from_dict`)."""
-        modeled = self.modeled_device_time
-        return {
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "n_launches": int(self.n_launches),
-            "routing": [decision.to_dict() for decision in self.routing],
-            "modeled_device_time": (None if modeled is None
-                                    else asdict(modeled)),
-            "quarantine": self.quarantine.to_dicts(),
-            # Derived headline count, so dashboards reading the JSON
-            # need not parse the full quarantine records; from_dict
-            # rebuilds it from "quarantine", keeping round-trips exact.
-            "n_quarantined": len(self.quarantine),
-            "guard_log": {
-                "violations": self.guard_log.to_dicts(),
-                "n_clamped_steps": int(self.guard_log.n_clamped_steps),
-            },
-            "memory_events": [asdict(event)
-                              for event in self.memory_events],
-            "metrics": self.metrics.to_dict(),
-            "launch_costs": [cost.to_dict()
-                             for cost in self.launch_costs],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineReport":
-        """Inverse of :meth:`to_dict`. Older reports also carried
-        ``counters``, ``n_retried_rows`` and ``n_recovered_rows``; the
-        same counts are in their ``metrics``, so those keys are ignored.
-        """
-        guard_data = data.get("guard_log", {})
-        guard_log = GuardLog.from_dicts(guard_data.get("violations", []))
-        # GuardLog.from_dicts only rebuilds the violation list; the
-        # clamp counter rides next to it in the serialized form.
-        guard_log.n_clamped_steps = int(
-            guard_data.get("n_clamped_steps", 0))
-        modeled = data.get("modeled_device_time")
-        return cls(
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            n_launches=int(data["n_launches"]),
-            routing=[RoutingDecision.from_dict(entry)
-                     for entry in data.get("routing", [])],
-            modeled_device_time=(None if modeled is None
-                                 else DeviceTimeEstimate(**modeled)),
-            quarantine=QuarantineLog.from_dicts(data.get("quarantine", [])),
-            guard_log=guard_log,
-            memory_events=[MemoryEvent(**entry)
-                           for entry in data.get("memory_events", [])],
-            metrics=MetricsRegistry.from_dict(data.get("metrics", {})),
-            launch_costs=[LaunchCost.from_dict(entry)
-                          for entry in data.get("launch_costs", [])],
-        )
-
-
-def _routing_counts(decisions: list[RoutingDecision]) -> dict[str, int]:
-    """The rows that switched from DOPRI5 to Radau IIA over
-    ``decisions``."""
-    return {"switched_rows": sum(d.n_stiff for d in decisions)}
 
 
 class BatchSimulator:
@@ -257,9 +192,9 @@ class BatchSimulator:
         """Run the batch and return merged trajectories.
 
         ``parameters`` defaults to a single simulation of the model's
-        nominal parameterization. Execution metadata (wall-clock,
-        routing decisions, the metrics registry, modeled device time)
-        is stored in :attr:`last_report`.
+        nominal parameterization. Execution metadata (wall-clock, the
+        metrics registry, modeled device time) is stored in
+        :attr:`last_report`; per-launch facts go on the launch spans.
         """
         batch = self._normalize_parameters(parameters)
         t_eval = validate_time_grid(t_span, t_eval)
@@ -290,12 +225,10 @@ class BatchSimulator:
             rung_span = tracer.start("rung-0", "rung", parent=launch_span,
                                      method=self.method)
             problem.trace_span = rung_span
-            launch_t0 = clock.monotonic()
-            decided = len(report.routing)
-            chunk = self._run_launch_governed(problem, t_span, t_eval,
-                                              report)
-            tracer.end(rung_span,
-                       **_routing_counts(report.routing[decided:]))
+            chunk, switched = self._run_launch_governed(
+                problem, t_span, t_eval, report)
+            tracer.end(rung_span, switched_rows=switched)
+            report.metrics.count("router.switched_rows", switched)
             if self.fault_plan is not None and \
                     self.fault_plan.forces_launch_failure(report.n_launches):
                 chunk.status_codes[:] = BROKEN
@@ -308,14 +241,18 @@ class BatchSimulator:
                 retried, recovered = self._retry_failed_rows(
                     problem, chunk, t_span, t_eval, report,
                     invariant_monitor, launch_span)
-            observed = clock.monotonic() - launch_t0
-            cost = self._launch_cost(report, counters, observed,
-                                     stop - start)
+            # The prediction prices the launch's *own* account, which
+            # its router subsets, memory splits and retry rungs all
+            # accumulate into, so their work is attributed to the
+            # launch that incurred it.
+            predicted = estimate_device_time(
+                counters, stop - start, self.system.n_species,
+                self.system.n_reactions, self.device)
             counters.fold_into(report.metrics)
             report.metrics.count("retry.retried_rows", retried)
             report.metrics.count("retry.recovered_rows", recovered)
             tracer.end(launch_span, method=self.method,
-                       predicted_ms=cost.predicted_seconds * 1.0e3)
+                       predicted_ms=predicted.total_seconds * 1.0e3)
             self._observe_launch(report, stop - start, t_eval.size)
             chunks.append(chunk)
             report.n_launches += 1
@@ -362,26 +299,6 @@ class BatchSimulator:
                                      self.system.n_reactions,
                                      n_save_points, self.method))
 
-    def _launch_cost(self, report: EngineReport, counters: KernelCounters,
-                     observed: float, rows: int) -> LaunchCost:
-        """Record one launch's predicted-vs-observed device seconds.
-
-        Prediction prices the launch's *own* account, which its router
-        subsets, memory splits and retry rungs all accumulate into, so
-        their work is attributed to the launch that incurred it.
-        """
-        n_species = self.system.n_species
-        n_reactions = self.system.n_reactions
-        predicted = estimate_device_time(counters, rows, n_species,
-                                         n_reactions, self.device)
-        cost = LaunchCost(
-            method=self.method, rows=int(rows), n_species=int(n_species),
-            n_reactions=int(n_reactions),
-            predicted_seconds=float(predicted.total_seconds),
-            observed_seconds=float(observed))
-        report.launch_costs.append(cost)
-        return cost
-
     @staticmethod
     def _populate_metrics(report: EngineReport,
                           result: BatchSolveResult) -> None:
@@ -399,8 +316,6 @@ class BatchSimulator:
                       report.guard_log.n_clamped_steps)
         for kind, count in report.guard_log.counts().items():
             metrics.count(f"guard.violations.{kind}", count)
-        for name, count in _routing_counts(report.routing).items():
-            metrics.count(f"router.{name}", count)
         metrics.count("governor.splits", len(report.memory_events))
         metrics.count("governor.segments",
                       sum(event.n_splits for event in report.memory_events))
@@ -469,8 +384,10 @@ class BatchSimulator:
     def _run_launch_governed(self, problem: BatchedODEProblem,
                              t_span: tuple[float, float],
                              t_eval: Array,
-                             report: EngineReport) -> BatchSolveResult:
-        """Run one launch under the memory governor (if any).
+                             report: EngineReport
+                             ) -> tuple[BatchSolveResult, int]:
+        """Run one launch under the memory governor (if any); returns
+        the result and the rows the router switched to Radau IIA.
 
         When the estimated working set exceeds the budget — or the
         fault plan injects memory pressure on this launch — the launch
@@ -489,20 +406,22 @@ class BatchSimulator:
             if governor is None:
                 governor = MemoryGovernor()
         if governor is None:
-            return self._run_launch(problem, t_span, t_eval, report)
+            return self._run_launch(problem, t_span, t_eval)
         plan = governor.plan(problem.batch_size, problem.n_species,
                              self.system.n_reactions, t_eval.size,
                              self.method, self.device,
                              forced_fit_rows=forced_fit_rows)
         if not plan.split:
-            return self._run_launch(problem, t_span, t_eval, report)
+            return self._run_launch(problem, t_span, t_eval)
         merged = allocate_result(t_eval, problem.batch_size,
                                  problem.n_species, 0)
+        switched = 0
         for start, stop in plan.segments:
             rows = xp.arange(start, stop)
-            segment = self._run_launch(problem.subset(rows), t_span,
-                                       t_eval, report)
+            segment, segment_switched = self._run_launch(
+                problem.subset(rows), t_span, t_eval)
             merged.merge_rows(segment, rows)
+            switched += segment_switched
         report.memory_events.append(MemoryEvent(
             launch_index=report.n_launches,
             requested_rows=problem.batch_size,
@@ -511,18 +430,17 @@ class BatchSimulator:
             estimated_doubles=plan.estimated_doubles,
             budget_doubles=plan.budget_doubles,
             injected=plan.injected))
-        return merged
+        return merged, switched
 
     def _run_launch(self, problem: BatchedODEProblem,
-                    t_span: tuple[float, float], t_eval: Array,
-                    report: EngineReport) -> BatchSolveResult:
+                    t_span: tuple[float, float], t_eval: Array
+                    ) -> tuple[BatchSolveResult, int]:
         if self.method == "auto":
             result, decision = StiffnessRouter(self.options).solve(
                 problem, t_span, t_eval)
-            report.routing.append(decision)
-            return result
+            return result, decision.n_stiff
         return INTEGRATORS[self.method](self.options).solve(
-            problem, t_span, t_eval)
+            problem, t_span, t_eval), 0
 
     # ------------------------------------------------------------------
     # retry escalation + quarantine (the resilience layer)

@@ -39,20 +39,6 @@ class RoutingDecision:
         """Rows that switched to Radau IIA."""
         return int(xp.sum(self.switched))
 
-    def to_dict(self) -> dict:
-        return {"switched": [bool(v) for v in self.switched]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoutingDecision":
-        """Inverse of :meth:`to_dict`. A decision written before rows
-        resumed holds ``stiff_mask`` and maybe ``handed_back``: the rows
-        DOPRI5 handed back load as the switched ones.
-        """
-        switched = data.get("switched", data.get("handed_back"))
-        if switched is None:
-            return cls(xp.zeros(len(data["stiff_mask"]), dtype=bool))
-        return cls(xp.asarray(switched, dtype=bool))
-
 
 class StiffnessRouter:
     """Run every simulation on DOPRI5 and switch the unfinished ones to

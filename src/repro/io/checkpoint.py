@@ -148,9 +148,6 @@ class CampaignCheckpoint:
     def has_chunk(self, index: int) -> bool:
         return index in self.chunks and self.chunk_file(index).is_file()
 
-    def completed_indices(self) -> list[int]:
-        return sorted(self.chunks)
-
     def launch_of(self, index: int) -> int:
         """First chunk of the launch that produced journaled chunk
         ``index``: the launch's metrics are payload ``metrics-<it>``."""

@@ -339,12 +339,15 @@ def lint_source(source: str, filename: str = "<kernel>") -> LintReport:
 
 def lint_file(path: str | Path) -> LintReport:
     """Lint one kernel source file."""
-    path = Path(path)
+    return _lint_path(Path(path), str(path))
+
+
+def _lint_path(path: Path, name: str) -> LintReport:
     try:
         source = path.read_text()
     except OSError as error:
         raise LintError(f"cannot read {path}: {error}") from error
-    return lint_source(source, str(path))
+    return lint_source(source, name)
 
 
 def lint_callable(function) -> LintReport:
@@ -366,23 +369,43 @@ def lint_callable(function) -> LintReport:
     return lint_source(textwrap.dedent(source), where)
 
 
+#: The ``repro`` package directory; kernel files under it are named
+#: relative to it, as the project analysis names its modules.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
 def shipped_kernel_paths() -> list[Path]:
     """The repo's own batch-kernel modules: ``gpu/batch_*.py`` and the
     working set their step loops share (``gpu/working_set.py``)."""
-    gpu_dir = Path(__file__).resolve().parent.parent / "gpu"
+    gpu_dir = PACKAGE_ROOT / "gpu"
     return sorted([*gpu_dir.glob("batch_*.py"), gpu_dir / "working_set.py"])
 
 
+def _package_name(path: Path) -> str:
+    """``gpu/batch_dopri5.py`` for a file under :data:`PACKAGE_ROOT`,
+    the path as given otherwise."""
+    try:
+        return path.resolve().relative_to(PACKAGE_ROOT.resolve()).as_posix()
+    except ValueError:
+        return str(path)
+
+
 def lint_kernels(paths: list[str | Path] | None = None) -> LintReport:
-    """Lint a set of kernel files (default: the shipped batch solvers)."""
+    """Lint a set of kernel files (default: the shipped batch solvers).
+
+    Files under the package are named relative to it
+    (``gpu/batch_dopri5.py:12``), as :func:`~repro.lint.lint_project`
+    names the package's modules.
+    """
     targets = [Path(p) for p in paths] if paths else shipped_kernel_paths()
     if not targets:
         raise LintError("no kernel files to lint")
+    names = [_package_name(target) for target in targets]
     merged = LintReport(
         subject=f"{len(targets)} kernel file(s)",
-        metadata={"files": [str(t) for t in targets], "waived": 0})
-    for target in targets:
-        part = lint_file(target)
+        metadata={"files": names, "waived": 0})
+    for target, name in zip(targets, names):
+        part = _lint_path(target, name)
         merged.findings.extend(part.findings)
         merged.metadata["waived"] += part.metadata.get("waived", 0)
     return merged

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 from ..errors import LintError
 from .backend_rules import BKD_CHECKS
@@ -301,7 +302,7 @@ def _apply_baseline(report: LintReport, baseline_path: Path,
 def lint_project(paths: list[str | Path] | None = None, *,
                  families=tuple(FAMILIES),
                  root: Path | None = None,
-                 baseline_path: str | Path | None = None,
+                 baseline_path: str | Path | Literal[False] | None = None,
                  config: LintConfig = DEFAULT_CONFIG) -> LintReport:
     """Run the selected rule families over one project index and
     return a :class:`~repro.lint.report.LintReport`.
@@ -318,8 +319,9 @@ def lint_project(paths: list[str | Path] | None = None, *,
         package directory (or the common parent of ``paths``).
     baseline_path:
         Baseline JSON to subtract. Defaults to the committed
-        :data:`DEFAULT_BASELINE` when analyzing the package itself;
-        pass an explicit path (or a missing one) to disable.
+        :data:`DEFAULT_BASELINE` when analyzing the package itself; a
+        path that does not exist subtracts nothing, and ``False``
+        subtracts nothing without looking at any file.
     config:
         Project-shape configuration for the rules.
     """
@@ -361,7 +363,7 @@ def lint_project(paths: list[str | Path] | None = None, *,
     report.metadata["waived"] = emit.waived
     if baseline_path is None and analyzing_package:
         baseline_path = DEFAULT_BASELINE
-    if baseline_path is not None and Path(baseline_path).exists():
+    if baseline_path not in (None, False) and Path(baseline_path).exists():
         _apply_baseline(report, Path(baseline_path), _prefixes(selected))
     report.findings.sort(key=lambda f: (f.location, f.rule_id))
     return report

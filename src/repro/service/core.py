@@ -129,7 +129,7 @@ class CampaignService:
             raise ServiceError("service was never started")
         if not drain:
             for job in list(self._queue):
-                self._finish_queued(job, JobState.SHED, "shutdown")
+                self._finish(job, JobState.SHED, "shutdown")
                 self.ladder.note_shed()
             self._queue.clear()
             for task_id in list(self._running):
@@ -261,7 +261,7 @@ class CampaignService:
                 f"{request.priority}",
                 tenant=request.tenant)
         self._queue.remove(victim)
-        self._finish_queued(victim, JobState.SHED, "displaced")
+        self._finish(victim, JobState.SHED, "displaced")
         self.ladder.note_shed()
 
     # -- client operations -----------------------------------------------
@@ -281,7 +281,7 @@ class CampaignService:
             return job
         if job in self._queue:
             self._queue.remove(job)
-            self._finish_queued(job, JobState.CANCELLED, "client-cancel")
+            self._finish(job, JobState.CANCELLED, "client-cancel")
             return job
         job.cancel.set()
         self._wake()
@@ -409,7 +409,7 @@ class CampaignService:
             deadline = job.request.deadline_seconds
             if deadline is not None and now - job.submitted_at > deadline:
                 self._queue.remove(job)
-                self._finish_queued(job, JobState.SHED, "deadline")
+                self._finish(job, JobState.SHED, "deadline")
                 self.ladder.note_shed()
 
     def _preempt_excess(self) -> None:
@@ -609,8 +609,7 @@ class CampaignService:
         self.metrics.count("service.supervisor.crashes")
         for job in list(self._queue):
             job.error = f"dispatcher crashed: {error!r}"
-            self._finish_queued(job, JobState.QUARANTINED,
-                                "supervisor-crash")
+            self._finish(job, JobState.QUARANTINED, "supervisor-crash")
         self._queue.clear()
 
     def _job_task_done(self, job: JobRecord, task: asyncio.Task) -> None:
@@ -651,10 +650,6 @@ class CampaignService:
             self.slo.observe(tenant, state, reason, latency)
         job.done.set()
         self._wake()
-
-    def _finish_queued(self, job: JobRecord, state: str,
-                       reason: str) -> None:
-        self._finish(job, state, reason)
 
 
 def _launch_key(request: JobRequest) -> tuple:

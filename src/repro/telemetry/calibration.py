@@ -2,11 +2,12 @@
 
 The :mod:`repro.gpu.perfmodel` device-time model is a prediction that
 nothing else checks against reality. This module measures how far off
-it is: every launch records a :class:`LaunchCost` — the modeled device
-seconds next to the observed wall-clock — and a
-:class:`CalibrationTable` accumulates them into ``solver x batch-width
-x model-size`` buckets (powers of two, matching the registry
-histograms). ``fit()`` produces a :class:`CalibrationReport`: per
+it is: every engine launch span carries the modeled device time
+(``predicted_ms``) next to its observed wall-clock (its duration), and
+a :class:`CalibrationTable` reads those spans
+(:meth:`CalibrationTable.ingest_span`) as :class:`LaunchCost` records
+into ``solver x batch-width x model-size`` buckets (powers of two,
+matching the registry histograms). ``fit()`` produces a :class:`CalibrationReport`: per
 bucket, the multiplicative time correction, the measured seconds per
 row, the model's median log error before and after the correction,
 and a drift flag.
@@ -17,11 +18,11 @@ with the analytic working-set formula; neither reads a report, so a
 stale or mis-fitted calibration can never change a result or a
 verdict.
 
-Records live on :class:`~repro.gpu.engine.EngineReport` (wall-clock
-values are **not** registry material — rule DET005 keeps checkpoints
-timestamp-free), and the same numbers ride launch-span attributes
-(``predicted_ms``), so a live :class:`CalibrationTable` can also be
-fed from the trace stream via :meth:`CalibrationTable.ingest_span`.
+The launch span is the only per-launch record (wall-clock values are
+**not** registry material — rule DET005 keeps checkpoints
+timestamp-free), so a table is fed the same way offline and live: as a
+tracer observer, from a :class:`~repro.telemetry.live.MetricsHub`'s
+tracer, or in a pass over a trace file.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import TelemetryError
+from .tracer import Tracer
 
 SCHEMA_VERSION = 1
 
@@ -63,21 +65,6 @@ class LaunchCost:
         if self.predicted_seconds <= 0.0:
             return 1.0
         return self.observed_seconds / self.predicted_seconds
-
-    def to_dict(self) -> dict:
-        return {"method": self.method, "rows": int(self.rows),
-                "n_species": int(self.n_species),
-                "n_reactions": int(self.n_reactions),
-                "predicted_seconds": float(self.predicted_seconds),
-                "observed_seconds": float(self.observed_seconds)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LaunchCost":
-        return cls(method=str(data["method"]), rows=int(data["rows"]),
-                   n_species=int(data["n_species"]),
-                   n_reactions=int(data["n_reactions"]),
-                   predicted_seconds=float(data["predicted_seconds"]),
-                   observed_seconds=float(data["observed_seconds"]))
 
 
 @dataclass(frozen=True)
@@ -142,20 +129,12 @@ class CalibrationTable:
             bucket.append(cost)
         self.n_records += 1
 
-    def ingest_report(self, report) -> int:
-        """Absorb an engine report's ``launch_costs``; returns how
-        many records were added."""
-        costs = getattr(report, "launch_costs", None) or ()
-        for cost in costs:
-            self.record(cost)
-        return len(costs)
-
     def ingest_span(self, span) -> bool:
-        """Absorb one ``launch`` span carrying ``predicted_ms``.
+        """Absorb one ``launch`` span carrying ``predicted_ms``; other
+        spans are ignored (returns whether the span was recorded).
 
-        This is the trace-stream path: a hub subscriber (or a post-hoc
-        pass over a trace file) can rebuild the table without engine
-        reports in hand.
+        Register it as a tracer observer, or call it in a pass over a
+        trace file.
         """
         if getattr(span, "category", None) != "launch":
             return False
@@ -334,8 +313,9 @@ def calibrate_workload(model, t_span=(0.0, 2.0), t_eval=None,
 
     Runs ``repeats`` batched simulations per width (each width is one
     launch, so buckets across the width axis fill deterministically)
-    and ingests every engine report. This is what ``repro calibrate``
-    drives; tests reuse it with small widths.
+    under an in-memory tracer whose launch spans feed the table. This
+    is what ``repro calibrate`` drives; tests reuse it with small
+    widths.
     """
     # Engine import stays function-local: telemetry is a lower layer
     # than gpu and must stay importable without it.
@@ -345,6 +325,8 @@ def calibrate_workload(model, t_span=(0.0, 2.0), t_eval=None,
     from ..model import perturbed_batch
 
     table = CalibrationTable() if table is None else table
+    tracer = Tracer(keep_spans=False)
+    tracer.add_observer(table.ingest_span)
     for width in widths:
         batch = perturbed_batch(model.nominal_parameterization(),
                                 int(width),
@@ -357,7 +339,6 @@ def calibrate_workload(model, t_span=(0.0, 2.0), t_eval=None,
                 kwargs["device"] = device
             simulator = BatchSimulator(model, method=method,
                                        max_batch_per_launch=int(width),
-                                       **kwargs)
+                                       tracer=tracer, **kwargs)
             simulator.simulate(t_span, t_eval, batch)
-            table.ingest_report(simulator.last_report)
     return table

@@ -1,7 +1,6 @@
 """Perfmodel calibration: launch-cost records, table fitting, the
 fitted report, and the ``repro calibrate`` CLI."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,12 +9,12 @@ import pytest
 from repro.cli import main
 from repro.errors import TelemetryError
 from repro.gpu import BatchSimulator
-from repro.gpu.engine import EngineReport
 from repro.io import write_model
 from repro.model import perturbed_batch
 from repro.models import lotka_volterra
 from repro.resilience import FaultPlan, default_retry_policy
-from repro.telemetry import CalibrationReport, CalibrationTable
+from repro.telemetry import (CalibrationReport, CalibrationTable,
+                             JsonlSink, Tracer, read_trace_jsonl)
 from repro.telemetry.calibration import (MAX_SAMPLES_PER_BUCKET,
                                          BucketCalibration, LaunchCost,
                                          bucket_exponent,
@@ -39,10 +38,6 @@ class TestLaunchCost:
     def test_degenerate_predictions_ratio_one(self):
         record = cost(predicted=0.0)
         assert record.time_ratio == 1.0
-
-    def test_round_trip(self):
-        record = cost()
-        assert LaunchCost.from_dict(record.to_dict()) == record
 
     def test_bucket_exponent_matches_histogram_rule(self):
         assert [bucket_exponent(v) for v in (0, 1, 2, 3, 8, 1000)] \
@@ -133,22 +128,28 @@ class TestCalibrationReport:
         assert "reduction" in text
 
 
+def launch_spans(model, batch, **kwargs):
+    """The launch spans of one traced ``simulate`` call."""
+    tracer = Tracer()
+    BatchSimulator(model, tracer=tracer, **kwargs).simulate(
+        (0.0, 2.0), T_EVAL, batch)
+    return [span for span in tracer.spans if span.category == "launch"]
+
+
 class TestEngineLaunchCosts:
     def test_every_launch_records_a_cost(self):
         model = lotka_volterra()
         batch = perturbed_batch(model.nominal_parameterization(), 8,
                                 np.random.default_rng(5))
-        simulator = BatchSimulator(model, method="dopri5",
-                                   max_batch_per_launch=4)
-        simulator.simulate((0.0, 2.0), T_EVAL, batch)
-        costs = simulator.last_report.launch_costs
-        assert len(costs) == 2  # 8 rows at 4 per launch
-        for record in costs:
-            assert record.method == "dopri5"
-            assert record.rows == 4
-            assert record.n_species == model.n_species
-            assert record.observed_seconds > 0.0
-            assert record.predicted_seconds > 0.0
+        spans = launch_spans(model, batch, method="dopri5",
+                             max_batch_per_launch=4)
+        assert len(spans) == 2  # 8 rows at 4 per launch
+        for span in spans:
+            assert span.attrs["method"] == "dopri5"
+            assert span.attrs["rows"] == 4
+            assert span.attrs["species"] == model.n_species
+            assert span.duration > 0.0
+            assert span.attrs["predicted_ms"] > 0.0
 
     def test_retry_work_is_priced_on_the_launch_that_incurred_it(self):
         model = lotka_volterra()
@@ -156,29 +157,34 @@ class TestEngineLaunchCosts:
                                 np.random.default_rng(5))
 
         def costs(fault_plan):
-            simulator = BatchSimulator(model, method="dopri5",
-                                       max_batch_per_launch=4,
-                                       retry_policy=default_retry_policy(),
-                                       fault_plan=fault_plan)
-            simulator.simulate((0.0, 2.0), T_EVAL, batch)
-            return [cost.predicted_seconds
-                    for cost in simulator.last_report.launch_costs]
+            spans = launch_spans(model, batch, method="dopri5",
+                                 max_batch_per_launch=4,
+                                 retry_policy=default_retry_policy(),
+                                 fault_plan=fault_plan)
+            return [span.attrs["predicted_ms"] for span in spans]
 
         clean = costs(None)
         faulted = costs(FaultPlan(fail_launches=(1,)))
         assert faulted[0] == clean[0]
         assert faulted[1] > clean[1]
 
-    def test_report_round_trip_keeps_costs(self):
+    def test_report_round_trip_keeps_costs(self, tmp_path):
+        """A table fed from a trace file holds the records a live
+        observer of the same spans holds."""
         model = lotka_volterra()
-        batch = perturbed_batch(model.nominal_parameterization(), 4,
+        batch = perturbed_batch(model.nominal_parameterization(), 8,
                                 np.random.default_rng(5))
-        simulator = BatchSimulator(model, method="dopri5")
-        simulator.simulate((0.0, 2.0), T_EVAL, batch)
-        report = simulator.last_report
-        restored = EngineReport.from_dict(
-            json.loads(json.dumps(report.to_dict())))
-        assert restored.launch_costs == report.launch_costs
+        live = CalibrationTable()
+        tracer = Tracer(sink=JsonlSink(tmp_path / "trace.jsonl"))
+        tracer.add_observer(live.ingest_span)
+        BatchSimulator(model, method="dopri5", max_batch_per_launch=4,
+                       tracer=tracer).simulate((0.0, 2.0), T_EVAL, batch)
+        tracer.flush()
+        replayed = CalibrationTable()
+        for span in read_trace_jsonl(tmp_path / "trace.jsonl"):
+            replayed.ingest_span(span)
+        assert live.n_records == replayed.n_records == 2
+        assert replayed.records() == live.records()
 
     def test_calibrate_workload_meets_the_reduction_bar(self):
         table = calibrate_workload(lotka_volterra(), widths=(4, 8),

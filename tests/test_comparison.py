@@ -43,6 +43,15 @@ class TestTimeEngine:
         assert seconds > 0
         assert not extrapolated
 
+    def test_failed_rows_count_as_run(self):
+        """Rows that ran and failed are timed, not extrapolated."""
+        model = decay_chain(2)
+        seconds, extrapolated = time_engine(
+            model, "lsoda", 4, (0, 1), np.array([0.0, 1.0]),
+            options=SolverOptions(max_steps=1))
+        assert np.isfinite(seconds) and seconds > 0
+        assert not extrapolated
+
     def test_budget_extrapolation(self):
         model = generate_symmetric(16, seed=0)
         seconds, extrapolated = time_engine(

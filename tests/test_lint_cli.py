@@ -10,6 +10,7 @@ clean / 1 findings / 2 crash / 3 lint-gate rejection).
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +219,8 @@ class TestProjectFamilies:
                          "        y[i] = 0.0\n")
         monkeypatch.setattr("repro.lint.kernel_rules.shipped_kernel_paths",
                             lambda: [waived_kernel, dirty])
+        # The kernels stand in for the package's own, under its root.
+        monkeypatch.setattr("repro.lint.kernel_rules.PACKAGE_ROOT", tmp_path)
         root = tmp_path / "proj"
         root.mkdir()
         (root / "clean.py").write_text("def f(x):\n    return x\n")
@@ -227,7 +230,11 @@ class TestProjectFamilies:
         payload = json.loads(capsys.readouterr().out)
         assert [f["rule_id"] for f in payload["findings"]] == ["KRN001"]
         assert payload["metadata"]["waived"] == 1
-        assert payload["metadata"]["files"] == ["clean.py"]
+        # Kernel findings and files are named like the project's:
+        # relative to their root.
+        assert payload["findings"][0]["location"] == "dirty.py:2"
+        assert payload["metadata"]["files"] == \
+            ["clean.py", "kernel.py", "dirty.py"]
 
     def test_baseline_is_scoped_to_families(self, tmp_path, capsys):
         root = _family_tree(tmp_path, ["gpu/batch_x.py"])
@@ -247,6 +254,32 @@ class TestProjectFamilies:
         entries = json.loads(baseline.read_text())["entries"]
         assert sorted(entry["rule"] for entry in entries) == \
             ["DET001", "SHP001"]
+
+    def test_write_baseline_subtracts_no_file(self, tmp_path,
+                                              monkeypatch, capsys):
+        """``--write-baseline`` records every finding, even when a
+        file at a made-up "no baseline" path lists them all."""
+        root = _family_tree(tmp_path, _FAMILY_TREE)
+        first = tmp_path / "first.json"
+        flags = ["lint", "--deep", "--shapes", "--conc", str(root),
+                 "--write-baseline", "--baseline"]
+        assert main(flags + [str(first)]) == 0
+        listed = first.read_text()
+        assert len(json.loads(listed)["entries"]) == 3
+        capsys.readouterr()
+        absent = "/nonexistent-baseline"
+        exists, read_text = Path.exists, Path.read_text
+        monkeypatch.setattr(
+            Path, "exists",
+            lambda path: str(path) == absent or exists(path))
+        monkeypatch.setattr(
+            Path, "read_text",
+            lambda path, *args, **kwargs: listed if str(path) == absent
+            else read_text(path, *args, **kwargs))
+        second = tmp_path / "second.json"
+        assert main(flags + [str(second)]) == 0
+        assert "wrote 3 baseline entries" in capsys.readouterr().out
+        assert second.read_text() == listed
 
 
 class TestLintGateExitCode:

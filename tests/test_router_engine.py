@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SolverError
 from repro.gpu import (BatchDopri5, BatchRadau5, BatchSimulator,
-                       BatchedODEProblem, RoutingDecision, StiffnessRouter)
+                       BatchedODEProblem, StiffnessRouter)
 from repro.gpu.batch_result import OK
 from repro.gpu.working_set import RowStates
 from repro.lint import stiffness_risk_score
@@ -207,26 +207,6 @@ class TestRouter:
         assert crossed > 0
 
 
-class TestRoutingDecision:
-    def test_round_trip_keeps_the_handed_back_mask(self):
-        """A decision written before rows resumed loads its handed-back
-        rows as the switched ones, and round-trips."""
-        legacy = {"stiff_mask": [True, False, False], "threshold": 500.0,
-                  "handed_back": [False, True, False]}
-        restored = RoutingDecision.from_dict(legacy)
-        assert restored.switched.tolist() == [False, True, False]
-        assert restored.n_stiff == 1
-        again = RoutingDecision.from_dict(restored.to_dict())
-        assert again.switched.tolist() == [False, True, False]
-        assert again.to_dict() == restored.to_dict()
-
-    def test_dict_without_the_mask_loads_as_all_false(self):
-        legacy = {"stiff_mask": [True, False], "threshold": 500.0}
-        restored = RoutingDecision.from_dict(legacy)
-        assert restored.switched.tolist() == [False, False]
-        assert restored.n_stiff == 0
-
-
 class TestEngine:
     def test_auto_method_on_developing_stiffness(self):
         """Robertson is non-stiff at t=0 but the engine still solves it
@@ -283,7 +263,6 @@ class TestEngine:
         report = engine.last_report
         assert report.elapsed_seconds > 0
         assert report.n_launches == 1
-        assert len(report.routing) == 1
         assert report.modeled_device_time is not None
         assert report.modeled_device_time.total_seconds > 0
 
@@ -342,21 +321,23 @@ class TestWidthIndependentRouting:
 
     def test_split_and_joined_launches_count_the_same_work(self):
         """Switched cascade rows count the same ``kernel.rhs_evals`` and
-        switch alike in one launch as in two, with one Radau5 launch per
-        router call."""
+        switch alike in one launch as in two, each launch's rung span
+        counting its own switched rows."""
         model, batch = cascade_call()
-        reports = []
+        reports, switched = [], []
         for width in (16, 8):
+            tracer = Tracer()
             engine = BatchSimulator(model, CASCADE_OPTIONS,
-                                    max_batch_per_launch=width)
+                                    max_batch_per_launch=width,
+                                    tracer=tracer)
             engine.simulate((0.0, 1.0), CASCADE_GRID, batch)
             reports.append(engine.last_report)
+            switched.append([span.attrs["switched_rows"]
+                             for span in tracer.spans
+                             if span.name == "rung-0"])
         joined, split = reports
-        assert len(split.routing) == 2
+        assert switched == [[16], [8, 8]]
         assert split.metrics.counters["kernel.rhs_evals"] \
             == joined.metrics.counters["kernel.rhs_evals"]
         assert split.metrics.counters["router.switched_rows"] \
             == joined.metrics.counters["router.switched_rows"] == batch.size
-        assert np.concatenate(
-            [decision.switched for decision in split.routing]
-        ).tobytes() == joined.routing[0].switched.tobytes()

@@ -104,7 +104,7 @@ class TestTimeBudget:
             (0, 1e4), np.array([0.0, 1e4]), batch,
             time_budget_seconds=0.05)
         statuses = result.statuses()
-        assert statuses.count("failed") > 0
+        assert statuses.count("running") > 0
         assert result.elapsed_seconds < 5.0
 
     def test_unknown_sequential_engine_rejected(self):

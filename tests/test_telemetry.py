@@ -10,11 +10,10 @@ from repro.core import run_psa_1d
 from repro.core.psa import ParameterRange, SweepTarget
 from repro.errors import CampaignInterrupted, TelemetryError
 from repro.gpu import BatchSimulator
-from repro.gpu.engine import EngineReport
 from repro.guards import MemoryGovernor
 from repro.model import perturbed_batch
 from repro.models import lotka_volterra
-from repro.resilience import (CampaignConfig, FaultPlan,
+from repro.resilience import (CampaignConfig, FaultPlan, QuarantineLog,
                               default_retry_policy, run_campaign)
 from repro.telemetry import (CATEGORIES, Histogram, JsonlSink,
                              MetricsRegistry, NULL_TRACER, Tracer,
@@ -297,6 +296,9 @@ class TestEngineIntegration:
         assert metrics.counters["retry.recovered_rows"] == 8
 
     def test_report_round_trip_with_quarantine_and_memory(self):
+        """What a campaign journals of a report, its quarantine records
+        and its metrics registry, round-trips through JSON; the memory
+        split rides the registry's governor counters."""
         model = lotka_volterra()
         simulator = BatchSimulator(
             model, method="auto",
@@ -307,30 +309,18 @@ class TestEngineIntegration:
         simulator.simulate((0.0, 2.0), T_EVAL, lv_batch(model))
         report = simulator.last_report
         assert len(report.quarantine) == 1
-        assert report.memory_events
-        exported = json.loads(report.to_json())
-        # the derived headline count travels in the dict...
-        assert exported["n_quarantined"] == 1
-        restored = EngineReport.from_dict(exported)
-        assert restored.n_launches == report.n_launches
-        assert restored.quarantine.rows().tolist() == [2]
-        # ...and the round-trip re-derives it identically
-        assert json.loads(restored.to_json())["n_quarantined"] == 1
-        assert restored.memory_events == report.memory_events
-        assert restored.guard_log.n_clamped_steps == \
-            report.guard_log.n_clamped_steps
-        assert restored.metrics.to_dict() == report.metrics.to_dict()
-        assert np.array_equal(restored.routing[0].switched,
-                              report.routing[0].switched)
-        # The registry is the only store of kernel and retry counts...
-        removed = {"counters", "n_retried_rows", "n_recovered_rows"}
-        assert not removed & set(exported)
-        # ...and older reports that still carry the copies load, with
-        # the copies ignored.
-        legacy = dict(exported, counters={"rhs_kernel_launches": 1},
-                      n_retried_rows=99, n_recovered_rows=98)
-        loaded = EngineReport.from_dict(legacy)
-        assert loaded.to_dict() == restored.to_dict()
+        (event,) = report.memory_events
+        exported = json.loads(json.dumps(
+            {"quarantine": report.quarantine.to_dicts(),
+             "metrics": report.metrics.to_dict()}))
+        restored = QuarantineLog.from_dicts(exported["quarantine"])
+        assert restored.rows().tolist() == [2]
+        assert restored.to_dicts() == report.quarantine.to_dicts()
+        metrics = MetricsRegistry.from_dict(exported["metrics"])
+        assert metrics.to_dict() == report.metrics.to_dict()
+        assert metrics.counters["governor.splits"] == 1
+        assert metrics.counters["governor.segments"] == event.n_splits
+        assert metrics.counters["quarantine.rows"] == 1
 
 
 class TestCampaignTelemetry:
